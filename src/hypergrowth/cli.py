@@ -10,7 +10,8 @@ Reports are line oriented and machine parseable: data lines carry
 space-separated key=value fields, followed where applicable by one
 serialized object block (coloring or matrix text).  Exit status is 0 when
 the command succeeds and any tested property holds, 1 when a tested
-property fails or nothing is found, 2 on usage or I/O errors.  Identical
+property fails or nothing is found, 2 on usage or I/O errors and when the
+engine cannot finish (a level too deep for the recursive walk).  Identical
 invocations print identical bytes; --jobs changes scheduling only.
 """
 
@@ -389,7 +390,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args, sys.stdout)
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError, KeyError, RuntimeError) as exc:
+        # RuntimeError includes RecursionError from very deep growth levels
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -10,7 +10,10 @@ Growth |X_n| is computed exactly.  For Avoid the computation extends each
 member of X_{n-1} by vertex n, depth-first over the colors of the new
 edges, pruning a branch as soon as a basis element embeds through an
 injection whose image uses vertex n; older embeddings were excluded at the
-previous level, so the enumeration is complete by induction.  Everything
+previous level, so the enumeration is complete by induction.  Only the
+levels below the last are enumerated, since the next level extends them;
+the last level is counted, not enumerated, by a dynamic program over the
+new edges that merges colour prefixes with the same future.  Everything
 is big-integer exact; no floating point enters any count.
 """
 
@@ -309,7 +312,8 @@ def _level_templates(basis: Sequence[AnyColoring], n: int, k: int,
     A template records the basis colors over the parent's old edges and
     over the new edges (those containing n), the latter grouped later by
     the largest new-edge rank so the depth-first scan checks each template
-    exactly when its last new edge gets a color.
+    exactly when its last new edge gets a color.  Bit templates also keep
+    their new (rank, color) pairs, the form the final-level count reads.
     """
     out = []
     for b in basis:
@@ -338,17 +342,67 @@ def _level_templates(basis: Sequence[AnyColoring], n: int, k: int,
                     nsel |= 1 << idx
                     nwant |= col << idx
                     last = max(last, idx)
-                out.append((osel, owant, nsel, nwant, last))
+                out.append((osel, owant, nsel, nwant, last,
+                            tuple(new_items)))
             else:
                 last = max((idx for idx, _ in new_items), default=-1)
                 out.append((tuple(old_items), tuple(new_items), last))
     return out
 
 
+def _count_new_edges(act: list, nnew: int, l: int, nodes: int, cap: int):
+    """Number of ways to colour one parent's new edges; (count, nodes).
+
+    ``act[j]`` lists the active templates checked at depth j, each as its
+    (depth, colour) pairs.  A frontier DP over the depths gives the answer
+    of the depth-first walk without visiting its nodes one by one: a prefix
+    matters to later depths only through the set of templates it still
+    matches, so prefixes with one such set are merged, with a multiplicity.
+    ``nodes`` grows by what the walk would visit, ``l`` nodes per surviving
+    prefix and depth, so budgets behave exactly as for the walk.  The count
+    is None once ``nodes`` exceeds ``cap``.
+    """
+    # keep[j][c]: templates that colour c at depth j leaves matched;
+    # done[j]: templates whose last new edge is at depth j
+    keep = [[-1] * l for _ in range(nnew)]
+    done = [0] * nnew
+    ntemplates = 0
+    for j in range(nnew):
+        for items in act[j]:
+            tbit = 1 << ntemplates
+            ntemplates += 1
+            done[j] |= tbit
+            for idx, want in items:
+                for col in range(l):
+                    if col != want:
+                        keep[idx][col] &= ~tbit
+    frontier = {(1 << ntemplates) - 1: 1}
+    for j in range(nnew):
+        nodes += l * sum(frontier.values())
+        if nodes > cap:
+            return None, nodes
+        finished = done[j]
+        nxt: dict[int, int] = {}
+        for state, mult in frontier.items():
+            for mask in keep[j]:
+                matched = state & mask
+                # a template still matched at its last edge embeds
+                if not matched & finished:
+                    nxt[matched] = nxt.get(matched, 0) + mult
+        frontier = nxt
+    return sum(frontier.values()), nodes
+
+
 def _chunk_extend(payload):
-    """Extend a chunk of parents; returns (members, nodes, overflowed)."""
-    parents, templates, nedges_old, nnew, l, cap, use_bits = payload
+    """Extend a chunk of parents; returns (members, nodes, overflowed).
+
+    With ``count_only`` the members are counted, not built: the first item
+    is their number.
+    """
+    (parents, templates, nedges_old, nnew, l, cap, use_bits,
+     count_only) = payload
     members = []
+    count = 0
     nodes = 0
     overflow = False
     for parent in parents:
@@ -362,7 +416,7 @@ def _chunk_extend(payload):
                 if t[4] < 0:
                     dead = True
                     break
-                act[t[4]].append((t[2], t[3]))
+                act[t[4]].append(t[5] if count_only else (t[2], t[3]))
             else:
                 if any(parent[idx] != col for idx, col in t[0]):
                     continue
@@ -373,10 +427,19 @@ def _chunk_extend(payload):
         if dead:
             continue
         if nnew == 0:
-            members.append(parent)
+            if count_only:
+                count += 1
+            else:
+                members.append(parent)
             continue
 
-        if use_bits:
+        if count_only:
+            got, nodes = _count_new_edges(act, nnew, l, nodes, cap)
+            if got is None:
+                overflow = True
+                break
+            count += got
+        elif use_bits:
             def walk_bits(j: int, newmask: int) -> bool:
                 nonlocal nodes, overflow
                 if j == nnew:
@@ -424,7 +487,14 @@ def _chunk_extend(payload):
 
             if not walk_tuple(0):
                 break
-    return members, nodes, overflow
+    return (count if count_only else members), nodes, overflow
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: the most workers worth forking."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def avoid_growth(basis: Sequence[AnyColoring], k: int, l: int, n_max: int,
@@ -462,13 +532,15 @@ def avoid_growth(basis: Sequence[AnyColoring], k: int, l: int, n_max: int,
             alive = False
             exact[n] = False
             continue
-        nchunks = max(1, min(jobs, len(parents)))
+        # the last level is only counted; earlier ones feed the next
+        count_only = n == n_max
+        nchunks = max(1, min(jobs, len(parents), _usable_cpus()))
         payloads = []
         for w in range(nchunks):
             lo = len(parents) * w // nchunks
             hi = len(parents) * (w + 1) // nchunks
             payloads.append((parents[lo:hi], templates, nedges_old, nnew, l,
-                             remaining, use_bits))
+                             remaining, use_bits, count_only))
         if nchunks == 1:
             results = [_chunk_extend(payloads[0])]
         else:
@@ -481,12 +553,15 @@ def avoid_growth(basis: Sequence[AnyColoring], k: int, l: int, n_max: int,
             exact[n] = False
             continue
         nodes_total += lvl_nodes
+        exact[n] = True
+        if count_only:
+            counts[n] = sum(r[0] for r in results)
+            continue
         members: list = []
         for r in results:
             members.extend(r[0])
         members.sort()
         counts[n] = len(members)
-        exact[n] = True
         parents = members
     return counts, exact, nodes_total
 
@@ -528,7 +603,8 @@ def avoid_members(basis: Sequence[AnyColoring], k: int, l: int, n: int,
         nnew = comb(level - 1, k - 1) if level - 1 >= k - 1 else 0
         templates = _level_templates(basis, level, k, use_bits)
         parents, _, overflow = _chunk_extend(
-            (parents, templates, nedges_old, nnew, l, budget, use_bits))
+            (parents, templates, nedges_old, nnew, l, budget, use_bits,
+             False))
         if overflow:
             raise RuntimeError("budget exhausted while materializing members")
         parents.sort()
@@ -723,25 +799,38 @@ def count_p_tame(n: int, p: int) -> int:
 
 
 def load_cache(path: str) -> dict[tuple[str, int], tuple[int, bool]]:
+    """Cached counts by (digest, n); malformed rows are skipped."""
     out: dict[tuple[str, int], tuple[int, bool]] = {}
     if not os.path.exists(path):
         return out
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8", errors="replace") as fh:
         for line in fh:
             line = line.strip()
             if not line:
                 continue
-            digest, n, count, exact = line.split("\t")
-            out[(digest, int(n))] = (int(count), exact == "1")
+            try:
+                digest, n, count, exact = line.split("\t")
+                out[(digest, int(n))] = (int(count), exact == "1")
+            except ValueError:
+                continue
     return out
 
 
 def update_cache(path: str, digest: str, counts: dict[int, int],
                  exact: dict[int, bool]):
+    """Merge exact counts into the cache; replaces the file atomically."""
     entries = load_cache(path)
     for n, cnt in counts.items():
         if exact.get(n):
             entries[(digest, n)] = (cnt, True)
-    with open(path, "w", encoding="utf-8") as fh:
-        for (dg, n), (cnt, ex) in sorted(entries.items()):
-            fh.write(f"{dg}\t{n}\t{cnt}\t{1 if ex else 0}\n")
+    # readers see the old file or the new one, never a torn one
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            for (dg, n), (cnt, ex) in sorted(entries.items()):
+                fh.write(f"{dg}\t{n}\t{cnt}\t{1 if ex else 0}\n")
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise

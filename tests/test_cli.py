@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from hypergrowth import cli
 from hypergrowth.core import (Coloring, coloring_from_text, coloring_to_text,
                               injection_witnesses)
 from hypergrowth.ideals import IdealSpec, load_cache
@@ -141,6 +142,40 @@ class TestGrowthCacheFlag:
                          "--n-max", "7", "--cache", cache)
         assert first.stdout == second.stdout
         assert first.returncode == second.returncode == 0
+
+    def test_garbage_rows_skipped_and_rewritten_clean(self, tmp_path):
+        spec = IdealSpec.avoid([Coloring(3, 2, 4, (0, 0, 0, 0))])
+        path = tmp_path / "base.is"
+        path.write_text(spec.canonical_text())
+        cache = tmp_path / "counts.tsv"
+        other = "f" * 16 + "\t1\t1\t1"
+        cache.write_text("not a cache row\n" + other + "\n"
+                         + spec.digest() + "\tfive\t768\t1\n")
+        res = run_cli("growth", "--spec", f"avoid:{path}", "--n-max", "5",
+                      "--cache", str(cache))
+        assert res.returncode == 0
+        assert res.stdout == ("n=1 count=1\nn=2 count=1\nn=3 count=2\n"
+                              "n=4 count=15\nn=5 count=768\n")
+        lines = cache.read_text().splitlines()
+        assert lines == sorted([other] + [f"{spec.digest()}\t{n}\t{c}\t1"
+                                          for n, c in ((1, 1), (2, 1), (3, 2),
+                                                       (4, 15), (5, 768))])
+        assert sorted(p.name for p in tmp_path.iterdir()) == \
+            ["base.is", "counts.tsv"]
+
+
+class TestErrorExits:
+    @pytest.mark.parametrize("exc", [RuntimeError, RecursionError])
+    def test_engine_errors_exit_two(self, monkeypatch, capsys, exc):
+        def fail(*args, **kwargs):
+            raise exc("maximum depth exceeded")
+
+        monkeypatch.setattr(cli, "growth", fail)
+        rc = cli.main(["growth", "--spec", "builtin:S,k=3", "--n-max", "3"])
+        got = capsys.readouterr()
+        assert rc == 2
+        assert got.out == ""
+        assert got.err == "error: maximum depth exceeded\n"
 
 
 class TestContainsVerb:

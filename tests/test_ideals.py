@@ -5,8 +5,10 @@ from math import comb
 
 import pytest
 
-from hypergrowth.core import (Coloring, IncompatibleColoringsError, all_edges,
-                              contains, restrict_normalize)
+from hypergrowth import ideals
+from hypergrowth.core import (Coloring, ColoringPattern,
+                              IncompatibleColoringsError, all_edges, contains,
+                              restrict_normalize)
 from hypergrowth.ideals import (BUILTIN_NAMES, GrowthRecord, IdealSpec,
                                 avoid_growth, avoid_members, builtin_count,
                                 builtin_member, builtin_members,
@@ -16,6 +18,7 @@ from hypergrowth.ideals import (BUILTIN_NAMES, GrowthRecord, IdealSpec,
                                 ideal_spec_to_text, load_cache, sequence_F,
                                 sequence_G, sequence_Gk, sequence_value,
                                 update_cache)
+from hypergrowth.rng import Lcg
 from hypergrowth.structure import is_p_tame
 
 
@@ -222,6 +225,12 @@ class TestGrowthEngine:
         counts, exact, nodes = avoid_growth([base], 3, 2, 6, budget=5000)
         assert counts == {1: 1, 2: 1, 3: 2, 4: 15, 5: 768}
         assert nodes == 1772
+        # the counted last level spends exactly the walk's 1179654 nodes
+        counts, exact, nodes = avoid_growth([base], 3, 2, 6, budget=1179654)
+        assert exact[6] and counts[6] == 477965 and nodes == 1179654
+        counts, exact, nodes = avoid_growth([base], 3, 2, 6, budget=1179653)
+        assert exact[5] and not exact[6] and 6 not in counts
+        assert nodes == 1772
 
     def test_worker_count_never_changes_results(self):
         base = Coloring(3, 2, 4, (0, 0, 0, 0))
@@ -231,6 +240,13 @@ class TestGrowthEngine:
         full = [avoid_growth([base], 3, 2, 6, jobs=j) for j in (1, 4)]
         assert full[0] == full[1]
         assert full[0][0][6] == 477965
+        patterns = [ColoringPattern(3, 2, 4, (None, 1, 0, 1)),
+                    ColoringPattern(3, 2, 4, (1, 0, 1, None))]
+        three_colors = [Coloring(3, 3, 4, (0, 1, 2, 0))]
+        for basis in (patterns, three_colors):
+            l = basis[0].l
+            assert avoid_growth(basis, 3, l, 5, jobs=1) == \
+                avoid_growth(basis, 3, l, 5, jobs=3)
 
     def test_members_are_downward_closed(self):
         base = Coloring(3, 2, 4, (0, 1, 1, 0))
@@ -259,6 +275,88 @@ class TestGrowthEngine:
         assert rec2.digest == IdealSpec.avoid([base]).digest()
         with pytest.raises(ValueError):
             growth(IdealSpec.builtin("S", 3), 0)
+
+
+# |Avoid(b)_5|, |Avoid(b)_6| for the 16 single four-vertex bases b (k=3,
+# l=2), keyed by the base's colours in lexicographic edge order
+WINDOW_COUNTS = {
+    "0000": (768, 477965), "1111": (768, 477965),
+    "1000": (753, 434468), "0001": (753, 434468),
+    "0111": (753, 434468), "1110": (753, 434468),
+    "0100": (756, 443693), "0010": (756, 443693),
+    "1011": (756, 443693), "1101": (756, 443693),
+    "1100": (748, 419326), "0011": (748, 419326),
+    "1010": (752, 431490), "0101": (752, 431490),
+    "1001": (750, 425770), "0110": (750, 425770),
+}
+
+
+def random_basis(rng, k, l, size, wildcards):
+    """Random basis elements on k+1 vertices, with one wildcard if asked."""
+    out = []
+    for _ in range(size):
+        cols = [rng.randint(0, l - 1) for _ in range(k + 1)]
+        if wildcards:
+            cols[rng.randint(0, k)] = None
+        cls = ColoringPattern if wildcards else Coloring
+        out.append(cls(k, l, k + 1, tuple(cols)))
+    return out
+
+
+class SerialPool:
+    """Stand-in for a process pool: records its size, maps in-process."""
+
+    def __init__(self, size, sizes):
+        sizes.append(size)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return [fn(item) for item in items]
+
+
+class TestFinalLevelCount:
+    """The last level is counted without members; it must match the walk."""
+
+    def test_window_bases_counts_and_nodes(self):
+        nodes_total = 0
+        for key, (at5, at6) in WINDOW_COUNTS.items():
+            base = Coloring(3, 2, 4, tuple(int(ch) for ch in key))
+            counts, exact, nodes = avoid_growth([base], 3, 2, 6)
+            assert all(exact.values())
+            assert counts == {1: 1, 2: 1, 3: 2, 4: 15, 5: at5, 6: at6}
+            nodes_total += nodes
+        assert nodes_total == 18104216
+
+    def test_count_matches_materialized_members(self):
+        rng = Lcg(11)
+        cases = [(3, 2, False), (3, 2, True), (2, 2, False), (2, 2, True),
+                 (3, 2, True), (3, 3, True)]
+        for k, l, wildcards in cases:
+            basis = random_basis(rng, k, l, rng.randint(1, 3), wildcards)
+            counts, exact, _ = avoid_growth(basis, k, l, 5)
+            assert exact[5]
+            assert counts[5] == len(avoid_members(basis, k, l, 5))
+
+    def test_workers_clamped_to_usable_cpus(self, monkeypatch):
+        sizes = []
+
+        class SerialContext:
+            def Pool(self, size):
+                return SerialPool(size, sizes)
+
+        monkeypatch.setattr(ideals.multiprocessing, "get_context",
+                            lambda method: SerialContext())
+        monkeypatch.setattr(ideals.os, "sched_getaffinity",
+                            lambda pid: {0, 1, 2}, raising=False)
+        base = Coloring(3, 2, 4, (0, 1, 1, 0))
+        got = avoid_growth([base], 3, 2, 5, jobs=100000)
+        assert got == avoid_growth([base], 3, 2, 5, jobs=1)
+        assert sizes and max(sizes) == 3
 
 
 class TestGrowthCache:
@@ -304,6 +402,19 @@ class TestGrowthCache:
 
     def test_missing_file_is_empty(self, tmp_path):
         assert load_cache(str(tmp_path / "nope.tsv")) == {}
+
+    def test_malformed_rows_are_skipped(self, tmp_path):
+        path = tmp_path / "growth.tsv"
+        path.write_bytes(b"garbage\n" + b"a" * 16 + b"\tx\t1\t1\n"
+                         + b"\xff\xfe\t1\n" + b"b" * 16 + b"\t3\t7\t1\n")
+        assert load_cache(str(path)) == {("b" * 16, 3): (7, True)}
+
+    def test_update_replaces_file_and_leaves_no_temp(self, tmp_path):
+        path = tmp_path / "growth.tsv"
+        path.write_text("garbage\n")
+        update_cache(str(path), "a" * 16, {1: 1}, {1: True})
+        assert path.read_text() == "a" * 16 + "\t1\t1\t1\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["growth.tsv"]
 
 
 class TestDichotomyVerdicts:

@@ -11,7 +11,7 @@ space-separated key=value fields, followed where applicable by one
 serialized object block (coloring or matrix text).  Exit status is 0 when
 the command succeeds and any tested property holds, 1 when a tested
 property fails or nothing is found, 2 on usage or I/O errors and when the
-engine cannot finish (a level too deep for the recursive walk).  Identical
+engine cannot finish (a RuntimeError, RecursionError included).  Identical
 invocations print identical bytes; --jobs changes scheduling only.
 """
 
@@ -391,7 +391,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         return args.func(args, sys.stdout)
     except (OSError, ValueError, KeyError, RuntimeError) as exc:
-        # RuntimeError includes RecursionError from very deep growth levels
+        # RuntimeError includes RecursionError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -7,22 +7,27 @@ restrictions to vertex subsets.  Two descriptions are supported: Avoid
 single-flipped-interval family, and the first-pair-free family).
 
 Growth |X_n| is computed exactly.  For Avoid the computation extends each
-member of X_{n-1} by vertex n, depth-first over the colors of the new
-edges, pruning a branch as soon as a basis element embeds through an
-injection whose image uses vertex n; older embeddings were excluded at the
-previous level, so the enumeration is complete by induction.  Only the
-levels below the last are enumerated, since the next level extends them;
-the last level is counted, not enumerated, by a dynamic program over the
-new edges that merges colour prefixes with the same future.  Everything
-is big-integer exact; no floating point enters any count.
+member of X_{n-1} by vertex n with an iterative frontier over the colors
+of the new edges, one edge per step, dropping a color prefix as soon as a
+basis element embeds through an injection whose image uses vertex n;
+older embeddings were excluded at the previous level, so the enumeration
+is complete by induction.  Prefixes that still match the same templates
+have the same future and are merged.  Only the levels below the last are
+enumerated, since the next level extends them; the last level is counted,
+the merged prefixes carrying a multiplicity instead of a list.  Members
+are ints holding each edge's color in a (l-1).bit_length()-bit field, so
+one engine serves every color count.  Everything is big-integer exact; no
+floating point enters any count.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import os
+from contextlib import ExitStack
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from math import comb
 from typing import Optional, Sequence
@@ -305,15 +310,16 @@ def _colex_rank(edge: Sequence[int]) -> int:
 
 
 def _level_templates(basis: Sequence[AnyColoring], n: int, k: int,
-                     use_bits: bool) -> list:
+                     w: int) -> list:
     """Injection templates with the last image pinned to vertex n.
 
-    One template per (basis element, choice of the other image vertices).
-    A template records the basis colors over the parent's old edges and
-    over the new edges (those containing n), the latter grouped later by
-    the largest new-edge rank so the depth-first scan checks each template
-    exactly when its last new edge gets a color.  Bit templates also keep
-    their new (rank, color) pairs, the form the final-level count reads.
+    One template per (basis element, choice of the other image vertices),
+    as (sel, want, last, new).  Colours sit in ``w``-bit fields at bit
+    ``colex_rank * w``, so a parent realizes the basis colours over its old
+    edges exactly when ``parent & sel == want``.  ``new`` holds the
+    (depth, colour) pairs over the new edges (those containing n), depth
+    being the new edge's colex rank without n, and ``last`` is the largest
+    depth, where the frontier checks the template.
     """
     out = []
     for b in basis:
@@ -321,173 +327,121 @@ def _level_templates(basis: Sequence[AnyColoring], n: int, k: int,
             continue
         for sub in combinations(range(1, n), b.n - 1):
             f = sub + (n,)
-            old_items: list[tuple[int, int]] = []
-            new_items: list[tuple[int, int]] = []
+            sel = want = 0
+            new: list[tuple[int, int]] = []
             for e in b.edges():
                 col = b.color(e)
                 if col is None:
                     continue
                 img = tuple(f[v - 1] for v in e)
                 if img[-1] == n:
-                    new_items.append((_colex_rank(img[:-1]), col))
+                    new.append((_colex_rank(img[:-1]), col))
                 else:
-                    old_items.append((_colex_rank(img), col))
-            if use_bits:
-                osel = owant = nsel = nwant = 0
-                for idx, col in old_items:
-                    osel |= 1 << idx
-                    owant |= col << idx
-                last = -1
-                for idx, col in new_items:
-                    nsel |= 1 << idx
-                    nwant |= col << idx
-                    last = max(last, idx)
-                out.append((osel, owant, nsel, nwant, last,
-                            tuple(new_items)))
-            else:
-                last = max((idx for idx, _ in new_items), default=-1)
-                out.append((tuple(old_items), tuple(new_items), last))
+                    at = _colex_rank(img) * w
+                    sel |= ((1 << w) - 1) << at
+                    want |= col << at
+            last = max((j for j, _ in new), default=-1)
+            out.append((sel, want, last, tuple(new)))
     return out
 
 
-def _count_new_edges(act: list, nnew: int, l: int, nodes: int, cap: int):
-    """Number of ways to colour one parent's new edges; (count, nodes).
+def _new_edge_tables(templates: list, nnew: int, l: int):
+    """The frontier's tables over a level's templates, bit i for template i.
 
-    ``act[j]`` lists the active templates checked at depth j, each as its
-    (depth, colour) pairs.  A frontier DP over the depths gives the answer
-    of the depth-first walk without visiting its nodes one by one: a prefix
-    matters to later depths only through the set of templates it still
-    matches, so prefixes with one such set are merged, with a multiplicity.
-    ``nodes`` grows by what the walk would visit, ``l`` nodes per surviving
-    prefix and depth, so budgets behave exactly as for the walk.  The count
-    is None once ``nodes`` exceeds ``cap``.
+    keep[j][c]: templates that colour c at depth j leaves matched, those
+    that read no colour there and those that want c; done[j]: templates
+    whose last new edge is at depth j.
     """
-    # keep[j][c]: templates that colour c at depth j leaves matched;
-    # done[j]: templates whose last new edge is at depth j
-    keep = [[-1] * l for _ in range(nnew)]
+    keep = [[0] * l for _ in range(nnew)]
     done = [0] * nnew
-    ntemplates = 0
-    for j in range(nnew):
-        for items in act[j]:
-            tbit = 1 << ntemplates
-            ntemplates += 1
-            done[j] |= tbit
-            for idx, want in items:
-                for col in range(l):
-                    if col != want:
-                        keep[idx][col] &= ~tbit
-    frontier = {(1 << ntemplates) - 1: 1}
-    for j in range(nnew):
-        nodes += l * sum(frontier.values())
+    for i, (_, _, last, new) in enumerate(templates):
+        if last >= 0:
+            done[last] |= 1 << i
+        for idx, col in new:
+            keep[idx][col] |= 1 << i
+    full = (1 << len(templates)) - 1
+    for row in keep:
+        # a template reads at most one colour per depth
+        free = full ^ sum(row)
+        for col in range(l):
+            row[col] |= free
+    return keep, done
+
+
+def _extend_parent(active: int, keep: list, done: list, l: int, nodes: int,
+                   cap: int, build: bool):
+    """Colourings of one parent's new edges; (result, nodes).
+
+    ``active`` is the set of templates whose old part the parent realizes.
+    A frontier over the new-edge depths keys each surviving prefix by the
+    set of active templates it still matches, which is all that later
+    depths read of it.  Prefixes with one set are merged: counted with a
+    multiplicity, or with ``build`` listed as ``w``-bit colour fields
+    (depth j at bit ``j * w``).  The result is their number or that list.
+    ``nodes`` grows by ``l`` per surviving prefix and depth, the nodes of
+    a depth-first walk, and the result is None once it exceeds ``cap``.
+    """
+    w = (l - 1).bit_length()
+    frontier = {active: [0] if build else 1}
+    for j, finished in enumerate(done):
+        nodes += l * (sum(map(len, frontier.values())) if build
+                      else sum(frontier.values()))
         if nodes > cap:
             return None, nodes
-        finished = done[j]
-        nxt: dict[int, int] = {}
-        for state, mult in frontier.items():
-            for mask in keep[j]:
-                matched = state & mask
-                # a template still matched at its last edge embeds
-                if not matched & finished:
-                    nxt[matched] = nxt.get(matched, 0) + mult
+        nxt: dict = {}
+        # a template still matched at its last edge embeds; counting or
+        # building is chosen once per depth, not per colour
+        if build:
+            for state, prefixes in frontier.items():
+                for col, mask in enumerate(keep[j]):
+                    matched = state & mask
+                    if not matched & finished:
+                        bits = col << j * w
+                        nxt.setdefault(matched, []).extend(
+                            p | bits for p in prefixes)
+        else:
+            for state, mult in frontier.items():
+                for mask in keep[j]:
+                    matched = state & mask
+                    if not matched & finished:
+                        nxt[matched] = nxt.get(matched, 0) + mult
         frontier = nxt
+    if build:
+        return [p for prefixes in frontier.values() for p in prefixes], nodes
     return sum(frontier.values()), nodes
 
 
 def _chunk_extend(payload):
-    """Extend a chunk of parents; returns (members, nodes, overflowed).
+    """Extend a chunk of parents; returns (result, nodes, overflowed).
 
-    With ``count_only`` the members are counted, not built: the first item
-    is their number.
+    The result is the (unsorted) list of members with ``build``, else
+    their number.
     """
-    (parents, templates, nedges_old, nnew, l, cap, use_bits,
-     count_only) = payload
-    members = []
-    count = 0
+    parents, templates, shift, nnew, l, cap, build = payload
+    keep, done = _new_edge_tables(templates, nnew, l)
+    checks = [(sel, want, last, 1 << i)
+              for i, (sel, want, last, _) in enumerate(templates)]
+    out = [] if build else 0
     nodes = 0
-    overflow = False
     for parent in parents:
-        # templates whose old part the parent realizes stay active
-        dead = False
-        act: list[list] = [[] for _ in range(nnew)]
-        for t in templates:
-            if use_bits:
-                if (parent & t[0]) != t[1]:
-                    continue
-                if t[4] < 0:
-                    dead = True
+        # a template whose old part the parent realizes stays active; one
+        # without new edges embeds outright and the parent has no children
+        active = 0
+        for sel, want, last, tbit in checks:
+            if parent & sel == want:
+                if last < 0:
                     break
-                act[t[4]].append(t[5] if count_only else (t[2], t[3]))
-            else:
-                if any(parent[idx] != col for idx, col in t[0]):
-                    continue
-                if t[2] < 0:
-                    dead = True
-                    break
-                act[t[2]].append(t[1])
-        if dead:
-            continue
-        if nnew == 0:
-            if count_only:
-                count += 1
-            else:
-                members.append(parent)
-            continue
-
-        if count_only:
-            got, nodes = _count_new_edges(act, nnew, l, nodes, cap)
-            if got is None:
-                overflow = True
-                break
-            count += got
-        elif use_bits:
-            def walk_bits(j: int, newmask: int) -> bool:
-                nonlocal nodes, overflow
-                if j == nnew:
-                    members.append(parent | (newmask << nedges_old))
-                    return True
-                for col in (0, 1):
-                    nodes += 1
-                    if nodes > cap:
-                        overflow = True
-                        return False
-                    nm = newmask | (col << j)
-                    hit = False
-                    for nsel, nwant in act[j]:
-                        if (nm & nsel) == nwant:
-                            hit = True
-                            break
-                    if not hit and not walk_bits(j + 1, nm):
-                        return False
-                return True
-
-            if not walk_bits(0, 0):
-                break
+                active |= tbit
         else:
-            assigned: list[int] = [0] * nnew
-
-            def walk_tuple(j: int) -> bool:
-                nonlocal nodes, overflow
-                if j == nnew:
-                    members.append(parent + tuple(assigned))
-                    return True
-                for col in range(l):
-                    nodes += 1
-                    if nodes > cap:
-                        overflow = True
-                        return False
-                    assigned[j] = col
-                    hit = False
-                    for items in act[j]:
-                        if all(assigned[idx] == want for idx, want in items):
-                            hit = True
-                            break
-                    if not hit and not walk_tuple(j + 1):
-                        return False
-                return True
-
-            if not walk_tuple(0):
-                break
-    return (count if count_only else members), nodes, overflow
+            got, nodes = _extend_parent(active, keep, done, l, nodes, cap,
+                                        build)
+            if got is None:
+                return out, nodes, True
+            if build:
+                out.extend(parent | p << shift for p in got)
+            else:
+                out += got
+    return out, nodes, False
 
 
 def _usable_cpus() -> int:
@@ -495,6 +449,65 @@ def _usable_cpus() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
+
+
+def _grow(basis: Sequence[AnyColoring], k: int, l: int, n_max: int,
+          budget: int, jobs: int, build_last: bool):
+    """The level loop; (counts, exact, nodes, members of level n_max).
+
+    Levels below n_max are built as sorted member ints, the parents of the
+    next level; level n_max is only counted unless ``build_last``, and the
+    returned members are then those of level n_max.
+    """
+    for b in basis:
+        if (b.k, b.l) != (k, l):
+            raise IncompatibleColoringsError("basis does not match (k, l)")
+    w = (l - 1).bit_length()
+    counts: dict[int, int] = {}
+    exact: dict[int, bool] = {}
+    nodes_total = 0
+    parents: list[int] = [0]
+    workers = max(1, min(jobs, _usable_cpus()))
+    with ExitStack() as stack:
+        pool = None
+        for n in range(1, n_max + 1):
+            if any(b.empty and b.n <= n for b in basis):
+                parents = []
+                counts[n] = 0
+                exact[n] = True
+                continue
+            remaining = budget - nodes_total
+            if remaining <= 0:
+                break
+            build = build_last or n < n_max
+            templates = _level_templates(basis, n, k, w)
+            nchunks = max(1, min(workers, len(parents)))
+            payloads = [(parents[len(parents) * i // nchunks:
+                                 len(parents) * (i + 1) // nchunks],
+                         templates, comb(n - 1, k) * w, comb(n - 1, k - 1),
+                         l, remaining, build) for i in range(nchunks)]
+            if nchunks == 1:
+                results = [_chunk_extend(payloads[0])]
+            else:
+                if pool is None:
+                    # one pool serves every later level of this call
+                    pool = stack.enter_context(
+                        multiprocessing.get_context("fork").Pool(workers))
+                results = pool.map(_chunk_extend, payloads)
+            lvl_nodes = sum(r[1] for r in results)
+            if any(r[2] for r in results) or lvl_nodes > remaining:
+                break
+            nodes_total += lvl_nodes
+            exact[n] = True
+            if build:
+                parents = sorted(m for r in results for m in r[0])
+                counts[n] = len(parents)
+            else:
+                counts[n] = sum(r[0] for r in results)
+    # a level that cannot finish is dropped with every later one
+    for n in range(1, n_max + 1):
+        exact.setdefault(n, False)
+    return counts, exact, nodes_total, parents
 
 
 def avoid_growth(basis: Sequence[AnyColoring], k: int, l: int, n_max: int,
@@ -506,64 +519,8 @@ def avoid_growth(basis: Sequence[AnyColoring], k: int, l: int, n_max: int,
     within the remainder is discarded whole, so reported counts never
     depend on the worker count.
     """
-    for b in basis:
-        if (b.k, b.l) != (k, l):
-            raise IncompatibleColoringsError("basis does not match (k, l)")
-    use_bits = (l == 2)
-    counts: dict[int, int] = {}
-    exact: dict[int, bool] = {}
-    nodes_total = 0
-    parents: list = [0] if use_bits else [()]
-    alive = True
-    for n in range(1, n_max + 1):
-        if not alive:
-            exact[n] = False
-            continue
-        if any(b.empty and b.n <= n for b in basis):
-            parents = []
-            counts[n] = 0
-            exact[n] = True
-            continue
-        nedges_old = comb(n - 1, k) if n - 1 >= k else 0
-        nnew = comb(n - 1, k - 1) if n - 1 >= k - 1 else 0
-        templates = _level_templates(basis, n, k, use_bits)
-        remaining = budget - nodes_total
-        if remaining <= 0:
-            alive = False
-            exact[n] = False
-            continue
-        # the last level is only counted; earlier ones feed the next
-        count_only = n == n_max
-        nchunks = max(1, min(jobs, len(parents), _usable_cpus()))
-        payloads = []
-        for w in range(nchunks):
-            lo = len(parents) * w // nchunks
-            hi = len(parents) * (w + 1) // nchunks
-            payloads.append((parents[lo:hi], templates, nedges_old, nnew, l,
-                             remaining, use_bits, count_only))
-        if nchunks == 1:
-            results = [_chunk_extend(payloads[0])]
-        else:
-            ctx = multiprocessing.get_context("fork")
-            with ctx.Pool(nchunks) as pool:
-                results = pool.map(_chunk_extend, payloads)
-        lvl_nodes = sum(r[1] for r in results)
-        if any(r[2] for r in results) or lvl_nodes > remaining:
-            alive = False
-            exact[n] = False
-            continue
-        nodes_total += lvl_nodes
-        exact[n] = True
-        if count_only:
-            counts[n] = sum(r[0] for r in results)
-            continue
-        members: list = []
-        for r in results:
-            members.extend(r[0])
-        members.sort()
-        counts[n] = len(members)
-        parents = members
-    return counts, exact, nodes_total
+    counts, exact, nodes, _ = _grow(basis, k, l, n_max, budget, jobs, False)
+    return counts, exact, nodes
 
 
 def growth(spec: IdealSpec, n_max: int, budget: int = DEFAULT_BUDGET,
@@ -592,33 +549,20 @@ def growth(spec: IdealSpec, n_max: int, budget: int = DEFAULT_BUDGET,
 
 def avoid_members(basis: Sequence[AnyColoring], k: int, l: int, n: int,
                   budget: int = DEFAULT_BUDGET) -> list[Coloring]:
-    """Materialized X_n of an Avoid ideal (small n only)."""
-    use_bits = (l == 2)
-    parents: list = [0] if use_bits else [()]
-    for level in range(1, n + 1):
-        if any(b.empty and b.n <= level for b in basis):
-            parents = []
-            break
-        nedges_old = comb(level - 1, k) if level - 1 >= k else 0
-        nnew = comb(level - 1, k - 1) if level - 1 >= k - 1 else 0
-        templates = _level_templates(basis, level, k, use_bits)
-        parents, _, overflow = _chunk_extend(
-            (parents, templates, nedges_old, nnew, l, budget, use_bits,
-             False))
-        if overflow:
-            raise RuntimeError("budget exhausted while materializing members")
-        parents.sort()
-    nedges = comb(n, k) if n >= k else 0
-    out = []
-    for p in parents:
-        if use_bits:
-            cols = tuple(p >> _colex_rank(e) & 1 for e in all_edges(n, k))
-        else:
-            # member tuples hold colors in colex edge order; storage is lex
-            cols = tuple(p[_colex_rank(e)] for e in all_edges(n, k))
-        out.append(Coloring(k, l, n, cols))
-    assert all(len(c.colors) == nedges for c in out)
-    return out
+    """Materialized X_n of an Avoid ideal (small n only).
+
+    Runs the level loop of avoid_growth, so the node budget is spent
+    cumulatively over levels 1..n; RuntimeError if it runs out first.
+    """
+    _, exact, _, members = _grow(basis, k, l, n, budget, 1, True)
+    if not all(exact.values()):
+        raise RuntimeError("budget exhausted while materializing members")
+    w = (l - 1).bit_length()
+    field = (1 << w) - 1
+    # member ints hold colours in colex edge order; storage is lex
+    shifts = [_colex_rank(e) * w for e in all_edges(n, k)]
+    return [Coloring(k, l, n, tuple(m >> at & field for at in shifts))
+            for m in members]
 
 
 # --- dichotomy verdicts -------------------------------------------------------------
@@ -710,6 +654,7 @@ def census_distinct(colorings: Sequence[AnyColoring]) -> int:
     return len({c.colors for c in colorings})
 
 
+@lru_cache(maxsize=64)
 def count_p_tame(n: int, p: int) -> int:
     """Exhaustive count of p-tame two-colorings of [n], n <= 6.
 
@@ -717,7 +662,7 @@ def count_p_tame(n: int, p: int) -> int:
     so tameness reduces to the two doubled crossing matrices of the single
     interval pair; their metrics are precomputed for every assignment of
     the relevant edges and the 2^C(n,3) colorings stream through table
-    lookups.
+    lookups.  The count is pure in (n, p), so it is memoized.
     """
     if p < 3:
         raise ValueError("threshold p must be at least 3")

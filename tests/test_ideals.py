@@ -1,5 +1,6 @@
 """Ideal descriptions, growth engine, verdicts, tame census, cache."""
 
+from functools import lru_cache
 from itertools import combinations, product
 from math import comb
 
@@ -33,6 +34,12 @@ def compositions_oracle(n, k):
 
 def brute_avoiders(basis, k, l, n):
     """All colorings of [n] containing no basis element, by containment."""
+    return _brute_avoiders(tuple(basis), k, l, n)
+
+
+# memoized: two tests read the same slow three-colour case
+@lru_cache(maxsize=None)
+def _brute_avoiders(basis, k, l, n):
     out = []
     edges = list(all_edges(n, k))
     for cols in product(range(l), repeat=len(edges)):
@@ -257,11 +264,30 @@ class TestGrowthEngine:
                 assert restrict_normalize(c, keep).colors in small
 
     def test_members_match_brute_force(self):
-        base = Coloring(3, 2, 4, (1, 0, 0, 1))
-        got = avoid_members([base], 3, 2, 5)
-        want = brute_avoiders([base], 3, 2, 5)
-        assert sorted(c.colors for c in got) == \
-            sorted(c.colors for c in want)
+        # l=4 packs two bits per edge; the field value 3 is a real colour
+        for base, n in ((Coloring(3, 2, 4, (1, 0, 0, 1)), 5),
+                        (Coloring(3, 3, 4, (0, 1, 2, 0)), 5),
+                        (Coloring(2, 4, 3, (3, 0, 3)), 4)):
+            k, l = base.k, base.l
+            got = avoid_members([base], k, l, n)
+            want = brute_avoiders([base], k, l, n)
+            assert sorted(c.colors for c in got) == \
+                sorted(c.colors for c in want)
+
+    def test_members_budget_is_cumulative(self):
+        # levels 1..5 of base 0000 spend 1772 nodes in all
+        base = Coloring(3, 2, 4, (0, 0, 0, 0))
+        assert len(avoid_members([base], 3, 2, 5, budget=1772)) == 768
+        with pytest.raises(RuntimeError):
+            avoid_members([base], 3, 2, 5, budget=1771)
+
+    def test_deep_levels_do_not_recurse(self):
+        # level 48 has C(47,2) = 1081 new edges, far past the recursion limit
+        counts, exact, nodes = avoid_growth(
+            [Coloring.constant(3, 2, 3, 0)], 3, 2, 48)
+        assert exact == {n: True for n in range(1, 49)}
+        assert counts == {n: 1 for n in range(1, 49)}
+        assert nodes == 2 * comb(48, 3)
 
     def test_growth_wraps_engine_and_closed_forms(self):
         rec = growth(IdealSpec.builtin("S", 3), 12)
@@ -319,6 +345,21 @@ class SerialPool:
         return [fn(item) for item in items]
 
 
+def serial_pools(monkeypatch, cpus):
+    """Make the engine's pools serial on ``cpus`` usable CPUs; their sizes."""
+    sizes = []
+
+    class SerialContext:
+        def Pool(self, size):
+            return SerialPool(size, sizes)
+
+    monkeypatch.setattr(ideals.multiprocessing, "get_context",
+                        lambda method: SerialContext())
+    monkeypatch.setattr(ideals.os, "sched_getaffinity",
+                        lambda pid: set(range(cpus)), raising=False)
+    return sizes
+
+
 class TestFinalLevelCount:
     """The last level is counted without members; it must match the walk."""
 
@@ -335,7 +376,7 @@ class TestFinalLevelCount:
     def test_count_matches_materialized_members(self):
         rng = Lcg(11)
         cases = [(3, 2, False), (3, 2, True), (2, 2, False), (2, 2, True),
-                 (3, 2, True), (3, 3, True)]
+                 (3, 2, True), (3, 3, True), (2, 4, True)]
         for k, l, wildcards in cases:
             basis = random_basis(rng, k, l, rng.randint(1, 3), wildcards)
             counts, exact, _ = avoid_growth(basis, k, l, 5)
@@ -343,20 +384,19 @@ class TestFinalLevelCount:
             assert counts[5] == len(avoid_members(basis, k, l, 5))
 
     def test_workers_clamped_to_usable_cpus(self, monkeypatch):
-        sizes = []
-
-        class SerialContext:
-            def Pool(self, size):
-                return SerialPool(size, sizes)
-
-        monkeypatch.setattr(ideals.multiprocessing, "get_context",
-                            lambda method: SerialContext())
-        monkeypatch.setattr(ideals.os, "sched_getaffinity",
-                            lambda pid: {0, 1, 2}, raising=False)
+        sizes = serial_pools(monkeypatch, 3)
         base = Coloring(3, 2, 4, (0, 1, 1, 0))
         got = avoid_growth([base], 3, 2, 5, jobs=100000)
         assert got == avoid_growth([base], 3, 2, 5, jobs=1)
         assert sizes and max(sizes) == 3
+
+    def test_one_pool_per_call(self, monkeypatch):
+        sizes = serial_pools(monkeypatch, 8)
+        basis = builtin_pattern_basis(IdealSpec.builtin("S", 3))
+        counts, exact, nodes = avoid_growth(basis, 3, 2, 12, jobs=3)
+        assert sizes == [3]
+        assert counts == {n: sequence_G(n) for n in range(1, 13)}
+        assert (counts, exact, nodes) == avoid_growth(basis, 3, 2, 12)
 
 
 class TestGrowthCache:

@@ -283,45 +283,64 @@ def contains(small: AnyColoring, big: Coloring) -> Optional[tuple[int, ...]]:
     """Search for an increasing injection realizing small inside big.
 
     Returns the lexicographically first witness injection (as the tuple of
-    images of 1..m) or None.  Depth-first: after placing the image of
-    vertex i, every edge whose endpoints are all placed is checked, so
-    mismatching branches die as early as possible.  Pattern colorings may
-    leave edges unspecified (None); those are never checked.
+    images of 1..m) or None.  Pattern colorings may leave edges
+    unspecified (None); those are never checked.
+
+    Candidates are bit masks over the host vertices.  For a sorted host
+    prefix P of k-1 vertices, one int per colour has bit w set when big
+    gives the edge P + (w,) that colour.  The ranks of P + (w,) are
+    consecutive in w, so such a row is one edge_index call and one slice
+    of big.colors; rows are built on first use and kept for the rest of
+    the call.  The candidates for the image of vertex i are the window
+    lo..n-(m-i) ANDed with the row of every small edge whose largest
+    vertex is i, so a branch dies as soon as its mask is empty.  The
+    search walks set bits from low to high with an explicit stack of
+    remaining masks, so it does not recurse and the first full injection
+    it reaches is the lexicographically first one.
     """
     if small.k != big.k or small.l != big.l:
         raise IncompatibleColoringsError(
             f"(k,l)=({small.k},{small.l}) vs ({big.k},{big.l})")
-    m, n, k = small.n, big.n, small.k
+    m, n, k, l = small.n, big.n, small.k, small.l
     if m > n:
         return None
-    # edges of the small side grouped by their largest vertex
+    # (prefix, colour) of the small side's edges, grouped by largest vertex
     by_max: list[list[tuple[Edge, int]]] = [[] for _ in range(m + 1)]
-    if not small.empty:
-        for e in small.edges():
-            col = small.color(e)
-            if col is not None:
-                by_max[e[-1]].append((e, col))
-    images: list[int] = []
-
-    def place(i: int, lo: int) -> bool:
-        if i > m:
-            return True
-        for v in range(lo, n - (m - i) + 1):
-            images.append(v)
-            ok = True
-            for e, want in by_max[i]:
-                mapped = tuple(images[x - 1] for x in e)
-                if big.colors[edge_index(mapped, n, k)] != want:
-                    ok = False
-                    break
-            if ok and place(i + 1, v + 1):
-                return True
-            images.pop()
-        return False
-
-    if place(1, 1):
-        return tuple(images)
-    return None
+    for e, col in zip(small.edges(), small.colors):
+        if col is not None:
+            by_max[e[-1]].append((e[:-1], col))
+    colors = big.colors
+    rows: dict[Edge, list[int]] = {}
+    images = [0] * (m + 1)
+    left = [0] * (m + 1)  # candidates not yet tried, per depth
+    i, lo = 1, 1
+    while True:
+        cand = (1 << (n - m + i + 1)) - (1 << lo)
+        for pre, want in by_max[i]:
+            p = tuple(map(images.__getitem__, pre))
+            row = rows.get(p)
+            if row is None:
+                row = [0] * l
+                bit = 1 << (p[-1] + 1)
+                base = edge_index(p + (p[-1] + 1,), n, k)
+                for c in colors[base:base + n - p[-1]]:
+                    row[c] |= bit
+                    bit <<= 1
+                rows[p] = row
+            cand &= row[want]
+            if not cand:
+                break
+        while not cand:
+            i -= 1
+            if i == 0:
+                return None
+            cand = left[i]
+        low = cand & -cand
+        left[i] = cand ^ low
+        images[i] = low.bit_length() - 1
+        if i == m:
+            return tuple(images[1:])
+        i, lo = i + 1, images[i] + 1
 
 
 # --- text format ------------------------------------------------------------
@@ -337,12 +356,13 @@ def coloring_to_text(c: Coloring) -> str:
         if c.l == 2:
             lines.append("bits " + "".join(str(b) for b in c.colors))
         else:
-            for e in c.edges():
-                lines.append(" ".join(str(v) for v in e) + f" {c.color(e)}")
+            for e, col in zip(c.edges(), c.colors):
+                lines.append(" ".join(str(v) for v in e) + f" {col}")
     return "\n".join(lines) + "\n"
 
 
-def _parse_kv(fields: list[str], keys: tuple[str, ...]) -> dict[str, int]:
+def parse_fields(fields: list[str], keys: tuple[str, ...]) -> dict[str, str]:
+    """Header fields key=value, each of the given keys exactly once."""
     out = {}
     for f in fields:
         if "=" not in f:
@@ -350,7 +370,9 @@ def _parse_kv(fields: list[str], keys: tuple[str, ...]) -> dict[str, int]:
         key, _, val = f.partition("=")
         if key not in keys:
             raise ValueError(f"unexpected field {key!r}")
-        out[key] = int(val)
+        if key in out:
+            raise ValueError(f"repeated field {key!r}")
+        out[key] = val
     missing = [k for k in keys if k not in out]
     if missing:
         raise ValueError(f"missing fields {missing}")
@@ -364,8 +386,8 @@ def coloring_from_lines(lines: list[str], start: int = 0) -> tuple[Coloring, int
     head = lines[start].split()
     if not head or head[0] != "coloring":
         raise ValueError(f"expected 'coloring' header, got {lines[start]!r}")
-    kv = _parse_kv(head[1:], ("k", "l", "n"))
-    k, l, n = kv["k"], kv["l"], kv["n"]
+    kv = parse_fields(head[1:], ("k", "l", "n"))
+    k, l, n = int(kv["k"]), int(kv["l"]), int(kv["n"])
     nedges = comb(n, k) if n >= k else 0
     pos = start + 1
     if nedges == 0:

@@ -34,7 +34,7 @@ from typing import Optional, Sequence
 
 from .core import (AnyColoring, Coloring, ColoringPattern,
                    IncompatibleColoringsError, all_edges, coloring_from_lines,
-                   coloring_to_text)
+                   coloring_to_text, parse_fields)
 from .matrices import StarMatrix3, metrics3
 
 DEFAULT_BUDGET = 10 ** 8
@@ -169,7 +169,7 @@ def ideal_spec_from_text(text: str) -> IdealSpec:
         raise ValueError("empty ideal spec")
     head = lines[0].split()
     if head[:2] == ["ideal", "avoid"]:
-        fields = dict(f.split("=", 1) for f in head[2:])
+        fields = parse_fields(head[2:], ("k", "l"))
         k, l = int(fields["k"]), int(fields["l"])
         basis = []
         pos = 1
@@ -178,7 +178,7 @@ def ideal_spec_from_text(text: str) -> IdealSpec:
             basis.append(c)
         return IdealSpec.avoid(basis, k, l)
     if head[:2] == ["ideal", "builtin"]:
-        fields = dict(f.split("=", 1) for f in head[2:])
+        fields = parse_fields(head[2:], ("name", "k"))
         if len(lines) > 1:
             raise ValueError("builtin spec has trailing content")
         return IdealSpec.builtin(fields["name"], int(fields["k"]))

@@ -178,6 +178,33 @@ class TestErrorExits:
         assert got.err == "error: maximum depth exceeded\n"
 
 
+class TestHeaderFields:
+    @pytest.mark.parametrize("verb, text", [
+        ("contains", "coloring k=3 l=2 n=4 n=5\nbits 0001\n"),
+        ("contains", "coloring k=3 l=2 n4\nbits 0001\n"),
+        ("growth", "ideal avoid k=3 l=2 l=2\n"),
+        ("growth", "ideal avoid k=3 l2\n"),
+        ("growth", "ideal builtin name=S k=3 k=4\n"),
+        ("growth", "ideal builtin name=S k\n"),
+    ])
+    def test_bad_header_exits_two(self, tmp_path, capsys, verb, text):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        if verb == "contains":
+            good = write_coloring(tmp_path / "g.col",
+                                  Coloring.constant(3, 2, 5, 0))
+            argv = ["contains", str(path), good]
+        else:
+            argv = ["growth", "--spec", f"avoid:{path}", "--n-max", "3"]
+        rc = cli.main(argv)
+        got = capsys.readouterr()
+        assert rc == 2
+        assert got.out == ""
+        assert got.err.startswith("error: ")
+        assert got.err.count("\n") == 1
+        assert "repeated field" in got.err or "malformed field" in got.err
+
+
 class TestContainsVerb:
     def test_found_with_checkable_injection(self, tmp_path):
         small = Coloring(3, 2, 4, (0, 0, 0, 1))

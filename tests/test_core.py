@@ -1,5 +1,7 @@
 """Colorings, containment, restriction: checked against brute-force oracles."""
 
+import inspect
+import sys
 from itertools import combinations, product
 
 import pytest
@@ -159,17 +161,58 @@ class TestHomogeneity:
         assert c.color(e1) != c.color(e2)
 
 
+def random_small(rng, big, m):
+    """A small side on m vertices: a restriction of big, possibly with
+    wildcards or changed colours, or an unrelated random coloring."""
+    kind = rng.randint(0, 2)
+    if kind == 0:
+        return random_coloring(rng, big.k, big.l, m)
+    vs = rng.choice(list(combinations(range(1, big.n + 1), m)))
+    base = restrict_normalize(big, vs)
+    if kind == 1:
+        return base
+    cols = []
+    for c in base.colors:
+        draw = rng.randint(0, 5)
+        cols.append(None if draw < 2
+                    else rng.randint(0, big.l - 1) if draw == 2 else c)
+    return ColoringPattern(big.k, big.l, m, tuple(cols))
+
+
 class TestContainment:
     def test_oracle_agreement_and_lex_first(self):
         rng = Lcg(11)
-        for _ in range(60):
-            big = random_coloring(rng, 3, 2, rng.randint(3, 7))
-            small = random_coloring(rng, 3, 2, rng.randint(3, 4))
-            got = contains(small, big)
-            want = contains_oracle(small, big)
-            assert got == want
-            if got is not None:
-                assert injection_witnesses(small, big, got)
+        seen = {"found": 0, "absent": 0, "pattern": 0, "edgeless": 0,
+                "m==n": 0}
+        for k in (2, 3, 4):
+            for l in (2, 3):
+                for n in list(range(1, 10)) * 3:
+                    for m in sorted({1, max(1, k - 1), rng.randint(1, n), n}):
+                        if m > n:
+                            continue
+                        big = random_coloring(rng, k, l, n)
+                        small = random_small(rng, big, m)
+                        got = contains(small, big)
+                        assert got == contains_oracle(small, big), (small, big)
+                        if got is None:
+                            seen["absent"] += 1
+                        else:
+                            seen["found"] += 1
+                            assert injection_witnesses(small, big, got)
+                        seen["pattern"] += isinstance(small, ColoringPattern)
+                        seen["edgeless"] += m < k
+                        seen["m==n"] += m == n
+        assert min(seen.values()) >= 60, seen
+
+    def test_deep_search_does_not_recurse(self):
+        c = Coloring.constant(2, 2, 400, 0)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack()) + 100)
+        try:
+            got = contains(c, c)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert got == tuple(range(1, 401))
 
     def test_empty_small_always_embeds(self):
         small = Coloring(3, 2, 2, ())
@@ -221,6 +264,11 @@ class TestTextFormat:
     def test_known_form(self):
         c = Coloring.from_map(3, 2, 4, {(2, 3, 4): 1})
         assert coloring_to_text(c) == "coloring k=3 l=2 n=4\nbits 0001\n"
+        assert coloring_from_text("coloring n=4 l=2 k=3\nbits 0001\n") == c
+        c3 = Coloring.from_function(3, 3, 4, lambda e: sum(e) % 3)
+        assert coloring_to_text(c3) == ("coloring k=3 l=3 n=4\n"
+                                        "1 2 3 0\n1 2 4 1\n"
+                                        "1 3 4 2\n2 3 4 0\n")
 
     def test_parse_errors(self):
         with pytest.raises(ValueError):
@@ -232,3 +280,9 @@ class TestTextFormat:
         with pytest.raises(ValueError):
             coloring_from_text(
                 "coloring k=3 l=3 n=3\n1 2 3 1\n1 2 3 2\n")
+        for head in ("coloring k=3 l=2 n=4 n=5", "coloring k=3 k=3 l=2 n=4",
+                     "coloring n=4 l=2 k=3 l=2"):
+            with pytest.raises(ValueError, match="repeated field"):
+                coloring_from_text(head + "\nbits 0001\n")
+        with pytest.raises(ValueError, match="malformed field"):
+            coloring_from_text("coloring k=3 l=2 n\nbits 0001\n")

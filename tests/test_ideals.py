@@ -113,6 +113,9 @@ class TestIdealSpec:
         assert ideal_spec_from_text(ideal_spec_to_text(spec)) == spec
         b = IdealSpec.builtin("S", 4)
         assert ideal_spec_from_text(ideal_spec_to_text(b)) == b
+        assert ideal_spec_from_text("ideal builtin k=4 name=S\n") == b
+        assert ideal_spec_from_text("ideal avoid l=2 k=3\n") == \
+            IdealSpec.avoid([], k=3, l=2)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -140,6 +143,14 @@ class TestIdealSpec:
             ideal_spec_from_text("ideal sideways k=3 l=2\n")
         with pytest.raises(ValueError):
             ideal_spec_from_text("ideal builtin name=S k=3\nbits 0\n")
+        for head in ("ideal avoid k=3 l=2 l=3", "ideal avoid k=3 k=4 l=2",
+                     "ideal builtin name=S k=3 k=4",
+                     "ideal builtin name=S name=lineartight k=3"):
+            with pytest.raises(ValueError, match="repeated field"):
+                ideal_spec_from_text(head + "\n")
+        for head in ("ideal avoid k=3 l", "ideal builtin name=S k3"):
+            with pytest.raises(ValueError, match="malformed field"):
+                ideal_spec_from_text(head + "\n")
 
 
 class TestBuiltinFamilies:

@@ -19,8 +19,8 @@ from typing import Optional, Sequence, Union
 from .core import (AnyColoring, Coloring, ColoringPattern, Edge,
                    restrict_normalize)
 from .matrices import StarMatrix2
-from .structure import (WealthyVariant, rich_window_edges, wealthy_assignment,
-                        wealthy_size, wealthy_variants)
+from .structure import (WealthyVariant, _pick_unbalanced, rich_window_edges,
+                        wealthy_assignment, wealthy_size, wealthy_variants)
 
 GridPoint = tuple[int, int]
 
@@ -515,13 +515,9 @@ def pair_wealthy_type2(c: Coloring, r: int) -> Optional[tuple[tuple[int, int, in
     out = []
     for i in range(1, r + 1):
         b1, b2, b3 = 3 * i - 2, 3 * i - 1, 3 * i
-        p12, p13, p23 = c.color((b1, b2)), c.color((b1, b3)), c.color((b2, b3))
-        if p12 != p13:
-            out.append((b1, b2, b3))
-        elif p12 != p23:
-            out.append((b2, b1, b3))
-        elif p13 != p23:
-            out.append((b3, b1, b2))
-        else:
+        t = _pick_unbalanced(c.color((b1, b2)), c.color((b1, b3)),
+                             c.color((b2, b3)), b1, b2, b3)
+        if t is None:
             return None
+        out.append(t)
     return tuple(out)

@@ -361,13 +361,14 @@ def coloring_to_text(c: Coloring) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_fields(fields: list[str], keys: tuple[str, ...]) -> dict[str, str]:
-    """Header fields key=value, each of the given keys exactly once."""
+def parse_fields(fields: list[str], keys: tuple[str, ...],
+                 sep: str = "=") -> dict[str, str]:
+    """Fields key<sep>value, each of the given keys exactly once."""
     out = {}
     for f in fields:
-        if "=" not in f:
+        if sep not in f:
             raise ValueError(f"malformed field {f!r}")
-        key, _, val = f.partition("=")
+        key, _, val = f.partition(sep)
         if key not in keys:
             raise ValueError(f"unexpected field {key!r}")
         if key in out:

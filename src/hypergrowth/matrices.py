@@ -24,6 +24,8 @@ from dataclasses import dataclass
 from itertools import combinations, product
 from typing import Iterable, Optional, Sequence, Union
 
+from .core import parse_fields
+
 Entry = Optional[int]
 
 
@@ -80,10 +82,6 @@ class StarMatrix2:
         return cls(len(ent), len(ent[0]) if ent else 0, tuple(ent))
 
     @classmethod
-    def filled(cls, rows: int, cols: int, value: Entry) -> "StarMatrix2":
-        return cls(rows, cols, tuple((value,) * cols for _ in range(rows)))
-
-    @classmethod
     def build(cls, rows: int, cols: int, fn) -> "StarMatrix2":
         """Entries from a function of 1-based (row, column)."""
         return cls(rows, cols, tuple(tuple(fn(i, j) for j in range(1, cols + 1))
@@ -130,19 +128,29 @@ class StarMatrix2:
         return "\n".join(lines) + "\n"
 
 
+def _matrix_from_text(text: str, name: str,
+                      keys: tuple[str, ...]) -> tuple[list[int], list[tuple]]:
+    """Header dimensions and entry lines of a matrix text block."""
+    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
+    head = lines[0].split() if lines else []
+    if not head or head[0] != name:
+        raise ValueError(f"expected {name!r} header")
+    kv = parse_fields(head[1:], keys)
+    body = []
+    for ln in lines[1:]:
+        if set(ln) - set(_ENTRY):
+            raise ValueError(f"bad matrix line {ln!r}")
+        body.append(tuple(_ENTRY[ch] for ch in ln))
+    return [int(kv[k]) for k in keys], body
+
+
 def matrix2_from_text(text: str) -> StarMatrix2:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    head = lines[0].split()
-    if not head or head[0] != "matrix2":
-        raise ValueError("expected 'matrix2' header")
-    kv = dict(f.split("=") for f in head[1:])
-    r, s = int(kv["r"]), int(kv["s"])
-    if len(lines) != 1 + r:
+    (r, s), ent = _matrix_from_text(text, "matrix2", ("r", "s"))
+    if len(ent) != r:
         raise ValueError(f"expected {r} rows")
-    ent = tuple(tuple(_ENTRY[ch] for ch in ln.strip()) for ln in lines[1:])
     if any(len(row) != s for row in ent):
         raise ValueError(f"expected rows of length {s}")
-    return StarMatrix2(r, s, ent)
+    return StarMatrix2(r, s, tuple(ent))
 
 
 @dataclass(frozen=True)
@@ -197,15 +205,9 @@ class StarMatrix3:
 
 
 def matrix3_from_text(text: str) -> StarMatrix3:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    head = lines[0].split()
-    if not head or head[0] != "matrix3":
-        raise ValueError("expected 'matrix3' header")
-    kv = dict(f.split("=") for f in head[1:])
-    r, s, t = int(kv["r"]), int(kv["s"]), int(kv["t"])
-    if len(lines) != 1 + r * t:
+    (r, s, t), body = _matrix_from_text(text, "matrix3", ("r", "s", "t"))
+    if len(body) != r * t:
         raise ValueError(f"expected {r * t} body lines")
-    body = [[_ENTRY[ch] for ch in ln.strip()] for ln in lines[1:]]
     if any(len(row) != s for row in body):
         raise ValueError(f"expected lines of length {s}")
     return StarMatrix3.build((r, s, t),

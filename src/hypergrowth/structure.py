@@ -13,10 +13,11 @@ rich and simple classifiers work for any uniformity.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from functools import cache
+from itertools import combinations, permutations, product
 from typing import Optional, Sequence
 
-from .core import Coloring, Edge, homogeneity, restrict_normalize, reverse
+from .core import Coloring, Edge, homogeneity, parse_fields, restrict_normalize
 from .matrices import StarMatrix3, metrics3
 
 
@@ -329,19 +330,14 @@ def is_c_simple(c: Coloring, cpar: int) -> Optional[SimplicityViolation]:
 # closed under a small symmetry group; the group elements are enumerated as
 # explicit variants so recognition can report which image matched.
 
-WEALTHY_FAMILIES = ("W1'", "W1''", "W2.1", "W2.2",
-                    "W3.1", "W3.2", "W3.3", "W4.1", "W4.2")
-
-_PERMS3 = tuple(permutations((1, 2, 3)))
-
 
 @dataclass(frozen=True)
 class WealthyVariant:
     """One symmetry image of a wealthy family's defining shape.
 
-    Families read only their own fields: W1' uses colors and reverse, W1''
-    colors, W2.x and W3.1/W3.2 use swap + reversals + perm, W3.3 reverse,
-    W4.1 nothing, W4.2 reverse + block_swap.
+    Each family reads only the fields that its entry in ``_WEALTHY`` lists;
+    the others keep their defaults.  That table also gives each field's
+    values in scan order and its key in the variant text.
     """
 
     swap: bool = False
@@ -352,148 +348,97 @@ class WealthyVariant:
     colors: Optional[tuple[int, int]] = None
 
 
+_FLAG = (False, True)
+_COLORS = ("colors", "colors", ((0, 1), (1, 0)))
+_REV = ("rev", "reverse", _FLAG)
+
+
+def _block_fields(blocks: int) -> tuple:
+    return (("swap", "swap", _FLAG),
+            ("rev", "reversals", tuple(product(_FLAG, repeat=blocks))),
+            ("perm", "perm", tuple(permutations((1, 2, 3)))))
+
+
+# family -> (a, b, fields): a member has n = a*r + b vertices, and the
+# variants are the product of the field values, first field outermost.  A
+# field is (text key, WealthyVariant attribute, values in scan order).
+_WEALTHY = {
+    "W1'": (1, 0, (_COLORS, _REV)),
+    "W1''": (1, 0, (_COLORS,)),
+    "W2.1": (2, 1, _block_fields(2)),
+    "W2.2": (2, 1, _block_fields(2)),
+    "W3.1": (3, 0, _block_fields(3)),
+    "W3.2": (3, 0, _block_fields(3)),
+    "W3.3": (3, 1, (_REV,)),
+    "W4.1": (4, 0, ()),
+    "W4.2": (4, 0, (_REV, ("blockswap", "block_swap", _FLAG))),
+}
+
+WEALTHY_FAMILIES = tuple(_WEALTHY)
+
+
+def _family(family: str) -> tuple:
+    if family not in _WEALTHY:
+        raise ValueError(f"unknown wealthy family {family!r}")
+    return _WEALTHY[family]
+
+
+def _field_text(x) -> str:
+    return "".join(map(_field_text, x)) if isinstance(x, tuple) else str(int(x))
+
+
+@cache
+def _variant_texts(family: str) -> dict[WealthyVariant, str]:
+    """Every variant of the family in scan order, mapped to its text."""
+    _, _, fields = _family(family)
+    out = {}
+    for values in product(*(vals for _, _, vals in fields)):
+        v = WealthyVariant(**{attr: x for (_, attr, _), x in zip(fields, values)})
+        out[v] = ",".join(f"{key}:{_field_text(x)}"
+                          for (key, _, _), x in zip(fields, values)) or "plain"
+    return out
+
+
+@cache
+def _text_variants(family: str) -> dict[str, WealthyVariant]:
+    return {text: v for v, text in _variant_texts(family).items()}
+
+
 def wealthy_size(family: str, r: int) -> int:
     if r < 1:
         raise ValueError("family parameter r must be >= 1")
-    sizes = {"W1'": r, "W1''": r, "W2.1": 2 * r + 1, "W2.2": 2 * r + 1,
-             "W3.1": 3 * r, "W3.2": 3 * r, "W3.3": 3 * r + 1,
-             "W4.1": 4 * r, "W4.2": 4 * r}
-    if family not in sizes:
-        raise ValueError(f"unknown wealthy family {family!r}")
-    return sizes[family]
+    a, b, _ = _family(family)
+    return a * r + b
 
 
 def wealthy_variants(family: str, r: int) -> tuple[WealthyVariant, ...]:
     """All symmetry variants of a family, in canonical scan order."""
     wealthy_size(family, r)
-    if family == "W1'":
-        return tuple(WealthyVariant(colors=cp, reverse=rv)
-                     for cp in ((0, 1), (1, 0)) for rv in (False, True))
-    if family == "W1''":
-        return tuple(WealthyVariant(colors=cp) for cp in ((0, 1), (1, 0)))
-    if family in ("W2.1", "W2.2"):
-        return tuple(WealthyVariant(swap=sw, reversals=(r1, r2), perm=pm)
-                     for sw in (False, True)
-                     for r1 in (False, True) for r2 in (False, True)
-                     for pm in _PERMS3)
-    if family in ("W3.1", "W3.2"):
-        return tuple(WealthyVariant(swap=sw, reversals=(r1, r2, r3), perm=pm)
-                     for sw in (False, True)
-                     for r1 in (False, True) for r2 in (False, True)
-                     for r3 in (False, True) for pm in _PERMS3)
-    if family == "W3.3":
-        return tuple(WealthyVariant(reverse=rv) for rv in (False, True))
-    if family == "W4.1":
-        return (WealthyVariant(),)
-    return tuple(WealthyVariant(reverse=rv, block_swap=bs)
-                 for rv in (False, True) for bs in (False, True))
+    return tuple(_variant_texts(family))
 
 
 def _validate_variant(family: str, v: WealthyVariant):
-    def want(swap=False, nrev=0, perm=False, rev=False, bswap=False, colors=False):
-        if not colors and v.colors is not None:
-            raise ValueError(f"{family} variants carry no colors")
-        if colors and (v.colors is None or sorted(v.colors) != [0, 1]):
-            raise ValueError(f"{family} variants need colors (0,1) or (1,0)")
-        if len(v.reversals) != nrev:
-            raise ValueError(f"{family} variants need {nrev} reversal flags")
-        if perm and tuple(sorted(v.perm)) != (1, 2, 3):
-            raise ValueError(f"{family} variants need a permutation of (1,2,3)")
-        if not perm and v.perm != ():
-            raise ValueError(f"{family} variants carry no permutation")
-        if not swap and v.swap:
-            raise ValueError(f"{family} variants carry no color swap")
-        if not rev and v.reverse:
-            raise ValueError(f"{family} variants carry no reversal")
-        if not bswap and v.block_swap:
-            raise ValueError(f"{family} variants carry no block swap")
-
-    if family == "W1'":
-        want(rev=True, colors=True)
-    elif family == "W1''":
-        want(colors=True)
-    elif family in ("W2.1", "W2.2"):
-        want(swap=True, nrev=2, perm=True)
-    elif family in ("W3.1", "W3.2"):
-        want(swap=True, nrev=3, perm=True)
-    elif family == "W3.3":
-        want(rev=True)
-    elif family == "W4.1":
-        want()
-    elif family == "W4.2":
-        want(rev=True, bswap=True)
-    else:
-        raise ValueError(f"unknown wealthy family {family!r}")
-
-
-def _flag(b: bool) -> str:
-    return "1" if b else "0"
+    if v not in _variant_texts(family):
+        raise ValueError(f"{v} is not a {family} variant")
 
 
 def variant_to_text(family: str, v: WealthyVariant) -> str:
     _validate_variant(family, v)
-    if family == "W1'":
-        a, b = v.colors
-        return f"colors:{a}{b},rev:{_flag(v.reverse)}"
-    if family == "W1''":
-        a, b = v.colors
-        return f"colors:{a}{b}"
-    if family in ("W2.1", "W2.2", "W3.1", "W3.2"):
-        revs = "".join(_flag(x) for x in v.reversals)
-        perm = "".join(str(x) for x in v.perm)
-        return f"swap:{_flag(v.swap)},rev:{revs},perm:{perm}"
-    if family == "W3.3":
-        return f"rev:{_flag(v.reverse)}"
-    if family == "W4.1":
-        return "plain"
-    return f"rev:{_flag(v.reverse)},blockswap:{_flag(v.block_swap)}"
+    return _variant_texts(family)[v]
 
 
 def variant_from_text(family: str, text: str) -> WealthyVariant:
-    if family == "W4.1":
-        if text != "plain":
-            raise ValueError(f"W4.1 has only the 'plain' variant, got {text!r}")
-        return WealthyVariant()
-    fields = {}
-    for part in text.split(","):
-        key, sep, val = part.partition(":")
-        if not sep:
-            raise ValueError(f"malformed variant field {part!r}")
-        fields[key] = val
-
-    def flags(s: str) -> tuple[bool, ...]:
-        if set(s) - {"0", "1"}:
-            raise ValueError(f"bad flag string {s!r}")
-        return tuple(ch == "1" for ch in s)
-
-    try:
-        if family == "W1'":
-            a, b = (int(ch) for ch in fields.pop("colors"))
-            (rv,) = flags(fields.pop("rev"))
-            v = WealthyVariant(colors=(a, b), reverse=rv)
-        elif family == "W1''":
-            a, b = (int(ch) for ch in fields.pop("colors"))
-            v = WealthyVariant(colors=(a, b))
-        elif family in ("W2.1", "W2.2", "W3.1", "W3.2"):
-            (sw,) = flags(fields.pop("swap"))
-            revs = flags(fields.pop("rev"))
-            perm = tuple(int(ch) for ch in fields.pop("perm"))
-            v = WealthyVariant(swap=sw, reversals=revs, perm=perm)
-        elif family == "W3.3":
-            (rv,) = flags(fields.pop("rev"))
-            v = WealthyVariant(reverse=rv)
-        elif family == "W4.2":
-            (rv,) = flags(fields.pop("rev"))
-            (bs,) = flags(fields.pop("blockswap"))
-            v = WealthyVariant(reverse=rv, block_swap=bs)
-        else:
-            raise ValueError(f"unknown wealthy family {family!r}")
-    except KeyError as exc:
-        raise ValueError(f"variant for {family} is missing field {exc}") from exc
-    if fields:
-        raise ValueError(f"unexpected variant fields {sorted(fields)}")
-    _validate_variant(family, v)
-    return v
+    """Variant from its key:value fields, in any order, each exactly once."""
+    variants = _text_variants(family)
+    if text not in variants:
+        _, _, fields = _family(family)
+        keys = tuple(key for key, _, _ in fields)
+        kv = parse_fields(text.split(","), keys, ":")
+        canonical = ",".join(f"{key}:{kv[key]}" for key in keys)
+        if canonical not in variants:
+            raise ValueError(f"no {family} variant {text!r}")
+        text = canonical
+    return variants[text]
 
 
 def _block_starts(sizes: tuple[int, ...], perm: tuple[int, ...]) -> dict[int, int]:
@@ -506,11 +451,24 @@ def _block_starts(sizes: tuple[int, ...], perm: tuple[int, ...]) -> dict[int, in
     return starts
 
 
-def _w42_cell(r: int, v: WealthyVariant, i: int) -> tuple[int, tuple[int, int, int]]:
-    idx = r - i + 1 if v.reverse else i
-    if v.block_swap:
-        return 3 * r + idx, (3 * i - 2, 3 * i - 1, 3 * i)
-    return idx, (r + 3 * i - 2, r + 3 * i - 1, r + 3 * i)
+def _apex_cells(family: str, r: int, v: WealthyVariant):
+    """(apex, (b1, b2, b3)) for i = 1..r of a W3.3 or W4.2 variant.
+
+    The canonical member colors apex-b1-b2 with 0 and apex-b1-b3,
+    apex-b2-b3 with 1; a member needs each cell not monochromatic.
+    """
+    for i in range(1, r + 1):
+        block = (3 * i - 2, 3 * i - 1, 3 * i)
+        if family == "W3.3":
+            n = 3 * r + 1
+            if v.reverse:
+                yield 1, tuple(n - x + 1 for x in block)
+            else:
+                yield n, block
+        elif v.block_swap:
+            yield 3 * r + (r - i + 1 if v.reverse else i), block
+        else:
+            yield r - i + 1 if v.reverse else i, tuple(r + x for x in block)
 
 
 def wealthy_assignment(family: str, r: int,
@@ -558,15 +516,6 @@ def wealthy_assignment(family: str, r: int,
                 p3 = starts[3] + (r - j if rev3 else j - 1)
                 hit = (i == j) if family == "W3.1" else (i <= j)
                 out[tuple(sorted((p1, p2, p3)))] = int(hit) ^ int(v.swap)
-    elif family == "W3.3":
-        apex = n
-        for i in range(1, r + 1):
-            b1, b2, b3 = 3 * i - 2, 3 * i - 1, 3 * i
-            for e, col in (((b1, b2, apex), 0), ((b1, b3, apex), 1),
-                           ((b2, b3, apex), 1)):
-                if v.reverse:
-                    e = tuple(sorted(n - x + 1 for x in e))
-                out[e] = col
     elif family == "W4.1":
         for i in range(1, r + 1):
             q = (4 * i - 3, 4 * i - 2, 4 * i - 1, 4 * i)
@@ -575,8 +524,7 @@ def wealthy_assignment(family: str, r: int,
             out[(q[0], q[2], q[3])] = 1
             out[(q[1], q[2], q[3])] = 1
     else:
-        for i in range(1, r + 1):
-            apex, (b1, b2, b3) = _w42_cell(r, v, i)
+        for apex, (b1, b2, b3) in _apex_cells(family, r, v):
             out[tuple(sorted((apex, b1, b2)))] = 0
             out[tuple(sorted((apex, b1, b3)))] = 1
             out[tuple(sorted((apex, b2, b3)))] = 1
@@ -647,22 +595,6 @@ def _check_variant(c: Coloring, family: str, r: int, v: WealthyVariant):
             if c.color(e) != want:
                 return None
         return _wealthy_base_sets(family, r, v), None
-    n = c.n
-    if family == "W3.3":
-        target = reverse(c) if v.reverse else c
-        apex = n
-        trips = []
-        for i in range(1, r + 1):
-            b1, b2, b3 = 3 * i - 2, 3 * i - 1, 3 * i
-            t = _pick_unbalanced(target.color((b1, b2, apex)),
-                                 target.color((b1, b3, apex)),
-                                 target.color((b2, b3, apex)), b1, b2, b3)
-            if t is None:
-                return None
-            if v.reverse:
-                t = tuple(n - x + 1 for x in t)
-            trips.append(t)
-        return None, tuple(trips)
     if family == "W4.1":
         for i in range(1, r + 1):
             q = (4 * i - 3, 4 * i - 2, 4 * i - 1, 4 * i)
@@ -670,10 +602,8 @@ def _check_variant(c: Coloring, family: str, r: int, v: WealthyVariant):
             if len(seen) == 1:
                 return None
         return None, None
-    # W4.2
     trips = []
-    for i in range(1, r + 1):
-        apex, (b1, b2, b3) = _w42_cell(r, v, i)
+    for apex, (b1, b2, b3) in _apex_cells(family, r, v):
         t = _pick_unbalanced(c.color((apex, b1, b2)), c.color((apex, b1, b3)),
                              c.color((apex, b2, b3)), b1, b2, b3)
         if t is None:

@@ -299,6 +299,19 @@ class TestMakeAndClassifyRoundTrips:
                       "--variant", "plain")
         assert res.returncode == 2
 
+    @pytest.mark.parametrize("verb", ["make", "classify"])
+    def test_repeated_variant_field_exits_two(self, tmp_path, capsys, verb):
+        argv = [verb, "wealthy", "--family", "W1'", "--r", "3",
+                "--variant", "colors:01,rev:0,rev:1"]
+        if verb == "classify":
+            argv.append(write_coloring(tmp_path / "c.col",
+                                       Coloring.constant(3, 2, 3, 0)))
+        rc = cli.main(argv)
+        got = capsys.readouterr()
+        assert rc == 2
+        assert got.out == ""
+        assert got.err == "error: repeated field 'rev'\n"
+
     def test_make_rich_equal_colors_rejected(self):
         res = run_cli("make", "rich", "--r", "4", "--shape", "0,3,0",
                       "--colors", "1,1")

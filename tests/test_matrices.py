@@ -61,6 +61,12 @@ class TestStarMatrix2:
         m = StarMatrix2.from_rows(["01*", "110"])
         assert m.at(1, 3) is None and m.at(2, 1) == 1
         assert matrix2_from_text(m.to_text()) == m
+        assert matrix2_from_text("matrix2 s=3 r=2\n01*\n110\n") == m
+        for bad in ("", "matrix2 r=1 s=2 r=1\n01\n", "matrix2 r=1 s=2 x=3\n01\n",
+                    "matrix2 r=1\n01\n", "matrix2 r=1 s=2\n0x\n",
+                    "matrix2 r s=2\n01\n"):
+            with pytest.raises(ValueError):
+                matrix2_from_text(bad)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -168,6 +174,11 @@ class TestMetrics3:
         rng = Lcg(4)
         m = random_matrix3(rng, 4, stars=True)
         assert matrix3_from_text(m.to_text()) == m
+        for bad in ("", "matrix3 r=1 s=1 t=1 t=1\n0\n",
+                    "matrix3 r=1 s=1 t=1 x=3\n0\n", "matrix3 r=1 s=1\n0\n",
+                    "matrix3 r=1 s=2 t=1\n0x\n"):
+            with pytest.raises(ValueError):
+                matrix3_from_text(bad)
 
 
 def sdr_oracle(eligible):

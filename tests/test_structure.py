@@ -300,9 +300,42 @@ class TestWealthyVariants:
             for v in wealthy_variants(fam, 3):
                 assert variant_from_text(fam, variant_to_text(fam, v)) == v
 
+    def test_text_order_is_scan_order(self):
+        texts = {fam: [variant_to_text(fam, v) for v in wealthy_variants(fam, 3)]
+                 for fam in WEALTHY_FAMILIES}
+        assert texts["W1'"] == ["colors:01,rev:0", "colors:01,rev:1",
+                                "colors:10,rev:0", "colors:10,rev:1"]
+        assert texts["W1''"] == ["colors:01", "colors:10"]
+        assert texts["W3.3"] == ["rev:0", "rev:1"]
+        assert texts["W4.1"] == ["plain"]
+        assert texts["W4.2"] == ["rev:0,blockswap:0", "rev:0,blockswap:1",
+                                 "rev:1,blockswap:0", "rev:1,blockswap:1"]
+        for fam, rev in (("W2.1", "00"), ("W2.2", "00"),
+                         ("W3.1", "000"), ("W3.2", "000")):
+            last = "1" * len(rev)
+            assert len(texts[fam]) == 12 * 2 ** len(rev)
+            assert texts[fam][:3] == [f"swap:0,rev:{rev},perm:123",
+                                      f"swap:0,rev:{rev},perm:132",
+                                      f"swap:0,rev:{rev},perm:213"]
+            assert texts[fam][-3:] == [f"swap:1,rev:{last},perm:231",
+                                       f"swap:1,rev:{last},perm:312",
+                                       f"swap:1,rev:{last},perm:321"]
+
+    def test_text_fields_in_any_order(self):
+        assert variant_from_text("W1'", "rev:0,colors:01") == \
+            WealthyVariant(colors=(0, 1))
+        assert variant_from_text("W2.1", "perm:213,rev:01,swap:1") == \
+            WealthyVariant(swap=True, reversals=(False, True), perm=(2, 1, 3))
+        assert variant_from_text("W4.2", "blockswap:1,rev:0") == \
+            WealthyVariant(block_swap=True)
+
     def test_text_rejects_malformed(self):
         with pytest.raises(ValueError):
             variant_from_text("W4.1", "rev:0")
+        with pytest.raises(ValueError):
+            variant_from_text("W1'", "colors:01,rev:0,rev:1")
+        with pytest.raises(ValueError):
+            variant_from_text("W1''", "colors:\u0660\u0661")
         with pytest.raises(ValueError):
             variant_from_text("W1'", "colors:12,rev:0")
         with pytest.raises(ValueError):

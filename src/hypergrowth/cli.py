@@ -13,11 +13,16 @@ the command succeeds and any tested property holds, 1 when a tested
 property fails or nothing is found, 2 on usage or I/O errors and when the
 engine cannot finish (a RuntimeError, RecursionError included).  Identical
 invocations print identical bytes; --jobs changes scheduling only.
+
+main builds its argument parser once per process, on its first call, and
+reuses it: parsing keeps no state between calls, so main is safe to call
+repeatedly in-process.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from typing import Optional, Sequence, TextIO
@@ -266,6 +271,7 @@ def _cmd_verify(args, out: TextIO) -> int:
 # --- parser -----------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hypergrowth",

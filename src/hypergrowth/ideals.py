@@ -55,7 +55,13 @@ def fnv1a64(data: bytes) -> int:
 
 
 def sequence_G(n: int) -> int:
-    """1, 1, 2, 3, 4, 6, 9, ... with a(n) = a(n-1) + a(n-3); a(0) = 1."""
+    """G_1, G_2, G_3, ... = 1, 1, 2, 3, 4, 6, 9, ...
+
+    G_n = G_{n-1} + G_{n-3} with G_0 = G_1 = G_2 = 1: the compositions of n
+    into parts 1 and 3.
+    """
+    if n < 0:
+        raise ValueError("G is defined for n >= 0")
     return sequence_Gk(3, n)
 
 

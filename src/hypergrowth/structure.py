@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 from itertools import combinations, permutations, product
+from math import comb
 from typing import Optional, Sequence
 
 from .core import Coloring, Edge, homogeneity, parse_fields, restrict_normalize
@@ -85,6 +86,12 @@ def crossing_matrix(c: Coloring, x: Sequence[int], y: Sequence[int],
     Entry (i, j, k) is the color of {x_i, y_j, z_k}; when the three
     vertices are not pairwise distinct the entry is a star.  The sets may
     overlap arbitrarily.
+
+    Colors are read from c.colors by lexicographic rank: a triple
+    a < b < d of [n] has rank
+    C(n,3) - C(n-a+1,3) + C(n-a,2) - C(n-b+1,2) + d - b - 1,
+    the triples with a smaller first vertex, then those with first vertex
+    a and a smaller second vertex, then those before d.
     """
     if c.k != 3:
         raise ValueError("crossing matrices need k = 3")
@@ -94,10 +101,17 @@ def crossing_matrix(c: Coloring, x: Sequence[int], y: Sequence[int],
             raise ValueError("base sets must be nonempty")
         if vs[0] < 1 or vs[-1] > c.n:
             raise ValueError(f"base set not inside [{c.n}]")
+    n, colors = c.n, c.colors
+    c3 = [comb(m, 3) for m in range(n + 1)]
+    c2 = [comb(m, 2) for m in range(n + 1)]
+    top = c3[n]
 
     def entry(i: int, j: int, kk: int) -> Optional[int]:
-        e = {xs[i - 1], ys[j - 1], zs[kk - 1]}
-        return c.color(e) if len(e) == 3 else None
+        a, b, d = sorted((xs[i - 1], ys[j - 1], zs[kk - 1]))
+        if a == b or b == d:
+            return None
+        return colors[top - c3[n - a + 1] + c2[n - a] - c2[n - b + 1]
+                      + d - b - 1]
 
     return StarMatrix3.build((len(xs), len(ys), len(zs)), entry)
 

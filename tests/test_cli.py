@@ -1,5 +1,6 @@
 """Command line surface: verbs, exit codes, byte-stable reports."""
 
+import argparse
 import os
 import subprocess
 import sys
@@ -53,6 +54,12 @@ class TestSequenceVerb:
         assert res.returncode == 2
         assert res.stdout == ""
         assert "unknown sequence" in res.stderr
+
+    def test_negative_g_names_g(self):
+        res = run_cli("sequence", "--name", "G", "--n", "-5")
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert res.stderr == "error: G is defined for n >= 0\n"
 
     def test_k_flag_rejected_off_gk(self):
         res = run_cli("sequence", "--name", "G", "--k", "3", "--n", "5")
@@ -176,6 +183,72 @@ class TestErrorExits:
         assert rc == 2
         assert got.out == ""
         assert got.err == "error: maximum depth exceeded\n"
+
+
+def main_in_process(argv, capsys):
+    try:
+        rc = cli.main(argv)
+    except SystemExit as exc:  # argparse usage errors
+        rc = exc.code
+    return rc, capsys.readouterr().out
+
+
+class TestSharedParser:
+    def test_calls_keep_no_state(self, tmp_path, monkeypatch, capsys):
+        flag_cache, env_cache = tmp_path / "flag.tsv", tmp_path / "env.tsv"
+        growth = ["growth", "--spec", "builtin:S,k=3", "--n-max", "7"]
+        wealthy = ["make", "wealthy", "--family", "W1'", "--r", "3"]
+        calls = [
+            (growth + ["--verdict", "constant"], None),
+            (growth, None),
+            (wealthy + ["--variant", "colors:10,rev:1"], None),
+            (["sequence", "--name", "G"], None),
+            (wealthy, None),
+            (growth + ["--cache", str(flag_cache)], None),
+            (growth, str(env_cache)),
+        ]
+        monkeypatch.delenv("HYPERGROWTH_CACHE", raising=False)
+        cli._build_parser.cache_clear()  # built by the first call below
+        got = []
+        for argv, env_cache_path in calls:
+            if env_cache_path is not None:
+                monkeypatch.setenv("HYPERGROWTH_CACHE", env_cache_path)
+            got.append(main_in_process(argv, capsys))
+        sub_dir = tmp_path / "sub"
+        sub_dir.mkdir()
+        want = []
+        for argv, env_cache_path in calls:
+            argv = [str(sub_dir / "flag.tsv") if a == str(flag_cache) else a
+                    for a in argv]
+            env = None
+            if env_cache_path is not None:
+                env = {"HYPERGROWTH_CACHE": str(sub_dir / "env.tsv")}
+            res = run_cli(*argv, env_extra=env)
+            want.append((res.returncode, res.stdout))
+        assert got == want
+        assert "classification=" in got[0][1]
+        assert "classification=" not in got[1][1]
+        assert got[2][1] != got[4][1]
+        assert got[3] == (2, "")
+        assert flag_cache.exists() and env_cache.exists()
+
+    def test_parser_built_once(self, monkeypatch, capsys):
+        progs = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            progs.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        cli._build_parser.cache_clear()
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        built = []
+        for _ in range(3):
+            assert cli.main(["sequence", "--name", "G", "--n", "5"]) == 0
+            built.append(len(progs))
+        assert capsys.readouterr().out == "G(5)=4\n" * 3
+        assert progs.count("hypergrowth") == 1
+        assert built[0] > 1 and built == [built[0]] * 3
 
 
 class TestHeaderFields:

@@ -3,6 +3,7 @@
 import inspect
 import sys
 from itertools import combinations, product
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +14,8 @@ from hypergrowth.core import (Coloring, ColoringPattern,
                               injection_witnesses, relabel,
                               restrict_normalize, reverse)
 from hypergrowth.rng import Lcg
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def rank_oracle(edge, n, k):
@@ -269,6 +272,12 @@ class TestTextFormat:
         assert coloring_to_text(c3) == ("coloring k=3 l=3 n=4\n"
                                         "1 2 3 0\n1 2 4 1\n"
                                         "1 3 4 2\n2 3 4 0\n")
+
+    def test_golden_bits_file(self):
+        golden = (FIXTURES / "parity6.col").read_bytes()
+        parity = Coloring.from_function(3, 2, 6, lambda e: e[0] % 2)
+        assert coloring_from_text(golden.decode()) == parity
+        assert coloring_to_text(parity).encode() == golden
 
     def test_parse_errors(self):
         with pytest.raises(ValueError):

@@ -3,6 +3,7 @@
 from functools import lru_cache
 from itertools import combinations, product
 from math import comb
+from pathlib import Path
 
 import pytest
 
@@ -21,6 +22,9 @@ from hypergrowth.ideals import (BUILTIN_NAMES, GrowthRecord, IdealSpec,
                                 update_cache)
 from hypergrowth.rng import Lcg
 from hypergrowth.structure import is_p_tame
+
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def compositions_oracle(n, k):
@@ -116,6 +120,17 @@ class TestIdealSpec:
         assert ideal_spec_from_text("ideal builtin k=4 name=S\n") == b
         assert ideal_spec_from_text("ideal avoid l=2 k=3\n") == \
             IdealSpec.avoid([], k=3, l=2)
+
+    @pytest.mark.parametrize("name, spec", [
+        ("avoid.is", IdealSpec.avoid([Coloring.from_map(3, 2, 4,
+                                                        {(1, 2, 3): 1}),
+                                      Coloring.constant(3, 2, 5, 0)])),
+        ("builtin_s.is", IdealSpec.builtin("S", 3)),
+    ])
+    def test_golden_files(self, name, spec):
+        golden = (FIXTURES / name).read_bytes()
+        assert ideal_spec_from_text(golden.decode()) == spec
+        assert ideal_spec_to_text(spec).encode() == golden
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -96,6 +96,52 @@ class TestCrossingMatrix:
                     else:
                         assert m.at(i, j, kk) is None
 
+    def test_matches_color_oracle(self):
+        def oracle(c, x, y, z):
+            return tuple(tuple(tuple(c.color((a, b, d))
+                                     if len({a, b, d}) == 3 else None
+                                     for d in sorted(set(z)))
+                               for b in sorted(set(y)))
+                         for a in sorted(set(x)))
+
+        rng = Lcg(2026)
+        cases = []
+        for case in range(420):
+            n = 3 + case % 14
+            c = random_coloring(rng, 3, 2 + case % 2, n)
+            if case % 4 == 1:  # l = 3 with colours 0 and 1 only
+                c = Coloring(3, 3, n, random_coloring(rng, 3, 2, n).colors)
+            shape = case % 3
+            if shape == 0:    # singletons
+                sets = [(rng.randint(1, n),) for _ in range(3)]
+            elif shape == 1:  # repeats within a set, overlaps across sets
+                sets = [tuple(rng.randint(1, n)
+                              for _ in range(rng.randint(1, 6)))
+                        for _ in range(3)]
+            else:             # one interval used twice, as tameness does
+                a = rng.randint(1, n)
+                iv = tuple(range(a, rng.randint(a, n) + 1))
+                other = tuple(range(rng.randint(1, n), n + 1))
+                sets = [iv, iv, other] if rng.bit() else [other, iv, iv]
+            cases.append((c, sets))
+        c3 = random_coloring(rng, 3, 3, 3)
+        for sets in ([(1,), (2,), (3,)], [(3,), (1,), (2,)], [(1, 2, 3)] * 3,
+                     [(2,), (2,), (2,)], [(1, 3), (2,), (1, 2, 3)]):
+            cases.append((c3, sets))
+        stars = colored = rejected = 0
+        for c, sets in cases:
+            want = oracle(c, *sets)
+            cells = [x for plane in want for shaft in plane for x in shaft]
+            if 2 in cells:  # matrix entries are 0, 1 or a star
+                with pytest.raises(ValueError):
+                    crossing_matrix(c, *sets)
+                rejected += 1
+                continue
+            assert crossing_matrix(c, *sets).entries == want, (c, sets)
+            stars += cells.count(None)
+            colored += len(cells) - cells.count(None)
+        assert stars > 2000 and colored > 10000 and rejected > 40
+
     def test_base_sets_are_sorted_and_deduplicated(self):
         rng = Lcg(7)
         c = random_coloring(rng, 3, 2, 6)

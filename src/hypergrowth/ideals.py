@@ -22,6 +22,7 @@ floating point enters any count.
 
 from __future__ import annotations
 
+import io
 import multiprocessing
 import os
 from contextlib import ExitStack
@@ -749,13 +750,31 @@ def count_p_tame(n: int, p: int) -> int:
 # --- growth cache ---------------------------------------------------------------------
 
 
+# The last cache bytes parsed or written, with their entries: a repeated
+# read of unchanged bytes skips the parse.  Keyed by content, not by path
+# or os.stat, because coarse mtimes and reused inodes can hide a rewrite.
+_cache_slot: tuple[bytes, dict[tuple[str, int], tuple[int, bool]]] = (b"", {})
+
+
 def load_cache(path: str) -> dict[tuple[str, int], tuple[int, bool]]:
-    """Cached counts by (digest, n); malformed rows are skipped."""
-    out: dict[tuple[str, int], tuple[int, bool]] = {}
+    """Cached counts by (digest, n); malformed rows are skipped.
+
+    The file is read on every call, so rows written by other processes
+    are always seen; when its bytes equal the last ones parsed or written
+    in this process, a copy of that parse is returned.  Rows are UTF-8
+    (undecodable bytes replaced) with universal newlines; a later row
+    overrides an earlier one with the same key.
+    """
+    global _cache_slot
     if not os.path.exists(path):
-        return out
-    with open(path, "r", encoding="utf-8", errors="replace") as fh:
-        for line in fh:
+        return {}
+    with open(path, "rb") as fh:
+        data = fh.read()
+    slot = _cache_slot  # one read, so a concurrent refill cannot mix slots
+    if data != slot[0]:
+        out: dict[tuple[str, int], tuple[int, bool]] = {}
+        text = data.decode("utf-8", errors="replace")
+        for line in io.StringIO(text, newline=None):
             line = line.strip()
             if not line:
                 continue
@@ -764,24 +783,43 @@ def load_cache(path: str) -> dict[tuple[str, int], tuple[int, bool]]:
                 out[(digest, int(n))] = (int(count), exact == "1")
             except ValueError:
                 continue
-    return out
+        slot = _cache_slot = (data, out)
+    return dict(slot[1])
 
 
 def update_cache(path: str, digest: str, counts: dict[int, int],
                  exact: dict[int, bool]):
-    """Merge exact counts into the cache; replaces the file atomically."""
+    """Merge exact counts into the cache; replaces the file atomically.
+
+    The current rows come from load_cache, so rows another process wrote
+    since this one last read the file are kept.  The written bytes and the
+    merged entries become load_cache's last parse when the new rows read
+    back as written (a plain digest, int n and count).
+    """
+    global _cache_slot
     entries = load_cache(path)
-    for n, cnt in counts.items():
-        if exact.get(n):
-            entries[(digest, n)] = (cnt, True)
+    new = {(digest, n): (cnt, True) for n, cnt in counts.items()
+           if exact.get(n)}
+    entries.update(new)
+    rows = sorted(entries.items())
+    data = "".join(f"{dg}\t{n}\t{cnt}\t{1 if ex else 0}\n"
+                   for (dg, n), (cnt, ex) in rows).encode("utf-8")
     # readers see the old file or the new one, never a torn one
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            for (dg, n), (cnt, ex) in sorted(entries.items()):
-                fh.write(f"{dg}\t{n}\t{cnt}\t{1 if ex else 0}\n")
+        with open(tmp, "wb") as fh:
+            fh.write(data)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+    if all(_plain_row(dg, n, cnt) for (dg, n), (cnt, _) in new.items()):
+        _cache_slot = (data, dict(rows))
+
+
+def _plain_row(digest: str, n, count) -> bool:
+    """Whether the row written for these values parses back to them."""
+    return (type(n) is type(count) is int and digest != ""
+            and digest == digest.strip() and digest.isprintable()
+            and "\t" not in digest)

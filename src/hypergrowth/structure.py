@@ -49,30 +49,50 @@ class NuclearDecomposition:
 
 
 def nuclear_decomposition(c: Coloring) -> NuclearDecomposition:
-    """Left-to-right greedy: each part is the longest homogeneous run."""
-    n, k = c.n, c.k
+    """Left-to-right greedy: each part is the longest homogeneous run.
+
+    Colors are read from c.colors by lexicographic rank.  For a sorted
+    (k-1)-set R of [n], the edges R + (w,) with w > max R have the
+    consecutive ranks offset(R) + w, where offset(R) sums, over the
+    positions p of R with previous vertex u (0 before the first),
+    C(n-u, k-p) - C(n-v+1, k-p) for the vertex v at p, less max R + 1.
+    A part [start, end] keeps the offsets of every (k-1)-set inside it,
+    so trying the next vertex reads one entry per set.
+    """
+    n, k, colors = c.n, c.k, c.colors
+    binom = [[comb(m, j) for m in range(n + 1)] for j in range(k + 1)]
+
+    def offset(rest: Edge) -> int:
+        rank, prev = 0, 0
+        for pos, v in enumerate(rest):
+            rank += binom[k - pos][n - prev] - binom[k - pos][n - v + 1]
+            prev = v
+        return rank - prev - 1
+
     parts: list[tuple[int, int]] = []
     cols: list[Optional[int]] = []
     start = 1
     while start <= n:
         end = start
         col: Optional[int] = None
+        offsets = [offset(rest) for rest in combinations((start,), k - 1)]
         while end < n:
             nxt = end + 1
             tentative = col
             broke = False
-            if nxt - start + 1 >= k:
-                for rest in combinations(range(start, nxt), k - 1):
-                    cc = c.color(rest + (nxt,))
-                    if tentative is None:
-                        tentative = cc
-                    elif cc != tentative:
-                        broke = True
-                        break
+            for off in offsets:
+                cc = colors[off + nxt]
+                if tentative is None:
+                    tentative = cc
+                elif cc != tentative:
+                    broke = True
+                    break
             if broke:
                 break
             col = tentative
             end = nxt
+            offsets += [offset(rest + (nxt,))
+                        for rest in combinations(range(start, nxt), k - 2)]
         parts.append((start, end))
         cols.append(col)
         start = end + 1

@@ -1,9 +1,11 @@
 """Ideal descriptions, growth engine, verdicts, tame census, cache."""
 
+import os
 from functools import lru_cache
 from itertools import combinations, product
 from math import comb
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -25,6 +27,33 @@ from hypergrowth.structure import is_p_tame
 
 
 FIXTURES = Path(__file__).parent / "fixtures"
+
+
+def reference_load_cache(path):
+    """The cache parser before load_cache kept its last parse: text mode."""
+    out = {}
+    if not os.path.exists(path):
+        return out
+    with open(path, "r", encoding="utf-8", errors="replace") as fh:
+        for line in fh:
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                digest, n, count, exact = line.split("\t")
+                out[(digest, int(n))] = (int(count), exact == "1")
+            except ValueError:
+                continue
+    return out
+
+
+def rewrite_keeping_stat(path, data):
+    """Overwrite path in place and put its mtime back, as a fast writer can."""
+    st = os.stat(path)
+    assert len(data) == st.st_size
+    with open(path, "r+b") as fh:
+        fh.write(data)
+    os.utime(path, ns=(st.st_atime_ns, st.st_mtime_ns))
 
 
 def compositions_oracle(n, k):
@@ -481,6 +510,141 @@ class TestGrowthCache:
         update_cache(str(path), "a" * 16, {1: 1}, {1: True})
         assert path.read_text() == "a" * 16 + "\t1\t1\t1\n"
         assert [p.name for p in tmp_path.iterdir()] == ["growth.tsv"]
+
+    def test_golden_file(self, tmp_path):
+        # digests of builtin S(3) and of Avoid of the constant base 0000
+        s_dg, a_dg = "c028cd4d566b40e1", "31825e93d456a39b"
+        want = {(a_dg, 1): (1, True), (a_dg, 2): (1, True),
+                (a_dg, 3): (2, True), (a_dg, 4): (15, True)}
+        g = [1, 1, 2, 3, 4, 6, 9, 13, 19, 28, 41]
+        want.update({(s_dg, n): (g[n - 1], True) for n in range(1, 12)})
+        assert load_cache(str(FIXTURES / "cache.tsv")) == want
+        path = str(tmp_path / "growth.tsv")
+        update_cache(path, s_dg, {n: g[n - 1] for n in range(1, 7)},
+                     {n: True for n in range(1, 7)})
+        update_cache(path, a_dg, {1: 1, 2: 1, 3: 2, 4: 15, 5: 768},
+                     {1: True, 2: True, 3: True, 4: True, 5: False})
+        update_cache(path, s_dg, {n: g[n - 1] for n in range(1, 12)},
+                     {n: True for n in range(1, 12)})
+        assert Path(path).read_bytes() == (FIXTURES / "cache.tsv").read_bytes()
+
+    def test_hostile_bytes_match_reference(self, tmp_path):
+        tokens = [b"\t", b"\n", b"\r", b"\r\n", b"\x0c", b"\x1c", b"\x85",
+                  "\x85".encode(), "\u2028".encode(), b"\x00", b"\xff",
+                  b"\xc3", b"\xe2\x80", "\u0663".encode(), "\uff17".encode(),
+                  b" ", b"0", b"1", b"7", b"12", b"-3", b"+4", b"1_0", b"x",
+                  b"a" * 16]
+        rng = Lcg(2028)
+
+        def valid_row():
+            return b"\t".join([rng.choice([b"a" * 16, b"b" * 16]),
+                               str(rng.randint(1, 12)).encode(),
+                               str(rng.randint(0, 99)).encode(),
+                               rng.choice([b"0", b"1"])])
+
+        path = str(tmp_path / "growth.tsv")
+        hits = 0
+        for _ in range(2500):
+            rows = []
+            for _ in range(rng.randint(0, 8)):
+                pick = rng.randint(0, 6)
+                if pick == 0:
+                    rows.append(b"")
+                elif pick == 1 and rows:
+                    rows.append(rng.choice(rows))
+                elif pick == 2:
+                    rows.append(b"".join(rng.choice(tokens)
+                                         for _ in range(rng.randint(1, 12))))
+                elif pick == 5:
+                    # two rows that only a wider line split separates
+                    rows.append(valid_row() + rng.choice(tokens) + valid_row())
+                else:
+                    fields = valid_row().split(b"\t")
+                    i = rng.randint(0, 3)
+                    if pick == 3:
+                        fields[i] = rng.choice(tokens)
+                    elif pick == 4:
+                        cut = rng.randint(0, len(fields[i]))
+                        fields[i] = (fields[i][:cut] + rng.choice(tokens)
+                                     + fields[i][cut:])
+                    rows.append(b"\t".join(fields))
+            ends = [b"\n", b"\r\n", b"\r"]
+            data = b"".join(r + rng.choice(ends) for r in rows)
+            if rng.randint(0, 4) == 0:
+                data = data.rstrip(b"\r\n")
+            Path(path).write_bytes(data)
+            want = reference_load_cache(path)
+            assert load_cache(path) == want, data
+            assert load_cache(path) == want, data
+            hits += bool(want)
+        assert hits > 1000
+
+    def test_rewrite_with_same_size_and_mtime_is_seen(self, tmp_path):
+        path = str(tmp_path / "growth.tsv")
+        update_cache(path, "a" * 16, {1: 1, 2: 5}, {1: True, 2: True})
+        assert load_cache(path)[("a" * 16, 2)] == (5, True)
+        rewrite_keeping_stat(path, ("b" * 16 + "\t1\t1\t1\n"
+                                    + "b" * 16 + "\t2\t6\t1\n").encode())
+        assert load_cache(path) == {("b" * 16, 1): (1, True),
+                                    ("b" * 16, 2): (6, True)}
+
+    def test_returned_dict_is_the_callers(self, tmp_path):
+        path = str(tmp_path / "growth.tsv")
+        update_cache(path, "a" * 16, {1: 1}, {1: True})
+        want = {("a" * 16, 1): (1, True)}
+        for _ in range(2):
+            got = load_cache(path)
+            assert got == want
+            got[("z" * 16, 9)] = (0, False)
+            del got[("a" * 16, 1)]
+        assert load_cache(path) == want
+
+    def test_two_paths_used_alternately(self, tmp_path):
+        first, second = str(tmp_path / "one.tsv"), str(tmp_path / "two.tsv")
+        Path(first).write_text("a" * 16 + "\t1\t3\t1\n")
+        Path(second).write_text("b" * 16 + "\t1\t4\t1\n")
+        st = os.stat(first)
+        os.utime(second, ns=(st.st_atime_ns, st.st_mtime_ns))
+        for _ in range(3):
+            assert load_cache(first) == {("a" * 16, 1): (3, True)}
+            assert load_cache(second) == {("b" * 16, 1): (4, True)}
+
+    def test_deleted_file_loads_empty(self, tmp_path):
+        path = str(tmp_path / "growth.tsv")
+        update_cache(path, "a" * 16, {1: 1}, {1: True})
+        assert load_cache(path)
+        os.remove(path)
+        assert load_cache(path) == {}
+
+    def test_update_keeps_external_rewrite(self, tmp_path):
+        path = str(tmp_path / "growth.tsv")
+        update_cache(path, "a" * 16, {1: 2}, {1: True})
+        rewrite_keeping_stat(path, ("c" * 16 + "\t1\t3\t1\n").encode())
+        update_cache(path, "b" * 16, {1: 4}, {1: True})
+        want = {("b" * 16, 1): (4, True), ("c" * 16, 1): (3, True)}
+        assert reference_load_cache(path) == want
+        assert load_cache(path) == want
+
+    def test_unusual_digests_read_back_as_written(self, tmp_path):
+        path = str(tmp_path / "growth.tsv")
+        for digest in ("a\tb", " lead", "two\nlines", "", "\u2028x"):
+            update_cache(path, digest, {1: 1}, {1: True})
+            assert load_cache(path) == reference_load_cache(path)
+        update_cache(path, "a" * 16, {True: 5}, {True: True})
+        assert load_cache(path) == reference_load_cache(path)
+
+    def test_unchanged_file_is_not_parsed_again(self, tmp_path, monkeypatch):
+        path = str(tmp_path / "growth.tsv")
+        spec = IdealSpec.avoid([Coloring(3, 2, 4, (0, 0, 0, 0))])
+        first = growth(spec, 5, cache=path)
+
+        def no_parse(*args, **kwargs):
+            raise AssertionError("cache parsed again")
+
+        monkeypatch.setattr(ideals, "io", SimpleNamespace(StringIO=no_parse))
+        again = growth(spec, 5, cache=path)
+        assert again.nodes == 0 and again.counts == first.counts
+        assert load_cache(path) == reference_load_cache(path)
 
 
 class TestDichotomyVerdicts:

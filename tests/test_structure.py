@@ -76,6 +76,58 @@ class TestNuclearDecomposition:
                 assert col is not None
 
 
+    def test_matches_color_oracle(self):
+        def oracle(c):
+            # the greedy scan reading one edge at a time through c.color
+            parts, cols, start = [], [], 1
+            while start <= c.n:
+                end, col = start, None
+                while end < c.n:
+                    seen = {c.color(rest + (end + 1,))
+                            for rest in combinations(range(start, end + 1),
+                                                     c.k - 1)}
+                    if col is not None:
+                        seen.add(col)
+                    if len(seen) > 1:
+                        break
+                    col = seen.pop() if seen else None
+                    end += 1
+                parts.append((start, end))
+                cols.append(col)
+                start = end + 1
+            return tuple(parts), tuple(cols)
+
+        def blocky(rng, k, l, n):
+            # homogeneous blocks, random crossing edges, a few flips
+            block = [0] * (n + 1)
+            for v in range(2, n + 1):
+                block[v] = block[v - 1] + (rng.randint(0, 3) == 0)
+            tint = [rng.randint(0, l - 1) for _ in range(n + 1)]
+            cols = [tint[block[e[0]]] if block[e[0]] == block[e[-1]]
+                    else rng.randint(0, l - 1)
+                    for e in combinations(range(1, n + 1), k)]
+            for _ in range(rng.randint(0, 2)):
+                if cols:
+                    cols[rng.randint(0, len(cols) - 1)] = rng.randint(0, l - 1)
+            return Coloring(k, l, n, tuple(cols))
+
+        rng = Lcg(909)
+        cases = []
+        for k in (2, 3, 4):
+            for l in (2, 3):
+                for n in range(1, 13):
+                    cases.append(Coloring.constant(k, l, n, l - 1))
+                    cases.append(Coloring.from_function(
+                        k, l, n, lambda e, l=l: e[0] % l))
+                    cases.append(random_coloring(rng, k, l, n))
+                    cases += [blocky(rng, k, l, n) for _ in range(4)]
+        long_parts = 0
+        for c in cases:
+            nd = nuclear_decomposition(c)
+            assert (nd.intervals, nd.colors) == oracle(c), c
+            long_parts += sum(b - a >= c.k for a, b in nd.intervals)
+        assert len(cases) == 504 and long_parts > 150
+
 class TestCrossingMatrix:
     def test_entries_and_stars(self):
         c = Coloring.from_map(3, 2, 6, {(1, 2, 3): 1, (2, 3, 4): 1})

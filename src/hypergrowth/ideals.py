@@ -6,18 +6,19 @@ restrictions to vertex subsets.  Two descriptions are supported: Avoid
 (three families with known growth: disjoint-interval systems S(k), the
 single-flipped-interval family, and the first-pair-free family).
 
-Growth |X_n| is computed exactly.  For Avoid the computation extends each
-member of X_{n-1} by vertex n with an iterative frontier over the colors
+Growth |X_n| is computed exactly.  For Avoid the computation extends the
+members of X_{n-1} by vertex n with an iterative frontier over the colors
 of the new edges, one edge per step, dropping a color prefix as soon as a
 basis element embeds through an injection whose image uses vertex n;
 older embeddings were excluded at the previous level, so the enumeration
 is complete by induction.  Prefixes that still match the same templates
-have the same future and are merged.  Only the levels below the last are
-enumerated, since the next level extends them; the last level is counted,
-the merged prefixes carrying a multiplicity instead of a list.  Members
-are ints holding each edge's color in a (l-1).bit_length()-bit field, so
-one engine serves every color count.  Everything is big-integer exact; no
-floating point enters any count.
+have the same future and are merged, also when they extend different
+members, so one frontier serves a whole chunk of members.  Only the levels
+below the last are enumerated, since the next level extends them; the
+last level is counted, the merged prefixes carrying a multiplicity
+instead of a list.  Members are ints holding each edge's color in a
+(l-1).bit_length()-bit field, so one engine serves every color count.
+Everything is big-integer exact; no floating point enters any count.
 """
 
 from __future__ import annotations
@@ -375,61 +376,28 @@ def _new_edge_tables(templates: list, nnew: int, l: int):
     return keep, done
 
 
-def _extend_parent(active: int, keep: list, done: list, l: int, nodes: int,
-                   cap: int, build: bool):
-    """Colourings of one parent's new edges; (result, nodes).
-
-    ``active`` is the set of templates whose old part the parent realizes.
-    A frontier over the new-edge depths keys each surviving prefix by the
-    set of active templates it still matches, which is all that later
-    depths read of it.  Prefixes with one set are merged: counted with a
-    multiplicity, or with ``build`` listed as ``w``-bit colour fields
-    (depth j at bit ``j * w``).  The result is their number or that list.
-    ``nodes`` grows by ``l`` per surviving prefix and depth, the nodes of
-    a depth-first walk, and the result is None once it exceeds ``cap``.
-    """
-    w = (l - 1).bit_length()
-    frontier = {active: [0] if build else 1}
-    for j, finished in enumerate(done):
-        nodes += l * (sum(map(len, frontier.values())) if build
-                      else sum(frontier.values()))
-        if nodes > cap:
-            return None, nodes
-        nxt: dict = {}
-        # a template still matched at its last edge embeds; counting or
-        # building is chosen once per depth, not per colour
-        if build:
-            for state, prefixes in frontier.items():
-                for col, mask in enumerate(keep[j]):
-                    matched = state & mask
-                    if not matched & finished:
-                        bits = col << j * w
-                        nxt.setdefault(matched, []).extend(
-                            p | bits for p in prefixes)
-        else:
-            for state, mult in frontier.items():
-                for mask in keep[j]:
-                    matched = state & mask
-                    if not matched & finished:
-                        nxt[matched] = nxt.get(matched, 0) + mult
-        frontier = nxt
-    if build:
-        return [p for prefixes in frontier.values() for p in prefixes], nodes
-    return sum(frontier.values()), nodes
-
-
 def _chunk_extend(payload):
-    """Extend a chunk of parents; returns (result, nodes, overflowed).
+    """Extend a chunk of parents by one frontier; (result, nodes, overflowed).
 
-    The result is the (unsorted) list of members with ``build``, else
-    their number.
+    One frontier serves the whole chunk.  It starts from each parent's set
+    of active templates, those whose old part the parent realizes, and
+    runs over the new-edge depths, keying each surviving prefix by the set
+    of active templates it still matches, which is all that later depths
+    read of it; prefixes with one set are merged, across parents too.
+    Counting, a state holds its number of prefixes and the result is
+    their total; with ``build``, a state lists its prefixes, each a parent
+    int with the new colours in ``w``-bit fields (depth j at bit ``shift +
+    j * w``), and the result is those (unsorted) lists of members.
+    ``nodes`` grows by ``l`` per prefix and depth, the sum of the nodes
+    of each parent's depth-first walk, and the chunk overflows once it
+    exceeds ``cap``, so a budget drops the same levels as that walk.
     """
     parents, templates, shift, nnew, l, cap, build = payload
+    w = (l - 1).bit_length()
     keep, done = _new_edge_tables(templates, nnew, l)
     checks = [(sel, want, last, 1 << i)
               for i, (sel, want, last, _) in enumerate(templates)]
-    out = [] if build else 0
-    nodes = 0
+    frontier: dict = {}
     for parent in parents:
         # a template whose old part the parent realizes stays active; one
         # without new edges embeds outright and the parent has no children
@@ -440,15 +408,37 @@ def _chunk_extend(payload):
                     break
                 active |= tbit
         else:
-            got, nodes = _extend_parent(active, keep, done, l, nodes, cap,
-                                        build)
-            if got is None:
-                return out, nodes, True
             if build:
-                out.extend(parent | p << shift for p in got)
+                frontier.setdefault(active, []).append(parent)
             else:
-                out += got
-    return out, nodes, False
+                frontier[active] = frontier.get(active, 0) + 1
+    nodes = 0
+    for j, finished in enumerate(done):
+        nodes += l * (sum(map(len, frontier.values())) if build
+                      else sum(frontier.values()))
+        if nodes > cap:
+            return None, nodes, True
+        nxt: dict = {}
+        # a template still matched at its last edge embeds; counting or
+        # building is chosen once per depth, not per colour
+        if build:
+            for state, prefixes in frontier.items():
+                for col, mask in enumerate(keep[j]):
+                    matched = state & mask
+                    if not matched & finished:
+                        bits = col << shift + j * w
+                        nxt.setdefault(matched, []).extend(
+                            p | bits for p in prefixes)
+        else:
+            for state, mult in frontier.items():
+                for mask in keep[j]:
+                    matched = state & mask
+                    if not matched & finished:
+                        nxt[matched] = nxt.get(matched, 0) + mult
+        frontier = nxt
+    if build:
+        return list(frontier.values()), nodes, False
+    return sum(frontier.values()), nodes, False
 
 
 def _usable_cpus() -> int:
@@ -507,7 +497,7 @@ def _grow(basis: Sequence[AnyColoring], k: int, l: int, n_max: int,
             nodes_total += lvl_nodes
             exact[n] = True
             if build:
-                parents = sorted(m for r in results for m in r[0])
+                parents = sorted(m for r in results for ps in r[0] for m in ps)
                 counts[n] = len(parents)
             else:
                 counts[n] = sum(r[0] for r in results)

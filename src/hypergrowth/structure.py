@@ -517,19 +517,23 @@ def wealthy_assignment(family: str, r: int,
     if v is None:
         v = wealthy_variants(family, r)[0]
     _validate_variant(family, v)
+    return dict(_wealthy_cells(family, r, v))
+
+
+def _wealthy_cells(family: str, r: int, v: WealthyVariant):
+    """(edge, color) pairs of wealthy_assignment, generated one at a time."""
     n = wealthy_size(family, r)
-    out: dict[Edge, int] = {}
     if family == "W1'":
         a, b = v.colors
         for i in range(3, r + 1):
             e = (1, 2, i)
             if v.reverse:
                 e = tuple(sorted(n - x + 1 for x in e))
-            out[e] = a if i % 2 == 0 else b
+            yield e, a if i % 2 == 0 else b
     elif family == "W1''":
         a, b = v.colors
         for i in range(2, r):
-            out[(1, i, r)] = a if i % 2 == 0 else b
+            yield (1, i, r), a if i % 2 == 0 else b
     elif family in ("W2.1", "W2.2"):
         starts = _block_starts((r, r, 1), v.perm)
         rev1, rev2 = v.reversals
@@ -539,7 +543,7 @@ def wealthy_assignment(family: str, r: int,
             for j in range(1, r + 1):
                 p2 = starts[2] + (r - j if rev2 else j - 1)
                 hit = (i == j) if family == "W2.1" else (i <= j)
-                out[tuple(sorted((p1, p2, apex)))] = int(hit) ^ int(v.swap)
+                yield tuple(sorted((p1, p2, apex))), int(hit) ^ int(v.swap)
     elif family in ("W3.1", "W3.2"):
         starts = _block_starts((r, r, r), v.perm)
         rev1, rev2, rev3 = v.reversals
@@ -549,20 +553,19 @@ def wealthy_assignment(family: str, r: int,
             for j in range(1, r + 1):
                 p3 = starts[3] + (r - j if rev3 else j - 1)
                 hit = (i == j) if family == "W3.1" else (i <= j)
-                out[tuple(sorted((p1, p2, p3)))] = int(hit) ^ int(v.swap)
+                yield tuple(sorted((p1, p2, p3))), int(hit) ^ int(v.swap)
     elif family == "W4.1":
         for i in range(1, r + 1):
             q = (4 * i - 3, 4 * i - 2, 4 * i - 1, 4 * i)
-            out[(q[0], q[1], q[2])] = 0
-            out[(q[0], q[1], q[3])] = 1
-            out[(q[0], q[2], q[3])] = 1
-            out[(q[1], q[2], q[3])] = 1
+            yield (q[0], q[1], q[2]), 0
+            yield (q[0], q[1], q[3]), 1
+            yield (q[0], q[2], q[3]), 1
+            yield (q[1], q[2], q[3]), 1
     else:
         for apex, (b1, b2, b3) in _apex_cells(family, r, v):
-            out[tuple(sorted((apex, b1, b2)))] = 0
-            out[tuple(sorted((apex, b1, b3)))] = 1
-            out[tuple(sorted((apex, b2, b3)))] = 1
-    return out
+            yield tuple(sorted((apex, b1, b2))), 0
+            yield tuple(sorted((apex, b1, b3))), 1
+            yield tuple(sorted((apex, b2, b3))), 1
 
 
 def _wealthy_base_sets(family: str, r: int,
@@ -625,7 +628,8 @@ class WealthyWitness:
 def _check_variant(c: Coloring, family: str, r: int, v: WealthyVariant):
     """(base_sets, triples) when c realizes the variant, else None."""
     if family in ("W1'", "W1''", "W2.1", "W2.2", "W3.1", "W3.2"):
-        for e, want in wealthy_assignment(family, r, v).items():
+        # cells are checked as generated: a mismatch usually shows early
+        for e, want in _wealthy_cells(family, r, v):
             if c.color(e) != want:
                 return None
         return _wealthy_base_sets(family, r, v), None

@@ -415,6 +415,52 @@ def serial_pools(monkeypatch, cpus):
     return sizes
 
 
+def reference_chunk_extend(payload):
+    """The engine's chunk step parent by parent: one frontier each.
+
+    Each parent's new-edge colourings are found by their own frontier and
+    spliced onto the parent; nodes accumulate over the chunk's parents,
+    which overflows as soon as they exceed the cap.
+    """
+    parents, templates, shift, nnew, l, cap, build = payload
+    keep, done = ideals._new_edge_tables(templates, nnew, l)
+    w = (l - 1).bit_length()
+    out = [] if build else 0
+    nodes = 0
+    for parent in parents:
+        active = 0
+        for i, (sel, want, last, _) in enumerate(templates):
+            if parent & sel == want:
+                if last < 0:
+                    break
+                active |= 1 << i
+        else:
+            frontier = {active: [0] if build else 1}
+            for j, finished in enumerate(done):
+                nodes += l * (sum(map(len, frontier.values())) if build
+                              else sum(frontier.values()))
+                if nodes > cap:
+                    return out, nodes, True
+                nxt = {}
+                for state, held in frontier.items():
+                    for col, mask in enumerate(keep[j]):
+                        matched = state & mask
+                        if matched & finished:
+                            continue
+                        if build:
+                            nxt.setdefault(matched, []).extend(
+                                p | col << j * w for p in held)
+                        else:
+                            nxt[matched] = nxt.get(matched, 0) + held
+                frontier = nxt
+            if build:
+                out.extend(parent | p << shift
+                           for held in frontier.values() for p in held)
+            else:
+                out += sum(frontier.values())
+    return [out] if build else out, nodes, False
+
+
 class TestFinalLevelCount:
     """The last level is counted without members; it must match the walk."""
 
@@ -452,6 +498,58 @@ class TestFinalLevelCount:
         assert sizes == [3]
         assert counts == {n: sequence_G(n) for n in range(1, 13)}
         assert (counts, exact, nodes) == avoid_growth(basis, 3, 2, 12)
+
+
+class TestMergedFrontier:
+    """One frontier per chunk must do what a frontier per parent did."""
+
+    def test_matches_per_parent_engine(self, monkeypatch):
+        sizes = serial_pools(monkeypatch, 2)
+        rng = Lcg(23)
+        cap = 20000
+        dropped = 0
+        for case in range(48):
+            k, l = 2 + case % 3, 2 + case // 3 % 3
+            basis = random_basis(rng, k, l, rng.randint(1, 3),
+                                 rng.bit() == 1)
+            n_max = k + rng.randint(2, 3)
+
+            def both(budget, jobs, build_last):
+                new = ideals._grow(basis, k, l, n_max, budget, jobs,
+                                   build_last)
+                with monkeypatch.context() as m:
+                    m.setattr(ideals, "_chunk_extend", reference_chunk_extend)
+                    ref = ideals._grow(basis, k, l, n_max, budget, jobs,
+                                       build_last)
+                assert new == ref, (case, budget, jobs, build_last)
+                return ref
+
+            _, _, nodes, _ = both(cap, 1, False)
+            # nodes - 1 overflows the last exact level partway through
+            for budget in {cap, nodes, max(1, nodes - 1),
+                           rng.randint(1, cap)}:
+                for jobs in (1, 2):
+                    for build_last in (False, True):
+                        _, exact, _, _ = both(budget, jobs, build_last)
+                        dropped += not all(exact.values())
+        assert dropped > 0 and sizes
+
+    @pytest.mark.parametrize("base, n, want", [
+        (Coloring(3, 2, 4, (1, 0, 0, 1)), 6, 425770),
+        (Coloring(3, 3, 4, (0, 1, 2, 0)), 5, 55539)])
+    def test_budget_boundary(self, base, n, want):
+        k, l = base.k, base.l
+        _, _, total = avoid_growth([base], k, l, n)
+        for build_last in (False, True):
+            counts, exact, nodes, members = ideals._grow(
+                [base], k, l, n, total, 1, build_last)
+            assert exact[n] and counts[n] == want and nodes == total
+            if build_last:
+                assert len(members) == want
+            counts, exact, nodes, _ = ideals._grow(
+                [base], k, l, n, total - 1, 1, build_last)
+            assert exact[n - 1] and not exact[n] and n not in counts
+            assert nodes < total
 
 
 class TestGrowthCache:

@@ -489,6 +489,17 @@ class TestWealthyRecognition:
                 scanned = is_wealthy(c, fam, r)
                 assert scanned is not None, (fam, v)
 
+    def test_every_pinned_edge_is_checked(self):
+        # equation families: flipping any one pinned edge loses the variant
+        for fam in ("W1'", "W1''", "W2.1", "W2.2", "W3.1", "W3.2"):
+            r = 3
+            for v in wealthy_variants(fam, r):
+                asg = wealthy_assignment(fam, r, v)
+                for e in asg:
+                    c = Coloring.from_map(3, 2, wealthy_size(fam, r),
+                                          {**asg, e: 1 - asg[e]})
+                    assert is_wealthy(c, fam, r, v) is None, (fam, v, e)
+
     def test_reversal_closure(self):
         for fam in WEALTHY_FAMILIES:
             r = 3

@@ -7,6 +7,10 @@ vertex tuples, so a coloring is just (k, l, n) plus a tuple of C(n, k)
 colors.  A coloring with n < k has no edges; such empty colorings are
 legal and compare contained in everything of at least their size.
 
+Ranks come from one cached table per (n, k), T[p][v] = C(n-v, k-p): the
+edges after a sorted edge e agree with it before some position p and are
+larger at p, C(n-e_p, k-p) of them, so rank(e) = C(n,k) - 1 - sum T[p][e_p].
+
 Containment: (m, phi) is contained in (n, chi) when some increasing
 injection f of [m] into [n] maps every edge E to an edge f(E) with
 chi(f(E)) = phi(E).
@@ -15,6 +19,7 @@ chi(f(E)) = phi(E).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations
 from math import comb
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Union
@@ -47,16 +52,18 @@ def all_edges(n: int, k: int) -> Iterator[Edge]:
     return combinations(range(1, n + 1), k)
 
 
+@cache
+def _rank_table(n: int, k: int) -> tuple[tuple[int, ...], ...]:
+    """T[p][v] = C(n-v, k-p); see the module docstring for the rank."""
+    return tuple(tuple(comb(n - v, k - p) for v in range(n + 1))
+                 for p in range(k + 1))
+
+
 def edge_index(edge: Iterable[int], n: int, k: int) -> int:
     """0-based rank of a k-subset of [n] in lexicographic order."""
     e = _check_edge(edge, n, k)
-    rank = 0
-    prev = 0
-    for pos, v in enumerate(e):
-        for u in range(prev + 1, v):
-            rank += comb(n - u, k - pos - 1)
-        prev = v
-    return rank
+    t = _rank_table(n, k)
+    return t[0][0] - 1 - sum(map(tuple.__getitem__, t, e))
 
 
 def edge_unindex(rank: int, n: int, k: int) -> Edge:
@@ -65,12 +72,10 @@ def edge_unindex(rank: int, n: int, k: int) -> Edge:
         raise InvalidEdgeError(f"rank {rank} out of range for C({n},{k})")
     out = []
     v = 1
-    for pos in range(k):
-        while True:
-            here = comb(n - v, k - pos - 1)
-            if rank < here:
-                break
-            rank -= here
+    for step in _rank_table(n, k)[1:]:
+        # step[v] edges start with the vertices so far and then v
+        while rank >= step[v]:
+            rank -= step[v]
             v += 1
         out.append(v)
         v += 1
@@ -270,8 +275,7 @@ def injection_witnesses(small: AnyColoring, big: Coloring,
         return False
     if f and (f[0] < 1 or f[-1] > big.n):
         return False
-    for e in small.edges():
-        want = small.color(e)
+    for e, want in zip(small.edges(), small.colors):
         if want is None:
             continue
         if big.color(tuple(f[v - 1] for v in e)) != want:
@@ -346,8 +350,8 @@ def contains(small: AnyColoring, big: Coloring) -> Optional[tuple[int, ...]]:
 # --- text format ------------------------------------------------------------
 #
 # coloring k=<k> l=<l> n=<n>
-# followed, when n >= k, by either a single "bits <0/1 string>" line (l = 2,
-# colors in lexicographic edge order) or one "v1 ... vk c" line per edge.
+# followed, when n >= k, by either one "bits <C(n,k) digits 0/1>" line (l = 2,
+# colors in lexicographic edge order) or exactly C(n, k) "v1 ... vk c" lines.
 
 
 def coloring_to_text(c: Coloring) -> str:
@@ -389,31 +393,30 @@ def coloring_from_lines(lines: list[str], start: int = 0) -> tuple[Coloring, int
         raise ValueError(f"expected 'coloring' header, got {lines[start]!r}")
     kv = parse_fields(head[1:], ("k", "l", "n"))
     k, l, n = int(kv["k"]), int(kv["l"]), int(kv["n"])
-    nedges = comb(n, k) if n >= k else 0
+    nedges = _validate_header(k, l, n)
     pos = start + 1
     if nedges == 0:
         return Coloring(k, l, n, ()), pos
-    if pos < len(lines) and lines[pos].startswith("bits"):
+    parts = lines[pos].split() if pos < len(lines) else []
+    if parts[:1] == ["bits"]:
         if l != 2:
             raise ValueError("bits form only valid for l=2")
-        bits = lines[pos].split(None, 1)[1].strip()
-        if len(bits) != nedges or set(bits) - {"0", "1"}:
+        if len(parts) != 2 or len(parts[1]) != nedges or set(parts[1]) - {"0", "1"}:
             raise ValueError(f"expected {nedges} bits")
-        return Coloring(k, l, n, tuple(int(b) for b in bits)), pos + 1
+        return Coloring(k, l, n, tuple(map(int, parts[1]))), pos + 1
+    if len(lines) - pos < nedges:
+        raise ValueError("truncated coloring block")
     cols: list[Optional[int]] = [None] * nedges
-    for _ in range(nedges):
-        if pos >= len(lines):
-            raise ValueError("truncated coloring block")
-        parts = lines[pos].split()
+    for line in lines[pos:pos + nedges]:
+        parts = line.split()
         if len(parts) != k + 1:
-            raise ValueError(f"bad edge line {lines[pos]!r}")
+            raise ValueError(f"bad edge line {line!r}")
         e = [int(x) for x in parts[:k]]
         idx = edge_index(e, n, k)
         if cols[idx] is not None:
             raise ValueError(f"duplicate edge {e}")
         cols[idx] = int(parts[k])
-        pos += 1
-    return Coloring(k, l, n, tuple(cols)), pos  # type: ignore[arg-type]
+    return Coloring(k, l, n, tuple(cols)), pos + nedges  # type: ignore[arg-type]
 
 
 def coloring_from_text(text: str) -> Coloring:

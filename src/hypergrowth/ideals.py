@@ -35,8 +35,8 @@ from math import comb
 from typing import Optional, Sequence
 
 from .core import (AnyColoring, Coloring, ColoringPattern,
-                   IncompatibleColoringsError, all_edges, coloring_from_lines,
-                   coloring_to_text, parse_fields)
+                   IncompatibleColoringsError, _validate_header, all_edges,
+                   coloring_from_lines, coloring_to_text, parse_fields)
 from .matrices import StarMatrix3, metrics3
 
 DEFAULT_BUDGET = 10 ** 8
@@ -123,6 +123,7 @@ class IdealSpec:
     name: Optional[str] = None
 
     def __post_init__(self):
+        _validate_header(self.k, self.l, 1)  # the k, l checks of a coloring
         if self.kind == "avoid":
             for b in self.basis:
                 if (b.k, b.l) != (self.k, self.l):
@@ -239,7 +240,7 @@ def builtin_member(spec: IdealSpec, c: Coloring) -> bool:
     if c.empty:
         return True
     if spec.name == "S":
-        zeros = [e for e in c.edges() if c.color(e) == 0]
+        zeros = [e for e, col in zip(c.edges(), c.colors) if col == 0]
         used: set[int] = set()
         for e in zeros:
             if e[-1] - e[0] != spec.k - 1:
@@ -249,12 +250,12 @@ def builtin_member(spec: IdealSpec, c: Coloring) -> bool:
             used.update(e)
         return True
     if spec.name == "lineartight":
-        ones = [e for e in c.edges() if c.color(e) == 1]
+        ones = [e for e, col in zip(c.edges(), c.colors) if col == 1]
         if len(ones) > 1:
             return False
         return all(e[-1] - e[0] == spec.k - 1 for e in ones)
-    for e in c.edges():
-        if c.color(e) == 1 and (e[0] != 1 or e[1] != 2):
+    for e, col in zip(c.edges(), c.colors):
+        if col == 1 and (e[0] != 1 or e[1] != 2):
             return False
     return True
 
@@ -337,8 +338,7 @@ def _level_templates(basis: Sequence[AnyColoring], n: int, k: int,
             f = sub + (n,)
             sel = want = 0
             new: list[tuple[int, int]] = []
-            for e in b.edges():
-                col = b.color(e)
+            for e, col in zip(b.edges(), b.colors):
                 if col is None:
                     continue
                 img = tuple(f[v - 1] for v in e)

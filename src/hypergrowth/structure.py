@@ -15,10 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 from itertools import combinations, permutations, product
-from math import comb
 from typing import Optional, Sequence
 
-from .core import Coloring, Edge, homogeneity, parse_fields, restrict_normalize
+from .core import (Coloring, Edge, _rank_table, homogeneity, parse_fields,
+                   restrict_normalize)
 from .matrices import StarMatrix3, metrics3
 
 
@@ -51,23 +51,19 @@ class NuclearDecomposition:
 def nuclear_decomposition(c: Coloring) -> NuclearDecomposition:
     """Left-to-right greedy: each part is the longest homogeneous run.
 
-    Colors are read from c.colors by lexicographic rank.  For a sorted
-    (k-1)-set R of [n], the edges R + (w,) with w > max R have the
-    consecutive ranks offset(R) + w, where offset(R) sums, over the
-    positions p of R with previous vertex u (0 before the first),
-    C(n-u, k-p) - C(n-v+1, k-p) for the vertex v at p, less max R + 1.
-    A part [start, end] keeps the offsets of every (k-1)-set inside it,
-    so trying the next vertex reads one entry per set.
+    Colors are read from c.colors by the lexicographic rank of the core
+    module docstring.  For a sorted (k-1)-set R of [n], the edges R + (w,)
+    with w > max R have the consecutive ranks offset(R) + w, the last term
+    of the rank being T[k-1][w] = n - w.  A part [start, end] keeps the
+    offsets of every (k-1)-set inside it, so trying the next vertex reads
+    one entry per set.
     """
     n, k, colors = c.n, c.k, c.colors
-    binom = [[comb(m, j) for m in range(n + 1)] for j in range(k + 1)]
+    t = _rank_table(n, k)
+    top = t[0][0] - 1 - n
 
     def offset(rest: Edge) -> int:
-        rank, prev = 0, 0
-        for pos, v in enumerate(rest):
-            rank += binom[k - pos][n - prev] - binom[k - pos][n - v + 1]
-            prev = v
-        return rank - prev - 1
+        return top - sum(map(tuple.__getitem__, t, rest))
 
     parts: list[tuple[int, int]] = []
     cols: list[Optional[int]] = []
@@ -107,11 +103,8 @@ def crossing_matrix(c: Coloring, x: Sequence[int], y: Sequence[int],
     vertices are not pairwise distinct the entry is a star.  The sets may
     overlap arbitrarily.
 
-    Colors are read from c.colors by lexicographic rank: a triple
-    a < b < d of [n] has rank
-    C(n,3) - C(n-a+1,3) + C(n-a,2) - C(n-b+1,2) + d - b - 1,
-    the triples with a smaller first vertex, then those with first vertex
-    a and a smaller second vertex, then those before d.
+    Colors are read from c.colors by the lexicographic rank of the core
+    module docstring.
     """
     if c.k != 3:
         raise ValueError("crossing matrices need k = 3")
@@ -121,17 +114,15 @@ def crossing_matrix(c: Coloring, x: Sequence[int], y: Sequence[int],
             raise ValueError("base sets must be nonempty")
         if vs[0] < 1 or vs[-1] > c.n:
             raise ValueError(f"base set not inside [{c.n}]")
-    n, colors = c.n, c.colors
-    c3 = [comb(m, 3) for m in range(n + 1)]
-    c2 = [comb(m, 2) for m in range(n + 1)]
-    top = c3[n]
+    colors = c.colors
+    t0, t1, t2, _ = _rank_table(c.n, 3)
+    top = t0[0] - 1
 
     def entry(i: int, j: int, kk: int) -> Optional[int]:
         a, b, d = sorted((xs[i - 1], ys[j - 1], zs[kk - 1]))
         if a == b or b == d:
             return None
-        return colors[top - c3[n - a + 1] + c2[n - a] - c2[n - b + 1]
-                      + d - b - 1]
+        return colors[top - t0[a] - t1[b] - t2[d]]
 
     return StarMatrix3.build((len(xs), len(ys), len(zs)), entry)
 

@@ -278,6 +278,39 @@ class TestHeaderFields:
         assert "repeated field" in got.err or "malformed field" in got.err
 
 
+class TestMalformedInputs:
+    @pytest.mark.parametrize("text", [
+        "coloring k=3 l=2 n=4\nbits\n",
+        "coloring k=3 l=2 n=4\nbitsy 0000\n",
+        "coloring k=3 l=3 n=1000000\n1 2 3 0\n",
+    ], ids=["bare-bits", "bitsy", "oversized"])
+    def test_bad_block_exits_two(self, tmp_path, capsys, text):
+        path = tmp_path / "bad.col"
+        path.write_text(text)
+        rc = cli.main(["contains", str(path), str(path)])
+        got = capsys.readouterr()
+        assert rc == 2
+        assert got.out == ""
+        assert got.err.startswith("error: ")
+        assert got.err.count("\n") == 1
+
+    @pytest.mark.parametrize("spec", [
+        "avoid:k1.is", "avoid:l0.is", "builtin:lineartight,k=1"])
+    def test_small_k_or_l_spec_exits_two(self, tmp_path, capsys, spec):
+        (tmp_path / "k1.is").write_text("ideal avoid k=1 l=2\n")
+        (tmp_path / "l0.is").write_text("ideal avoid k=3 l=0\n")
+        spec = spec.replace("avoid:", f"avoid:{tmp_path}/")
+        cache = tmp_path / "counts.tsv"
+        rc = cli.main(["growth", "--spec", spec, "--n-max", "3",
+                       "--cache", str(cache)])
+        got = capsys.readouterr()
+        assert rc == 2
+        assert got.out == ""
+        assert got.err.startswith("error: ")
+        assert got.err.count("\n") == 1
+        assert not cache.exists()
+
+
 class TestContainsVerb:
     def test_found_with_checkable_injection(self, tmp_path):
         small = Coloring(3, 2, 4, (0, 0, 0, 1))

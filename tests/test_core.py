@@ -39,7 +39,8 @@ def contains_oracle(small, big):
 
 class TestEdgeIndexing:
     def test_matches_enumeration_order(self):
-        for n, k in ((5, 3), (6, 2), (7, 4), (4, 4), (9, 3)):
+        for n, k in ((5, 3), (6, 2), (7, 4), (4, 4), (9, 3), (2, 2), (5, 5),
+                     (12, 2), (12, 3), (8, 5), (12, 5)):
             for i, e in enumerate(all_edges(n, k)):
                 assert edge_index(e, n, k) == i == rank_oracle(e, n, k)
                 assert edge_unindex(i, n, k) == e
@@ -295,3 +296,11 @@ class TestTextFormat:
                 coloring_from_text(head + "\nbits 0001\n")
         with pytest.raises(ValueError, match="malformed field"):
             coloring_from_text("coloring k=3 l=2 n\nbits 0001\n")
+        for text in ("coloring k=3 l=2 n=4\nbits\n",
+                     "coloring k=3 l=2 n=4\nbitsy 0000\n",
+                     "coloring k=3 l=2 n=4\nbits 00 01\n",
+                     "coloring k=3 l=3 n=4\n1 2 3 0\n1 2 4 0\n1 3 4 0\n",
+                     # fails before allocating C(n, k) slots
+                     "coloring k=3 l=3 n=1000000\n1 2 3 0\n"):
+            with pytest.raises(ValueError):
+                coloring_from_text(text)

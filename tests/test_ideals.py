@@ -179,6 +179,14 @@ class TestIdealSpec:
         with pytest.raises(ValueError):
             IdealSpec.avoid([])
         assert IdealSpec.avoid([], k=3, l=2).basis == ()
+        for text, msg in (("ideal avoid k=1 l=2\n", "uniformity k must be >= 2"),
+                          ("ideal avoid k=3 l=0\n", "color count l must be >= 2"),
+                          ("ideal builtin name=lineartight k=1\n",
+                           "uniformity k must be >= 2")):
+            with pytest.raises(ValueError, match=msg):
+                ideal_spec_from_text(text)
+        with pytest.raises(ValueError, match="color count l must be >= 2"):
+            IdealSpec("builtin", 3, 1, (), "S")
 
     def test_text_rejects_malformed(self):
         with pytest.raises(ValueError):

@@ -393,18 +393,31 @@ def coloring_from_lines(lines: list[str], start: int = 0) -> tuple[Coloring, int
         raise ValueError(f"expected 'coloring' header, got {lines[start]!r}")
     kv = parse_fields(head[1:], ("k", "l", "n"))
     k, l, n = int(kv["k"]), int(kv["l"]), int(kv["n"])
-    nedges = _validate_header(k, l, n)
+    _validate_header(k, l, min(n, 1))  # the k, l, n checks, no C(n, k)
     pos = start + 1
-    if nedges == 0:
+    if n < k:
         return Coloring(k, l, n, ()), pos
     parts = lines[pos].split() if pos < len(lines) else []
-    if parts[:1] == ["bits"]:
+    bits = parts[:1] == ["bits"]
+    # The block lists at most `bound` edges, so C(n, k) is counted only
+    # until it passes bound: C(n-m+i, i), m = min(k, n-k), at least
+    # doubles with each i, so that takes bound.bit_length() + 1 steps
+    # however large C(n, k) is.
+    bound = len(parts[1]) if bits and len(parts) == 2 else len(lines) - pos
+    m = min(k, n - k)
+    nedges, i = 1, 0
+    while i < m and nedges <= bound:
+        i += 1
+        nedges = nedges * (n - m + i) // i
+    exact = i == m
+    if bits:
         if l != 2:
             raise ValueError("bits form only valid for l=2")
-        if len(parts) != 2 or len(parts[1]) != nedges or set(parts[1]) - {"0", "1"}:
-            raise ValueError(f"expected {nedges} bits")
+        if len(parts) != 2 or nedges != bound or set(parts[1]) - {"0", "1"}:
+            raise ValueError(f"expected {nedges if exact else f'C({n},{k})'}"
+                             " bits")
         return Coloring(k, l, n, tuple(map(int, parts[1]))), pos + 1
-    if len(lines) - pos < nedges:
+    if nedges > bound:
         raise ValueError("truncated coloring block")
     cols: list[Optional[int]] = [None] * nedges
     for line in lines[pos:pos + nedges]:

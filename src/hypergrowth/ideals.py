@@ -26,6 +26,7 @@ from __future__ import annotations
 import io
 import multiprocessing
 import os
+from bisect import bisect_left
 from contextlib import ExitStack
 from dataclasses import dataclass
 from fractions import Fraction
@@ -527,7 +528,7 @@ def growth(spec: IdealSpec, n_max: int, budget: int = DEFAULT_BUDGET,
         raise ValueError("n_max must be >= 1")
     digest = spec.digest()
     if cache is not None:
-        got = load_cache(cache)
+        got = _read_cache(cache)[1]
         if all((digest, n) in got for n in range(1, n_max + 1)):
             counts = {n: got[(digest, n)][0] for n in range(1, n_max + 1)}
             return GrowthRecord(digest, spec.k,
@@ -740,29 +741,30 @@ def count_p_tame(n: int, p: int) -> int:
 # --- growth cache ---------------------------------------------------------------------
 
 
-# The last cache bytes parsed or written, with their entries: a repeated
-# read of unchanged bytes skips the parse.  Keyed by content, not by path
-# or os.stat, because coarse mtimes and reused inodes can hide a rewrite.
-_cache_slot: tuple[bytes, dict[tuple[str, int], tuple[int, bool]]] = (b"", {})
+# The last cache bytes parsed or written, with their entries and, once an
+# update has needed them, the sorted keys and each key's encoded row: a
+# repeated read of unchanged bytes skips the parse, and an update to them
+# formats only its new rows.  Keyed by content, not by path or os.stat,
+# because coarse mtimes and reused inodes can hide a rewrite.
+_CacheEntries = dict[tuple[str, int], tuple[int, bool]]
+_cache_slot: tuple[bytes, _CacheEntries, Optional[tuple[list, list]]] = (
+    b"", {}, None)
 
 
-def load_cache(path: str) -> dict[tuple[str, int], tuple[int, bool]]:
-    """Cached counts by (digest, n); malformed rows are skipped.
+def _read_cache(path: str):
+    """The slot holding the file's current bytes; parses them if they changed.
 
-    The file is read on every call, so rows written by other processes
-    are always seen; when its bytes equal the last ones parsed or written
-    in this process, a copy of that parse is returned.  Rows are UTF-8
-    (undecodable bytes replaced) with universal newlines; a later row
-    overrides an earlier one with the same key.
+    A missing file reads as empty.  The caller must not change the entries.
     """
     global _cache_slot
-    if not os.path.exists(path):
-        return {}
-    with open(path, "rb") as fh:
-        data = fh.read()
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except FileNotFoundError:
+        data = b""
     slot = _cache_slot  # one read, so a concurrent refill cannot mix slots
     if data != slot[0]:
-        out: dict[tuple[str, int], tuple[int, bool]] = {}
+        out: _CacheEntries = {}
         text = data.decode("utf-8", errors="replace")
         for line in io.StringIO(text, newline=None):
             line = line.strip()
@@ -773,27 +775,67 @@ def load_cache(path: str) -> dict[tuple[str, int], tuple[int, bool]]:
                 out[(digest, int(n))] = (int(count), exact == "1")
             except ValueError:
                 continue
-        slot = _cache_slot = (data, out)
-    return dict(slot[1])
+        slot = _cache_slot = (data, out, None)
+    return slot
+
+
+def load_cache(path: str) -> dict[tuple[str, int], tuple[int, bool]]:
+    """Cached counts by (digest, n); malformed rows are skipped.
+
+    The file is read on every call, so rows written by other processes
+    are always seen; when its bytes equal the last ones parsed or written
+    in this process, a copy of that parse is returned.  A missing file
+    reads as empty.  Rows are UTF-8 (undecodable bytes replaced) with
+    universal newlines; a later row overrides an earlier one with the same
+    key.
+    """
+    return dict(_read_cache(path)[1])
+
+
+def _cache_row(key: tuple[str, int], value: tuple[int, bool]) -> bytes:
+    (dg, n), (cnt, ex) = key, value
+    return f"{dg}\t{n}\t{cnt}\t{1 if ex else 0}\n".encode("utf-8")
 
 
 def update_cache(path: str, digest: str, counts: dict[int, int],
                  exact: dict[int, bool]):
     """Merge exact counts into the cache; replaces the file atomically.
 
-    The current rows come from load_cache, so rows another process wrote
-    since this one last read the file are kept.  The written bytes and the
-    merged entries become load_cache's last parse when the new rows read
-    back as written (a plain digest, int n and count).
+    The current rows are read from the file as load_cache reads them, so
+    rows another process wrote since this one last read the file are
+    kept.  The file holds every row sorted by key; only the new rows are
+    formatted and put into the sorted rows kept from the last parse or
+    write.  When they read back as written (a plain digest, int n and
+    count), the written bytes and merged entries become that parse.
     """
     global _cache_slot
-    entries = load_cache(path)
     new = {(digest, n): (cnt, True) for n, cnt in counts.items()
            if exact.get(n)}
+    plain = all(_plain_row(dg, n, cnt) for (dg, n), (cnt, _) in new.items())
+    _, entries, table = _read_cache(path)
+    # the slot's lists change in place below; until the write succeeds
+    # no slot is trusted
+    _cache_slot = (b"", {}, None)
+    if table is None:
+        keys = sorted(entries)
+        table = (keys, [_cache_row(key, entries[key]) for key in keys])
+    keys, encoded = table
+    for key, val in new.items():
+        i = bisect_left(keys, key)
+        if i < len(keys) and keys[i] == key:
+            # a merge keeps the existing key object, as dict.update does
+            encoded[i] = _cache_row(keys[i], val)
+        else:
+            keys.insert(i, key)
+            encoded.insert(i, _cache_row(key, val))
     entries.update(new)
-    rows = sorted(entries.items())
-    data = "".join(f"{dg}\t{n}\t{cnt}\t{1 if ex else 0}\n"
-                   for (dg, n), (cnt, ex) in rows).encode("utf-8")
+    data = b"".join(encoded)
+    _replace_file(path, data)
+    if plain:
+        _cache_slot = (data, entries, table)
+
+
+def _replace_file(path: str, data: bytes):
     # readers see the old file or the new one, never a torn one
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
@@ -804,8 +846,6 @@ def update_cache(path: str, digest: str, counts: dict[int, int],
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-    if all(_plain_row(dg, n, cnt) for (dg, n), (cnt, _) in new.items()):
-        _cache_slot = (data, dict(rows))
 
 
 def _plain_row(digest: str, n, count) -> bool:

@@ -43,6 +43,20 @@ def _check_entry(x) -> Entry:
     return x
 
 
+_ENTRIES = frozenset((0, 1, None))
+
+
+def _check_line(line: Sequence) -> None:
+    """One set test per line; _check_entry raises for a bad entry."""
+    try:
+        if _ENTRIES.issuperset(line):
+            return
+    except TypeError:  # an unhashable entry
+        pass
+    for x in line:
+        _check_entry(x)
+
+
 @dataclass(frozen=True)
 class StarMatrix2:
     rows: int
@@ -57,8 +71,7 @@ class StarMatrix2:
         for row in self.entries:
             if len(row) != self.cols:
                 raise ValueError("ragged rows")
-            for x in row:
-                _check_entry(x)
+            _check_line(row)
 
     def at(self, i: int, j: int) -> Entry:
         if not (1 <= i <= self.rows and 1 <= j <= self.cols):
@@ -171,8 +184,7 @@ class StarMatrix3:
             for shaft in plane:
                 if len(shaft) != self.dim3:
                     raise ValueError("third dimension mismatch")
-                for x in shaft:
-                    _check_entry(x)
+                _check_line(shaft)
 
     @property
     def dims(self) -> tuple[int, int, int]:
@@ -219,9 +231,8 @@ def matrix3_from_text(text: str) -> StarMatrix3:
 
 def _alternations(seq: Sequence[Entry]) -> list[int]:
     """1-based start positions of adjacent {0,1} pairs in a line."""
-    return [i + 1 for i in range(len(seq) - 1)
-            if seq[i] is not None and seq[i + 1] is not None
-            and seq[i] != seq[i + 1]]
+    return [i for i, (a, b) in enumerate(zip(seq, seq[1:]), 1)
+            if a != b and a is not None and b is not None]
 
 
 @dataclass(frozen=True)
@@ -231,19 +242,23 @@ class Metrics2:
     c_set: tuple[int, ...]  # row indices, subset of [rows-1]
 
 
-def metrics2(m: StarMatrix2) -> Metrics2:
+def _scan(lines: Iterable[Sequence[Entry]]) -> tuple[int, set[int]]:
+    """Most alternations in one line, and every alternation position."""
     best = 0
-    rset: set[int] = set()
-    cset: set[int] = set()
-    for i in range(1, m.rows + 1):
-        alt = _alternations(m.row(i))
-        best = max(best, len(alt))
-        rset.update(alt)
-    for j in range(1, m.cols + 1):
-        alt = _alternations(m.col(j))
-        best = max(best, len(alt))
-        cset.update(alt)
-    return Metrics2(best + 1, tuple(sorted(rset)), tuple(sorted(cset)))
+    found: set[int] = set()
+    for line in lines:
+        if 0 in line and 1 in line:  # else the line cannot alternate
+            alt = _alternations(line)
+            best = max(best, len(alt))
+            found.update(alt)
+    return best, found
+
+
+def metrics2(m: StarMatrix2) -> Metrics2:
+    rbest, rset = _scan(m.entries)
+    cbest, cset = _scan(zip(*m.entries))
+    return Metrics2(max(rbest, cbest) + 1, tuple(sorted(rset)),
+                    tuple(sorted(cset)))
 
 
 @dataclass(frozen=True)
@@ -255,28 +270,15 @@ class Metrics3:
 
 
 def metrics3(m: StarMatrix3) -> Metrics3:
-    r, s, t = m.dims
-    best = 0
-    rset: set[int] = set()
-    cset: set[int] = set()
-    sset: set[int] = set()
-    for j in range(1, s + 1):
-        for k in range(1, t + 1):
-            alt = _alternations([m.at(i, j, k) for i in range(1, r + 1)])
-            best = max(best, len(alt))
-            rset.update(alt)
-    for i in range(1, r + 1):
-        for k in range(1, t + 1):
-            alt = _alternations([m.at(i, j, k) for j in range(1, s + 1)])
-            best = max(best, len(alt))
-            cset.update(alt)
-    for i in range(1, r + 1):
-        for j in range(1, s + 1):
-            alt = _alternations([m.at(i, j, k) for k in range(1, t + 1)])
-            best = max(best, len(alt))
-            sset.update(alt)
-    return Metrics3(best + 1, tuple(sorted(rset)), tuple(sorted(cset)),
-                    tuple(sorted(sset)))
+    ent = m.entries
+    # a row varies i, a column j and a shaft k; zip(*stack) gives the
+    # lines across a stack of lines
+    rbest, rset = _scan(line for j in range(m.dim2)
+                        for line in zip(*(plane[j] for plane in ent)))
+    cbest, cset = _scan(line for plane in ent for line in zip(*plane))
+    sbest, sset = _scan(shaft for plane in ent for shaft in plane)
+    return Metrics3(max(rbest, cbest, sbest) + 1, tuple(sorted(rset)),
+                    tuple(sorted(cset)), tuple(sorted(sset)))
 
 
 # --- fullness ----------------------------------------------------------------

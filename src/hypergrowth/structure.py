@@ -104,7 +104,9 @@ def crossing_matrix(c: Coloring, x: Sequence[int], y: Sequence[int],
     overlap arbitrarily.
 
     Colors are read from c.colors by the lexicographic rank of the core
-    module docstring.
+    module docstring, C(n,3) - 1 - T[0][a] - T[1][b] - T[2][d] for a
+    triple a < b < d.  For a pair lo < hi each z adds one term, from the
+    table of its position in the triple.
     """
     if c.k != 3:
         raise ValueError("crossing matrices need k = 3")
@@ -117,14 +119,26 @@ def crossing_matrix(c: Coloring, x: Sequence[int], y: Sequence[int],
     colors = c.colors
     t0, t1, t2, _ = _rank_table(c.n, 3)
     top = t0[0] - 1
-
-    def entry(i: int, j: int, kk: int) -> Optional[int]:
-        a, b, d = sorted((xs[i - 1], ys[j - 1], zs[kk - 1]))
-        if a == b or b == d:
-            return None
-        return colors[top - t0[a] - t1[b] - t2[d]]
-
-    return StarMatrix3.build((len(xs), len(ys), len(zs)), entry)
+    stars = (None,) * len(zs)
+    planes = []
+    for a in xs:
+        plane = []
+        for b in ys:
+            if a == b:
+                plane.append(stars)
+                continue
+            lo, hi = (a, b) if a < b else (b, a)
+            above = top - t0[lo] - t1[hi]  # z > hi: rank above - t2[z]
+            mid = top - t0[lo] - t2[hi]  # lo < z < hi
+            below = top - t1[lo] - t2[hi]  # z < lo
+            plane.append(tuple(
+                None if d == lo or d == hi
+                else colors[above - t2[d]] if d > hi
+                else colors[mid - t1[d]] if d > lo
+                else colors[below - t0[d]]
+                for d in zs))
+        planes.append(tuple(plane))
+    return StarMatrix3(len(xs), len(ys), len(zs), tuple(planes))
 
 
 # --- tameness -----------------------------------------------------------------

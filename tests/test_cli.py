@@ -4,6 +4,7 @@ import argparse
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -293,6 +294,26 @@ class TestMalformedInputs:
         assert got.out == ""
         assert got.err.startswith("error: ")
         assert got.err.count("\n") == 1
+
+    @pytest.mark.parametrize("text", [
+        "coloring k=500000 l=2 n=1000000\n1 2 3 0\n",
+        "coloring k=100000 l=2 n=200000\nbits 0101\n",
+    ], ids=["huge-edge-lines", "huge-bits"])
+    def test_huge_header_fails_fast(self, tmp_path, capsys, text):
+        # C(n, k) has hundreds of thousands of digits here
+        path = tmp_path / "huge.col"
+        path.write_text(text)
+        start = time.perf_counter()
+        rc = cli.main(["contains", str(path), str(path)])
+        elapsed = time.perf_counter() - start
+        got = capsys.readouterr()
+        assert rc == 2
+        assert got.out == ""
+        assert got.err.startswith("error: ")
+        assert got.err.count("\n") == 1
+        assert len(got.err) < 80 and "limit" not in got.err
+        # the exact C(n, k) of the first header alone takes seconds
+        assert elapsed < 3
 
     @pytest.mark.parametrize("spec", [
         "avoid:k1.is", "avoid:l0.is", "builtin:lineartight,k=1"])

@@ -47,6 +47,17 @@ def reference_load_cache(path):
     return out
 
 
+def reference_update_cache(path, digest, counts, exact):
+    """update_cache before it kept sorted rows: merge, sort, format all."""
+    entries = reference_load_cache(path)
+    entries.update({(digest, n): (cnt, True) for n, cnt in counts.items()
+                    if exact.get(n)})
+    rows = sorted(entries.items())
+    data = "".join(f"{dg}\t{n}\t{cnt}\t{1 if ex else 0}\n"
+                   for (dg, n), (cnt, ex) in rows).encode("utf-8")
+    Path(path).write_bytes(data)
+
+
 def rewrite_keeping_stat(path, data):
     """Overwrite path in place and put its mtime back, as a fast writer can."""
     st = os.stat(path)
@@ -752,6 +763,112 @@ class TestGrowthCache:
         assert again.nodes == 0 and again.counts == first.counts
         assert load_cache(path) == reference_load_cache(path)
 
+
+    def test_updates_match_reference(self, tmp_path):
+        rng = Lcg(4242)
+        ours, theirs = tmp_path / "ours.tsv", tmp_path / "theirs.tsv"
+        digests = [f"{rng.next_u64():016x}" for _ in range(12)]
+        odd = ["a\tb", " lead", "", "two\nlines", "\u2028x", "tail "]
+        junk = [b"garbage", b"x\t1\t2", b"\xff\xfe\t1\t1\t1",
+                b"a" * 16 + b"\tfive\t1\t1", b"\r", b"\t\t\t"]
+        plain_calls = odd_calls = rewrites = 0
+        for _ in range(600):
+            pick = rng.randint(0, 9)
+            if pick == 0:
+                # another writer: unsorted, duplicate and malformed rows
+                rows = []
+                for _ in range(rng.randint(0, 6)):
+                    if rng.randint(0, 2) == 0:
+                        rows.append(rng.choice(junk))
+                    elif rows and rng.bit():
+                        rows.append(rng.choice(rows))
+                    else:
+                        rows.append(b"\t".join([
+                            rng.choice(digests).encode(),
+                            str(rng.randint(1, 9)).encode(),
+                            str(rng.randint(0, 999)).encode(),
+                            rng.choice([b"0", b"1"])]))
+                data = b"".join(r + rng.choice([b"\n", b"\r\n"])
+                                for r in rows)
+                for path in (ours, theirs):
+                    path.write_bytes(data)
+                rewrites += 1
+            elif pick == 1 and ours.exists():
+                ours.unlink()
+                theirs.unlink()
+                rewrites += 1
+            else:
+                digest = (rng.choice(odd) if pick == 2
+                          else rng.choice(digests))
+                top = rng.randint(1, 9)
+                counts = {n: rng.randint(0, 10 ** rng.randint(1, 12))
+                          for n in range(1, top + 1)}
+                exact = {n: rng.randint(0, 4) > 0 for n in counts}
+                if pick == 3:
+                    counts = {True: 5}
+                    exact = {True: True}
+                plain = pick not in (2, 3)
+                plain_calls += plain
+                odd_calls += not plain
+                update_cache(str(ours), digest, counts, exact)
+                reference_update_cache(str(theirs), digest, counts, exact)
+            assert ours.exists() == theirs.exists()
+            if ours.exists():
+                assert ours.read_bytes() == theirs.read_bytes()
+            assert load_cache(str(ours)) == reference_load_cache(str(theirs))
+        assert plain_calls > 300 and odd_calls > 50 and rewrites > 50
+
+    def test_failed_write_keeps_rows_unread(self, tmp_path, monkeypatch):
+        path = str(tmp_path / "growth.tsv")
+        update_cache(path, "a" * 16, {1: 2}, {1: True})
+        before = Path(path).read_bytes()
+
+        def no_replace(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(ideals.os, "replace", no_replace)
+        with pytest.raises(OSError):
+            update_cache(path, "b" * 16, {1: 3}, {1: True})
+        monkeypatch.undo()
+        assert Path(path).read_bytes() == before
+        assert load_cache(path) == {("a" * 16, 1): (2, True)}
+        assert [p.name for p in tmp_path.iterdir()] == ["growth.tsv"]
+        update_cache(path, "c" * 16, {1: 4}, {1: True})
+        assert load_cache(path) == reference_load_cache(path) == {
+            ("a" * 16, 1): (2, True), ("c" * 16, 1): (4, True)}
+
+    def test_unchanged_file_formats_only_new_rows(self, tmp_path,
+                                                  monkeypatch):
+        path = str(tmp_path / "growth.tsv")
+        Path(path).write_text("".join(f"{dg * 16}\t{n}\t{n * 7}\t1\n"
+                                      for dg in "ezc" for n in range(1, 20)))
+        formatted = []
+        row = ideals._cache_row
+
+        def counting_row(key, value):
+            formatted.append(key)
+            return row(key, value)
+
+        monkeypatch.setattr(ideals, "_cache_row", counting_row)
+        # the first update after a parse formats every row once
+        update_cache(path, "b" * 16, {1: 3, 2: 4}, {1: True, 2: True})
+        assert len(formatted) == 3 * 19 + 2
+        formatted.clear()
+        update_cache(path, "d" * 16, {1: 5, 2: 6, 3: 7},
+                     {1: True, 2: False, 3: True})
+        update_cache(path, "z" * 16, {4: 8}, {4: True})
+        update_cache(path, "e" * 16, {3: 9}, {3: True})
+        assert formatted == [("d" * 16, 1), ("d" * 16, 3), ("z" * 16, 4),
+                             ("e" * 16, 3)]
+        want = {(dg * 16, n): (n * 7, True) for dg in "ezc"
+                for n in range(1, 20)}
+        want.update({("b" * 16, 1): (3, True), ("b" * 16, 2): (4, True),
+                     ("d" * 16, 1): (5, True), ("d" * 16, 3): (7, True),
+                     ("z" * 16, 4): (8, True), ("e" * 16, 3): (9, True)})
+        assert reference_load_cache(path) == want
+        assert Path(path).read_bytes() == b"".join(
+            f"{dg}\t{n}\t{cnt}\t1\n".encode()
+            for (dg, n), (cnt, _) in sorted(want.items()))
 
 class TestDichotomyVerdicts:
     def test_linear_floor_family(self):

@@ -4,10 +4,12 @@ from itertools import combinations
 
 import pytest
 
+from hypergrowth.constructions import make_rich, make_wealthy
 from hypergrowth.core import Coloring, homogeneity, restrict_normalize, reverse
-from hypergrowth.matrices import metrics3
+from hypergrowth.matrices import Metrics3, StarMatrix3, metrics3
 from hypergrowth.rng import Lcg
 from hypergrowth.structure import (WEALTHY_FAMILIES, SizeMismatchError,
+                                   TameReport, TameViolation,
                                    WealthyVariant, crossing_matrix,
                                    is_c_simple, is_p_tame, is_r_rich,
                                    is_wealthy, nuclear_decomposition,
@@ -21,6 +23,21 @@ from hypergrowth.structure import (WEALTHY_FAMILIES, SizeMismatchError,
 def random_coloring(rng, k, l, n):
     edges = list(combinations(range(1, n + 1), k))
     return Coloring(k, l, n, tuple(rng.randint(0, l - 1) for _ in edges))
+
+
+def blocky_coloring(rng, k, l, n):
+    """Homogeneous blocks, random crossing edges and a few flips."""
+    block = [0] * (n + 1)
+    for v in range(2, n + 1):
+        block[v] = block[v - 1] + (rng.randint(0, 3) == 0)
+    tint = [rng.randint(0, l - 1) for _ in range(n + 1)]
+    cols = [tint[block[e[0]]] if block[e[0]] == block[e[-1]]
+            else rng.randint(0, l - 1)
+            for e in combinations(range(1, n + 1), k)]
+    for _ in range(rng.randint(0, 2)):
+        if cols:
+            cols[rng.randint(0, len(cols) - 1)] = rng.randint(0, l - 1)
+    return Coloring(k, l, n, tuple(cols))
 
 
 def parity_coloring(n):
@@ -97,20 +114,6 @@ class TestNuclearDecomposition:
                 start = end + 1
             return tuple(parts), tuple(cols)
 
-        def blocky(rng, k, l, n):
-            # homogeneous blocks, random crossing edges, a few flips
-            block = [0] * (n + 1)
-            for v in range(2, n + 1):
-                block[v] = block[v - 1] + (rng.randint(0, 3) == 0)
-            tint = [rng.randint(0, l - 1) for _ in range(n + 1)]
-            cols = [tint[block[e[0]]] if block[e[0]] == block[e[-1]]
-                    else rng.randint(0, l - 1)
-                    for e in combinations(range(1, n + 1), k)]
-            for _ in range(rng.randint(0, 2)):
-                if cols:
-                    cols[rng.randint(0, len(cols) - 1)] = rng.randint(0, l - 1)
-            return Coloring(k, l, n, tuple(cols))
-
         rng = Lcg(909)
         cases = []
         for k in (2, 3, 4):
@@ -120,7 +123,8 @@ class TestNuclearDecomposition:
                     cases.append(Coloring.from_function(
                         k, l, n, lambda e, l=l: e[0] % l))
                     cases.append(random_coloring(rng, k, l, n))
-                    cases += [blocky(rng, k, l, n) for _ in range(4)]
+                    cases += [blocky_coloring(rng, k, l, n)
+                              for _ in range(4)]
         long_parts = 0
         for c in cases:
             nd = nuclear_decomposition(c)
@@ -285,6 +289,111 @@ class TestTameness:
                     if metrics3(crossing_matrix(c, *sets)).al > 3:
                         ok = False
             assert rep.conditions[3] == ok
+
+
+def reference_metrics3(m):
+    """metrics3 as it read every cell through m.at."""
+    def alternations(seq):
+        return [i + 1 for i in range(len(seq) - 1)
+                if seq[i] is not None and seq[i + 1] is not None
+                and seq[i] != seq[i + 1]]
+
+    r, s, t = m.dims
+    best = 0
+    rset, cset, sset = set(), set(), set()
+    for j in range(1, s + 1):
+        for k in range(1, t + 1):
+            alt = alternations([m.at(i, j, k) for i in range(1, r + 1)])
+            best = max(best, len(alt))
+            rset.update(alt)
+    for i in range(1, r + 1):
+        for k in range(1, t + 1):
+            alt = alternations([m.at(i, j, k) for j in range(1, s + 1)])
+            best = max(best, len(alt))
+            cset.update(alt)
+    for i in range(1, r + 1):
+        for j in range(1, s + 1):
+            alt = alternations([m.at(i, j, k) for k in range(1, t + 1)])
+            best = max(best, len(alt))
+            sset.update(alt)
+    return Metrics3(best + 1, tuple(sorted(rset)), tuple(sorted(cset)),
+                    tuple(sorted(sset)))
+
+
+def reference_tame_reports(c, ps):
+    """is_p_tame for each p, from c.color and reference_metrics3."""
+    def metrics(x, y, z):
+        entries = tuple(tuple(tuple(c.color((a, b, d))
+                                    if len({a, b, d}) == 3 else None
+                                    for d in z) for b in y) for a in x)
+        return reference_metrics3(
+            StarMatrix3(len(x), len(y), len(z), entries))
+
+    ivs = [tuple(range(a, b + 1))
+           for a, b in nuclear_decomposition(c).intervals]
+    s = len(ivs)
+    triples = [((u + 1, v + 1, w + 1), metrics(ivs[u], ivs[v], ivs[w]))
+               for u, v, w in combinations(range(s), 3)]
+    pairs = []
+    for u, v in combinations(range(s), 2):
+        pairs.append(((u + 1, u + 1, v + 1), metrics(ivs[u], ivs[u], ivs[v])))
+        pairs.append(((u + 1, v + 1, v + 1), metrics(ivs[u], ivs[v], ivs[v])))
+    reports = []
+    for p in ps:
+        found = [[] for _ in range(5)]
+        if s > p:
+            found[0].append(TameViolation(1, (), "length", s))
+        for cond, group in ((2, triples), (4, pairs)):
+            for idx, m in group:
+                if m.al > p:
+                    found[cond - 1].append(TameViolation(cond, idx, "al", m.al))
+            for idx, m in group:
+                for metric, line_set in (("rows", m.r_set), ("cols", m.c_set)):
+                    if len(line_set) > p:
+                        found[cond].append(TameViolation(
+                            cond + 1, idx, metric, len(line_set)))
+        witness = next((f[0] for f in found if f), None)
+        reports.append(TameReport(p, tuple(not f for f in found), witness))
+    return reports
+
+
+class TestTamenessParity:
+    def test_metrics3_matches_cell_reads(self):
+        rng = Lcg(5150)
+        alternating = 0
+        for _ in range(1500):
+            dims = tuple(rng.randint(1, 5) for _ in range(3))
+            stars = rng.randint(0, 4)
+            entries = tuple(tuple(tuple(
+                None if rng.randint(0, 9) < stars else rng.bit()
+                for _ in range(dims[2])) for _ in range(dims[1]))
+                for _ in range(dims[0]))
+            m = StarMatrix3(*dims, entries)
+            want = reference_metrics3(m)
+            assert metrics3(m) == want, entries
+            alternating += want.al > 1
+        assert alternating > 1000
+
+    def test_reports_match_color_oracle(self):
+        cases = [make_wealthy(fam, r) for fam in WEALTHY_FAMILIES
+                 for r in (3, 6, 9)]
+        cases += [make_rich(3, r, *shape) for shape in
+                  ((0, 1, 2), (1, 1, 1), (2, 1, 0), (0, 2, 1), (1, 2, 0))
+                  for r in (4, 8)]
+        rng = Lcg(1717)
+        for i in range(300):
+            n = rng.randint(3, 16)
+            cases.append(random_coloring(rng, 3, 2, n) if i % 2
+                         else blocky_coloring(rng, 3, 2, n))
+        assert len(cases) == 337
+        tame = witnessed = 0
+        for c in cases:
+            got = [is_p_tame(c, 3), is_p_tame(c, 5)]
+            assert got == reference_tame_reports(c, (3, 5)), c
+            tame += sum(rep.tame for rep in got)
+            witnessed += sum(rep.witness is not None
+                             and rep.witness.condition > 1 for rep in got)
+        assert tame > 50 and witnessed > 50
 
 
 class TestRichness:

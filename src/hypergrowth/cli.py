@@ -12,7 +12,8 @@ serialized object block (coloring or matrix text).  Exit status is 0 when
 the command succeeds and any tested property holds, 1 when a tested
 property fails or nothing is found, 2 on usage or I/O errors and when the
 engine cannot finish (a RuntimeError, RecursionError included).  Identical
-invocations print identical bytes; --jobs changes scheduling only.
+invocations print identical bytes.  --jobs is accepted for compatibility
+and has no effect: every count is computed in this process.
 
 main builds its argument parser once per process, on its first call, and
 reuses it: parsing keeps no state between calls, so main is safe to call
@@ -231,8 +232,7 @@ def _cmd_growth(args, out: TextIO) -> int:
     cache = args.cache
     if cache is None:
         cache = os.environ.get("HYPERGROWTH_CACHE") or None
-    rec = growth(spec, args.n_max, budget=args.budget, jobs=args.jobs,
-                 cache=cache)
+    rec = growth(spec, args.n_max, budget=args.budget, cache=cache)
     for n in range(1, args.n_max + 1):
         if rec.exact.get(n):
             print(f"n={n} count={rec.counts[n]}", file=out)
@@ -260,9 +260,9 @@ def _cmd_sequence(args, out: TextIO) -> int:
 
 def _cmd_verify(args, out: TextIO) -> int:
     if args.suite == "all":
-        results = run_all(seed=args.seed, jobs=args.jobs)
+        results = run_all(seed=args.seed)
     else:
-        results = [run_one(int(args.suite), seed=args.seed, jobs=args.jobs)]
+        results = [run_one(int(args.suite), seed=args.seed)]
     for res in results:
         print(res.line(), file=out)
     return 0 if all(r.passed for r in results) else 1

@@ -13,8 +13,8 @@ basis element embeds through an injection whose image uses vertex n;
 older embeddings were excluded at the previous level, so the enumeration
 is complete by induction.  Prefixes that still match the same templates
 have the same future and are merged, also when they extend different
-members, so one frontier serves a whole chunk of members.  Only the levels
-below the last are enumerated, since the next level extends them; the
+members, so one frontier serves a whole level.  Only the levels below
+the last are enumerated, since the next level extends them; the
 last level is counted, the merged prefixes carrying a multiplicity
 instead of a list.  Members are ints holding each edge's color in a
 (l-1).bit_length()-bit field, so one engine serves every color count.
@@ -24,10 +24,8 @@ Everything is big-integer exact; no floating point enters any count.
 from __future__ import annotations
 
 import io
-import multiprocessing
 import os
 from bisect import bisect_left
-from contextlib import ExitStack
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -377,10 +375,10 @@ def _new_edge_tables(templates: list, nnew: int, l: int):
     return keep, done
 
 
-def _chunk_extend(payload):
-    """Extend a chunk of parents by one frontier; (result, nodes, overflowed).
+def _chunk_extend(parents, templates, shift, nnew, l, cap, build):
+    """Extend a level's parents by one frontier; (result, nodes).
 
-    One frontier serves the whole chunk.  It starts from each parent's set
+    One frontier serves every parent.  It starts from each parent's set
     of active templates, those whose old part the parent realizes, and
     runs over the new-edge depths, keying each surviving prefix by the set
     of active templates it still matches, which is all that later depths
@@ -390,10 +388,10 @@ def _chunk_extend(payload):
     int with the new colours in ``w``-bit fields (depth j at bit ``shift +
     j * w``), and the result is those (unsorted) lists of members.
     ``nodes`` grows by ``l`` per prefix and depth, the sum of the nodes
-    of each parent's depth-first walk, and the chunk overflows once it
-    exceeds ``cap``, so a budget drops the same levels as that walk.
+    of each parent's depth-first walk.  Once it exceeds ``cap`` the walk
+    stops and the result is None, so a budget drops the same levels as
+    that walk.
     """
-    parents, templates, shift, nnew, l, cap, build = payload
     w = (l - 1).bit_length()
     keep, done = _new_edge_tables(templates, nnew, l)
     checks = [(sel, want, last, 1 << i)
@@ -418,7 +416,7 @@ def _chunk_extend(payload):
         nodes += l * (sum(map(len, frontier.values())) if build
                       else sum(frontier.values()))
         if nodes > cap:
-            return None, nodes, True
+            return None, nodes
         nxt: dict = {}
         # a template still matched at its last edge embeds; counting or
         # building is chosen once per depth, not per colour
@@ -438,19 +436,12 @@ def _chunk_extend(payload):
                         nxt[matched] = nxt.get(matched, 0) + mult
         frontier = nxt
     if build:
-        return list(frontier.values()), nodes, False
-    return sum(frontier.values()), nodes, False
-
-
-def _usable_cpus() -> int:
-    """CPUs this process may run on: the most workers worth forking."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+        return list(frontier.values()), nodes
+    return sum(frontier.values()), nodes
 
 
 def _grow(basis: Sequence[AnyColoring], k: int, l: int, n_max: int,
-          budget: int, jobs: int, build_last: bool):
+          budget: int, build_last: bool):
     """The level loop; (counts, exact, nodes, members of level n_max).
 
     Levels below n_max are built as sorted member ints, the parents of the
@@ -465,43 +456,28 @@ def _grow(basis: Sequence[AnyColoring], k: int, l: int, n_max: int,
     exact: dict[int, bool] = {}
     nodes_total = 0
     parents: list[int] = [0]
-    workers = max(1, min(jobs, _usable_cpus()))
-    with ExitStack() as stack:
-        pool = None
-        for n in range(1, n_max + 1):
-            if any(b.empty and b.n <= n for b in basis):
-                parents = []
-                counts[n] = 0
-                exact[n] = True
-                continue
-            remaining = budget - nodes_total
-            if remaining <= 0:
-                break
-            build = build_last or n < n_max
-            templates = _level_templates(basis, n, k, w)
-            nchunks = max(1, min(workers, len(parents)))
-            payloads = [(parents[len(parents) * i // nchunks:
-                                 len(parents) * (i + 1) // nchunks],
-                         templates, comb(n - 1, k) * w, comb(n - 1, k - 1),
-                         l, remaining, build) for i in range(nchunks)]
-            if nchunks == 1:
-                results = [_chunk_extend(payloads[0])]
-            else:
-                if pool is None:
-                    # one pool serves every later level of this call
-                    pool = stack.enter_context(
-                        multiprocessing.get_context("fork").Pool(workers))
-                results = pool.map(_chunk_extend, payloads)
-            lvl_nodes = sum(r[1] for r in results)
-            if any(r[2] for r in results) or lvl_nodes > remaining:
-                break
-            nodes_total += lvl_nodes
+    for n in range(1, n_max + 1):
+        if any(b.empty and b.n <= n for b in basis):
+            parents = []
+            counts[n] = 0
             exact[n] = True
-            if build:
-                parents = sorted(m for r in results for ps in r[0] for m in ps)
-                counts[n] = len(parents)
-            else:
-                counts[n] = sum(r[0] for r in results)
+            continue
+        remaining = budget - nodes_total
+        if remaining <= 0:
+            break
+        build = build_last or n < n_max
+        result, nodes = _chunk_extend(
+            parents, _level_templates(basis, n, k, w), comb(n - 1, k) * w,
+            comb(n - 1, k - 1), l, remaining, build)
+        if nodes > remaining:
+            break
+        nodes_total += nodes
+        exact[n] = True
+        if build:
+            parents = sorted(m for ps in result for m in ps)
+            counts[n] = len(parents)
+        else:
+            counts[n] = result
     # a level that cannot finish is dropped with every later one
     for n in range(1, n_max + 1):
         exact.setdefault(n, False)
@@ -509,20 +485,19 @@ def _grow(basis: Sequence[AnyColoring], k: int, l: int, n_max: int,
 
 
 def avoid_growth(basis: Sequence[AnyColoring], k: int, l: int, n_max: int,
-                 budget: int = DEFAULT_BUDGET, jobs: int = 1):
+                 budget: int = DEFAULT_BUDGET):
     """Exact levelwise counts for the ideal avoiding the given basis.
 
     Basis entries may be wildcard patterns.  Returns (counts, exact, nodes).
     The node budget is spent level by level; a level that cannot finish
-    within the remainder is discarded whole, so reported counts never
-    depend on the worker count.
+    within the remainder is discarded whole.
     """
-    counts, exact, nodes, _ = _grow(basis, k, l, n_max, budget, jobs, False)
+    counts, exact, nodes, _ = _grow(basis, k, l, n_max, budget, False)
     return counts, exact, nodes
 
 
 def growth(spec: IdealSpec, n_max: int, budget: int = DEFAULT_BUDGET,
-           jobs: int = 1, cache: Optional[str] = None) -> GrowthRecord:
+           cache: Optional[str] = None) -> GrowthRecord:
     """Growth record for an ideal description; consults the cache if given."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
@@ -539,7 +514,7 @@ def growth(spec: IdealSpec, n_max: int, budget: int = DEFAULT_BUDGET,
         nodes = 0
     else:
         counts, exact, nodes = avoid_growth(spec.basis, spec.k, spec.l,
-                                            n_max, budget, jobs)
+                                            n_max, budget)
     if cache is not None:
         update_cache(cache, digest, counts, exact)
     return GrowthRecord(digest, spec.k, counts, exact, nodes)
@@ -552,7 +527,7 @@ def avoid_members(basis: Sequence[AnyColoring], k: int, l: int, n: int,
     Runs the level loop of avoid_growth, so the node budget is spent
     cumulatively over levels 1..n; RuntimeError if it runs out first.
     """
-    _, exact, _, members = _grow(basis, k, l, n, budget, 1, True)
+    _, exact, _, members = _grow(basis, k, l, n, budget, True)
     if not all(exact.values()):
         raise RuntimeError("budget exhausted while materializing members")
     w = (l - 1).bit_length()

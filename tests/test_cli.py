@@ -1,6 +1,7 @@
 """Command line surface: verbs, exit codes, byte-stable reports."""
 
 import argparse
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -250,6 +251,30 @@ class TestSharedParser:
         assert capsys.readouterr().out == "G(5)=4\n" * 3
         assert progs.count("hypergrowth") == 1
         assert built[0] > 1 and built == [built[0]] * 3
+
+
+class TestJobsFlag:
+    def test_jobs_is_inert_and_starts_no_process(self, tmp_path, monkeypatch,
+                                                 capsys):
+        def no_process(*args, **kwargs):
+            raise AssertionError("a process was started")
+
+        monkeypatch.setattr(os, "fork", no_process)
+        monkeypatch.setattr(multiprocessing.Process, "start", no_process)
+        spec = IdealSpec.avoid([Coloring(3, 2, 4, (0, 1, 1, 0))])
+        path = tmp_path / "base.is"
+        path.write_text(spec.canonical_text())
+        for verb, last in (
+                (["growth", "--spec", f"avoid:{path}", "--n-max", "5"],
+                 "n=5 count=750"),
+                (["verify", "--suite", "11"], "criterion 11 [pass] ")):
+            want = main_in_process(verb + ["--jobs", "1"], capsys)
+            assert want[0] == 0
+            assert want[1].splitlines()[-1].startswith(last)
+            for jobs in ("0", "-3", "4", "100000"):
+                assert main_in_process(verb + ["--jobs", jobs],
+                                       capsys) == want, (verb, jobs)
+            assert main_in_process(verb + ["--jobs", "x"], capsys) == (2, "")
 
 
 class TestHeaderFields:

@@ -313,22 +313,6 @@ class TestGrowthEngine:
         assert exact[5] and not exact[6] and 6 not in counts
         assert nodes == 1772
 
-    def test_worker_count_never_changes_results(self):
-        base = Coloring(3, 2, 4, (0, 0, 0, 0))
-        runs = [avoid_growth([base], 3, 2, 6, budget=5000, jobs=j)
-                for j in (1, 3, 8)]
-        assert runs[0] == runs[1] == runs[2]
-        full = [avoid_growth([base], 3, 2, 6, jobs=j) for j in (1, 4)]
-        assert full[0] == full[1]
-        assert full[0][0][6] == 477965
-        patterns = [ColoringPattern(3, 2, 4, (None, 1, 0, 1)),
-                    ColoringPattern(3, 2, 4, (1, 0, 1, None))]
-        three_colors = [Coloring(3, 3, 4, (0, 1, 2, 0))]
-        for basis in (patterns, three_colors):
-            l = basis[0].l
-            assert avoid_growth(basis, 3, l, 5, jobs=1) == \
-                avoid_growth(basis, 3, l, 5, jobs=3)
-
     def test_members_are_downward_closed(self):
         base = Coloring(3, 2, 4, (0, 1, 1, 0))
         small = {c.colors for c in avoid_members([base], 3, 2, 4)}
@@ -403,45 +387,13 @@ def random_basis(rng, k, l, size, wildcards):
     return out
 
 
-class SerialPool:
-    """Stand-in for a process pool: records its size, maps in-process."""
-
-    def __init__(self, size, sizes):
-        sizes.append(size)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, items):
-        return [fn(item) for item in items]
-
-
-def serial_pools(monkeypatch, cpus):
-    """Make the engine's pools serial on ``cpus`` usable CPUs; their sizes."""
-    sizes = []
-
-    class SerialContext:
-        def Pool(self, size):
-            return SerialPool(size, sizes)
-
-    monkeypatch.setattr(ideals.multiprocessing, "get_context",
-                        lambda method: SerialContext())
-    monkeypatch.setattr(ideals.os, "sched_getaffinity",
-                        lambda pid: set(range(cpus)), raising=False)
-    return sizes
-
-
-def reference_chunk_extend(payload):
-    """The engine's chunk step parent by parent: one frontier each.
+def reference_chunk_extend(parents, templates, shift, nnew, l, cap, build):
+    """The engine's level step parent by parent: one frontier each.
 
     Each parent's new-edge colourings are found by their own frontier and
-    spliced onto the parent; nodes accumulate over the chunk's parents,
-    which overflows as soon as they exceed the cap.
+    spliced onto the parent; nodes accumulate over the level's parents,
+    and the walk stops with no result as soon as they exceed the cap.
     """
-    parents, templates, shift, nnew, l, cap, build = payload
     keep, done = ideals._new_edge_tables(templates, nnew, l)
     w = (l - 1).bit_length()
     out = [] if build else 0
@@ -459,7 +411,7 @@ def reference_chunk_extend(payload):
                 nodes += l * (sum(map(len, frontier.values())) if build
                               else sum(frontier.values()))
                 if nodes > cap:
-                    return out, nodes, True
+                    return None, nodes
                 nxt = {}
                 for state, held in frontier.items():
                     for col, mask in enumerate(keep[j]):
@@ -477,7 +429,7 @@ def reference_chunk_extend(payload):
                            for held in frontier.values() for p in held)
             else:
                 out += sum(frontier.values())
-    return [out] if build else out, nodes, False
+    return [out] if build else out, nodes
 
 
 class TestFinalLevelCount:
@@ -503,27 +455,10 @@ class TestFinalLevelCount:
             assert exact[5]
             assert counts[5] == len(avoid_members(basis, k, l, 5))
 
-    def test_workers_clamped_to_usable_cpus(self, monkeypatch):
-        sizes = serial_pools(monkeypatch, 3)
-        base = Coloring(3, 2, 4, (0, 1, 1, 0))
-        got = avoid_growth([base], 3, 2, 5, jobs=100000)
-        assert got == avoid_growth([base], 3, 2, 5, jobs=1)
-        assert sizes and max(sizes) == 3
-
-    def test_one_pool_per_call(self, monkeypatch):
-        sizes = serial_pools(monkeypatch, 8)
-        basis = builtin_pattern_basis(IdealSpec.builtin("S", 3))
-        counts, exact, nodes = avoid_growth(basis, 3, 2, 12, jobs=3)
-        assert sizes == [3]
-        assert counts == {n: sequence_G(n) for n in range(1, 13)}
-        assert (counts, exact, nodes) == avoid_growth(basis, 3, 2, 12)
-
-
 class TestMergedFrontier:
-    """One frontier per chunk must do what a frontier per parent did."""
+    """One frontier per level must do what a frontier per parent did."""
 
     def test_matches_per_parent_engine(self, monkeypatch):
-        sizes = serial_pools(monkeypatch, 2)
         rng = Lcg(23)
         cap = 20000
         dropped = 0
@@ -533,25 +468,22 @@ class TestMergedFrontier:
                                  rng.bit() == 1)
             n_max = k + rng.randint(2, 3)
 
-            def both(budget, jobs, build_last):
-                new = ideals._grow(basis, k, l, n_max, budget, jobs,
-                                   build_last)
+            def both(budget, build_last):
+                new = ideals._grow(basis, k, l, n_max, budget, build_last)
                 with monkeypatch.context() as m:
                     m.setattr(ideals, "_chunk_extend", reference_chunk_extend)
-                    ref = ideals._grow(basis, k, l, n_max, budget, jobs,
-                                       build_last)
-                assert new == ref, (case, budget, jobs, build_last)
+                    ref = ideals._grow(basis, k, l, n_max, budget, build_last)
+                assert new == ref, (case, budget, build_last)
                 return ref
 
-            _, _, nodes, _ = both(cap, 1, False)
+            _, _, nodes, _ = both(cap, False)
             # nodes - 1 overflows the last exact level partway through
             for budget in {cap, nodes, max(1, nodes - 1),
                            rng.randint(1, cap)}:
-                for jobs in (1, 2):
-                    for build_last in (False, True):
-                        _, exact, _, _ = both(budget, jobs, build_last)
-                        dropped += not all(exact.values())
-        assert dropped > 0 and sizes
+                for build_last in (False, True):
+                    _, exact, _, _ = both(budget, build_last)
+                    dropped += not all(exact.values())
+        assert dropped > 0
 
     @pytest.mark.parametrize("base, n, want", [
         (Coloring(3, 2, 4, (1, 0, 0, 1)), 6, 425770),
@@ -561,12 +493,12 @@ class TestMergedFrontier:
         _, _, total = avoid_growth([base], k, l, n)
         for build_last in (False, True):
             counts, exact, nodes, members = ideals._grow(
-                [base], k, l, n, total, 1, build_last)
+                [base], k, l, n, total, build_last)
             assert exact[n] and counts[n] == want and nodes == total
             if build_last:
                 assert len(members) == want
             counts, exact, nodes, _ = ideals._grow(
-                [base], k, l, n, total - 1, 1, build_last)
+                [base], k, l, n, total - 1, build_last)
             assert exact[n - 1] and not exact[n] and n not in counts
             assert nodes < total
 

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from functools import cache
 from itertools import combinations
 from math import comb
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Union
 
 
@@ -94,7 +95,14 @@ def _validate_header(k: int, l: int, n: int) -> int:
 
 @dataclass(frozen=True)
 class Coloring:
-    """An edge l-coloring of the complete k-uniform hypergraph on [n]."""
+    """An edge l-coloring of the complete k-uniform hypergraph on [n].
+
+    Colours are checked once, where they enter: the public constructors
+    and the text parser's edge-line form check every colour.  Only
+    producers whose colours are valid by construction call _trusted,
+    which skips the per-colour loop: the parser's ``bits`` form after its
+    digit and count checks, and the engine's decode in avoid_members.
+    """
 
     k: int
     l: int
@@ -108,6 +116,20 @@ class Coloring:
         for c in self.colors:
             if not isinstance(c, int) or not 0 <= c < self.l:
                 raise ValueError(f"color {c!r} outside 0..{self.l - 1}")
+
+    @classmethod
+    def _trusted(cls, k: int, l: int, n: int,
+                 colors: tuple[int, ...]) -> "Coloring":
+        """An unchecked Coloring: the caller vouches for the header, the
+        length and every colour.  Equal to, and hashes like, cls(...)."""
+        c = object.__new__(cls)
+        # the setters frozen __init__ uses; touching __dict__ would
+        # materialize a dict and double the instance's size
+        object.__setattr__(c, "k", k)
+        object.__setattr__(c, "l", l)
+        object.__setattr__(c, "n", n)
+        object.__setattr__(c, "colors", colors)
+        return c
 
     @property
     def empty(self) -> bool:
@@ -293,14 +315,16 @@ def contains(small: AnyColoring, big: Coloring) -> Optional[tuple[int, ...]]:
     Candidates are bit masks over the host vertices.  For a sorted host
     prefix P of k-1 vertices, one int per colour has bit w set when big
     gives the edge P + (w,) that colour.  The ranks of P + (w,) are
-    consecutive in w, so such a row is one edge_index call and one slice
-    of big.colors; rows are built on first use and kept for the rest of
-    the call.  The candidates for the image of vertex i are the window
-    lo..n-(m-i) ANDed with the row of every small edge whose largest
-    vertex is i, so a branch dies as soon as its mask is empty.  The
-    search walks set bits from low to high with an explicit stack of
-    remaining masks, so it does not recurse and the first full injection
-    it reaches is the lexicographically first one.
+    consecutive in w, so such a row is one slice of big.colors, starting
+    at a rank read from _rank_table.  Rows are built on first use and
+    kept for the rest of the call, keyed by P as one itemgetter per small
+    edge reads it from the images (a bare int when k = 2).  The
+    candidates for the image of vertex i are the window lo..n-(m-i)
+    ANDed with the row of every small edge whose largest vertex is i, so
+    a branch dies as soon as its mask is empty.  The search walks set
+    bits from low to high with an explicit stack of remaining masks, so
+    it does not recurse and the first full injection it reaches is the
+    lexicographically first one.
     """
     if small.k != big.k or small.l != big.l:
         raise IncompatibleColoringsError(
@@ -308,26 +332,33 @@ def contains(small: AnyColoring, big: Coloring) -> Optional[tuple[int, ...]]:
     m, n, k, l = small.n, big.n, small.k, small.l
     if m > n:
         return None
-    # (prefix, colour) of the small side's edges, grouped by largest vertex
-    by_max: list[list[tuple[Edge, int]]] = [[] for _ in range(m + 1)]
+    # (prefix images getter, colour) of the small side's edges, grouped
+    # by largest vertex
+    by_max: list[list[tuple[Callable, int]]] = [[] for _ in range(m + 1)]
     for e, col in zip(small.edges(), small.colors):
         if col is not None:
-            by_max[e[-1]].append((e[:-1], col))
+            by_max[e[-1]].append((itemgetter(*e[:-1]), col))
     colors = big.colors
-    rows: dict[Edge, list[int]] = {}
+    t = _rank_table(n, k)
+    # rank of P + (P[-1] + 1,) is top + P[-1] - sum T[j][P[j]], j < k-1,
+    # as T[k-1][v] = n - v
+    top = t[0][0] - n
+    rows: dict[Union[int, Edge], list[int]] = {}
     images = [0] * (m + 1)
     left = [0] * (m + 1)  # candidates not yet tried, per depth
     i, lo = 1, 1
     while True:
         cand = (1 << (n - m + i + 1)) - (1 << lo)
-        for pre, want in by_max[i]:
-            p = tuple(map(images.__getitem__, pre))
+        for get, want in by_max[i]:
+            p = get(images)
             row = rows.get(p)
             if row is None:
+                pv = (p,) if k == 2 else p
+                last = pv[-1]
                 row = [0] * l
-                bit = 1 << (p[-1] + 1)
-                base = edge_index(p + (p[-1] + 1,), n, k)
-                for c in colors[base:base + n - p[-1]]:
+                bit = 1 << (last + 1)
+                base = top + last - sum(map(tuple.__getitem__, t, pv))
+                for c in colors[base:base + n - last]:
                     row[c] |= bit
                     bit <<= 1
                 rows[p] = row
@@ -353,12 +384,16 @@ def contains(small: AnyColoring, big: Coloring) -> Optional[tuple[int, ...]]:
 # followed, when n >= k, by either one "bits <C(n,k) digits 0/1>" line (l = 2,
 # colors in lexicographic edge order) or exactly C(n, k) "v1 ... vk c" lines.
 
+_TO_DIGITS = bytes.maketrans(b"\0\1", b"01")
+_FROM_DIGITS = bytes.maketrans(b"01", b"\0\1")
+
 
 def coloring_to_text(c: Coloring) -> str:
     lines = [f"coloring k={c.k} l={c.l} n={c.n}"]
     if not c.empty:
         if c.l == 2:
-            lines.append("bits " + "".join(str(b) for b in c.colors))
+            bits = bytes(c.colors).translate(_TO_DIGITS).decode()
+            lines.append("bits " + bits)
         else:
             for e, col in zip(c.edges(), c.colors):
                 lines.append(" ".join(str(v) for v in e) + f" {col}")
@@ -416,7 +451,9 @@ def coloring_from_lines(lines: list[str], start: int = 0) -> tuple[Coloring, int
         if len(parts) != 2 or nedges != bound or set(parts[1]) - {"0", "1"}:
             raise ValueError(f"expected {nedges if exact else f'C({n},{k})'}"
                              " bits")
-        return Coloring(k, l, n, tuple(map(int, parts[1]))), pos + 1
+        # only ASCII 0/1 are left, so one translate decodes them
+        return Coloring._trusted(
+            k, l, n, tuple(parts[1].encode().translate(_FROM_DIGITS))), pos + 1
     if nedges > bound:
         raise ValueError("truncated coloring block")
     cols: list[Optional[int]] = [None] * nedges

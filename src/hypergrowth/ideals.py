@@ -532,9 +532,10 @@ def avoid_members(basis: Sequence[AnyColoring], k: int, l: int, n: int,
         raise RuntimeError("budget exhausted while materializing members")
     w = (l - 1).bit_length()
     field = (1 << w) - 1
-    # member ints hold colours in colex edge order; storage is lex
+    # member ints hold colours in colex edge order; storage is lex.  Each
+    # colour is a w-bit field of an engine int, valid by construction.
     shifts = [_colex_rank(e) * w for e in all_edges(n, k)]
-    return [Coloring(k, l, n, tuple(m >> at & field for at in shifts))
+    return [Coloring._trusted(k, l, n, tuple(m >> at & field for at in shifts))
             for m in members]
 
 

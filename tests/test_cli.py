@@ -1,6 +1,7 @@
 """Command line surface: verbs, exit codes, byte-stable reports."""
 
 import argparse
+import hashlib
 import multiprocessing
 import os
 import subprocess
@@ -11,8 +12,9 @@ import pytest
 
 from hypergrowth import cli
 from hypergrowth.core import (Coloring, coloring_from_text, coloring_to_text,
-                              injection_witnesses)
+                              injection_witnesses, restrict_normalize)
 from hypergrowth.ideals import IdealSpec, load_cache
+from hypergrowth.rng import Lcg
 
 
 def run_cli(*argv, env_extra=None, stdin_text=None):
@@ -609,3 +611,44 @@ class TestUsageErrors:
         res = run_cli("classify", "nuclear", f"{tmp_path}/gone.col")
         assert res.returncode == 2
         assert "error:" in res.stderr
+
+
+PLANTED = "5e7de6a46db207f87732fab2c940a8ccbe2a1d6001432b5916d19998606b6622"
+ABSENT = "73dd12808c9e407468c0da5c79d1118b7413bd3c45a359c267bb44e57314e389"
+
+
+def seeded_coloring(rng, n):
+    return Coloring.from_function(3, 2, n, lambda e: rng.bit())
+
+
+class TestPinnedBytes:
+    """In-process stdout digests and exit codes of the l=2 make and
+    contains paths, pinned so that a change to the bits writer, the
+    parser or the containment search shows in the tier-1 suite."""
+
+    @pytest.mark.parametrize("argv,rc,digest", [
+        (["make", "wealthy", "--family", "W3.2", "--r", "9"], 0,
+         "8bde7d7545e89020b6db4e9f2f51d3d6"
+         "8b77912230cdfb473c13a404b4522570"),
+        (["make", "rich", "--r", "8", "--shape", "1,1,1"], 0,
+         "4d974ac7a7f9c647ff3cbe0deec73418"
+         "02055262d7befb32730dbae706adf861"),
+    ])
+    def test_make(self, capsys, argv, rc, digest):
+        got_rc, out = main_in_process(argv, capsys)
+        assert (got_rc, hashlib.sha256(out.encode()).hexdigest()) == (rc, digest)
+
+    def test_contains_random_host(self, tmp_path, capsys):
+        rng = Lcg(40)
+        host = seeded_coloring(rng, 40)
+        planted = restrict_normalize(
+            host, sorted(rng.randint(1, 40) for _ in range(8)))
+        absent = seeded_coloring(rng, 8)
+        assert planted.n == 8
+        hp = write_coloring(tmp_path / "host.col", host)
+        got = []
+        for name, small in (("planted", planted), ("absent", absent)):
+            sp = write_coloring(tmp_path / f"{name}.col", small)
+            rc, out = main_in_process(["contains", sp, hp], capsys)
+            got.append((rc, hashlib.sha256(out.encode()).hexdigest()))
+        assert got == [(0, PLANTED), (1, ABSENT)]

@@ -91,6 +91,23 @@ class TestColoring:
         p = ColoringPattern.from_map(3, 2, 4, {(1, 2, 3): 1})
         assert p.color((1, 2, 3)) == 1 and p.color((1, 2, 4)) is None
 
+    @pytest.mark.parametrize("bad", [2, -1, 1.0, "1", None])
+    def test_public_constructor_checks_every_color(self, bad):
+        with pytest.raises(ValueError, match=rf"^color {bad!r} outside 0..1$"):
+            Coloring(3, 2, 4, (0, 1, bad, 0))
+
+    def test_bool_color_accepted(self):
+        assert Coloring(3, 2, 3, (True,)) == Coloring(3, 2, 3, (1,))
+
+    def test_trusted_equals_and_hashes_like_public(self):
+        rng = Lcg(7)
+        for k, l, n in ((2, 2, 1), (3, 2, 2), (3, 2, 6), (2, 3, 5), (4, 3, 6)):
+            public = random_coloring(rng, k, l, n)
+            trusted = Coloring._trusted(k, l, n, public.colors)
+            assert trusted == public and hash(trusted) == hash(public)
+            assert repr(trusted) == repr(public)
+            assert vars(trusted) == vars(public)
+
 
 class TestRestriction:
     def test_definition_oracle(self):
@@ -181,6 +198,115 @@ def random_small(rng, big, m):
         cols.append(None if draw < 2
                     else rng.randint(0, big.l - 1) if draw == 2 else c)
     return ColoringPattern(big.k, big.l, m, tuple(cols))
+
+
+def reference_contains(small, big):
+    """The search as it stood before rows were keyed by itemgetter and
+    based by _rank_table: one tuple and one edge_index per row build."""
+    if small.k != big.k or small.l != big.l:
+        raise IncompatibleColoringsError(
+            f"(k,l)=({small.k},{small.l}) vs ({big.k},{big.l})")
+    m, n, k, l = small.n, big.n, small.k, small.l
+    if m > n:
+        return None
+    by_max = [[] for _ in range(m + 1)]
+    for e, col in zip(small.edges(), small.colors):
+        if col is not None:
+            by_max[e[-1]].append((e[:-1], col))
+    colors = big.colors
+    rows = {}
+    images = [0] * (m + 1)
+    left = [0] * (m + 1)
+    i, lo = 1, 1
+    while True:
+        cand = (1 << (n - m + i + 1)) - (1 << lo)
+        for pre, want in by_max[i]:
+            p = tuple(map(images.__getitem__, pre))
+            row = rows.get(p)
+            if row is None:
+                row = [0] * l
+                bit = 1 << (p[-1] + 1)
+                base = edge_index(p + (p[-1] + 1,), n, k)
+                for c in colors[base:base + n - p[-1]]:
+                    row[c] |= bit
+                    bit <<= 1
+                rows[p] = row
+            cand &= row[want]
+            if not cand:
+                break
+        while not cand:
+            i -= 1
+            if i == 0:
+                return None
+            cand = left[i]
+        low = cand & -cand
+        left[i] = cand ^ low
+        images[i] = low.bit_length() - 1
+        if i == m:
+            return tuple(images[1:])
+        i, lo = i + 1, images[i] + 1
+
+
+def random_colors(rng, k, l, n):
+    """Like random_coloring, but l=2 draws take the LCG's top bit; its
+    low bit, which randint(0, 1) reads, alternates."""
+    if l != 2:
+        return random_coloring(rng, k, l, n)
+    return Coloring.from_function(k, l, n, lambda e: rng.bit())
+
+
+def planted(rng, big, m):
+    """big restricted to m distinct random vertices."""
+    vs = set()
+    while len(vs) < m:
+        vs.add(rng.randint(1, big.n))
+    return restrict_normalize(big, vs)
+
+
+class TestContainsParity:
+    """contains against reference_contains: the same witness, not just
+    some witness, at the host sizes the CLI sees."""
+
+    def check(self, small, big, seen):
+        got = contains(small, big)
+        assert got == reference_contains(small, big), (small, big)
+        seen["found" if got else "absent"] += 1
+
+    def test_k3_hosts_20_to_40(self):
+        rng = Lcg(20)
+        seen = {"found": 0, "absent": 0}
+        for n in range(20, 41, 2):
+            big = random_colors(rng, 3, 2, n)
+            self.check(planted(rng, big, rng.randint(6, 8)), big, seen)
+            # 56 random edges: absent from a random host but for ~1e-9
+            self.check(random_colors(rng, 3, 2, 8), big, seen)
+        assert seen == {"found": 11, "absent": 11}, seen
+
+    def test_k2_scalar_row_keys(self):
+        rng = Lcg(2)
+        seen = {"found": 0, "absent": 0}
+        for n in (12, 20, 30):
+            for l, m in ((2, 10), (3, 7)):
+                big = random_colors(rng, 2, l, n)
+                self.check(planted(rng, big, rng.randint(4, m)), big, seen)
+                self.check(random_colors(rng, 2, l, m), big, seen)
+        assert seen == {"found": 6, "absent": 6}, seen
+
+    def test_k4_l3_patterns_small_and_full(self):
+        rng = Lcg(4)
+        seen = {"found": 0, "absent": 0}
+        kinds = {"pattern": 0, "m<k": 0, "m==n": 0}
+        for n in (4, 6, 8, 10, 12):
+            big = random_coloring(rng, 4, 3, n)
+            for m in sorted({2, 3, rng.randint(4, n), n}):
+                for _ in range(3):
+                    small = random_small(rng, big, m)
+                    self.check(small, big, seen)
+                    kinds["pattern"] += isinstance(small, ColoringPattern)
+                    kinds["m<k"] += m < 4
+                    kinds["m==n"] += m == n
+        assert min(seen.values()) >= 10 and min(kinds.values()) >= 10, (
+            seen, kinds)
 
 
 class TestContainment:
@@ -279,6 +405,33 @@ class TestTextFormat:
         parity = Coloring.from_function(3, 2, 6, lambda e: e[0] % 2)
         assert coloring_from_text(golden.decode()) == parity
         assert coloring_to_text(parity).encode() == golden
+
+    @pytest.mark.parametrize("text,message", [
+        ("coloring k=3 l=2 n=4\nbits 0\u066101\n", "expected 4 bits"),
+        ("coloring k=3 l=2 n=4\nbits 000\uff11\n", "expected 4 bits"),
+        ("coloring k=3 l=2 n=4\nbits 001\n", "expected 4 bits"),
+        ("coloring k=3 l=2 n=4\nbits 00010\n", "expected 4 bits"),
+        ("coloring k=3 l=2 n=40\nbits 01\n", "expected C(40,3) bits"),
+        ("coloring k=3 l=3 n=4\nbits 0001\n", "bits form only valid for l=2"),
+        ("coloring k=3 l=3 n=3\n1 2 3 3\n", "color 3 outside 0..2"),
+        ("coloring k=3 l=3 n=3\n1 2 3 -1\n", "color -1 outside 0..2"),
+        ("coloring k=3 l=3 n=3\n1 2 3 x\n",
+         "invalid literal for int() with base 10: 'x'"),
+    ])
+    def test_boundary_messages(self, text, message):
+        with pytest.raises(ValueError) as err:
+            coloring_from_text(text)
+        assert str(err.value) == message
+
+    def test_bulk_bits_writer_matches_join(self):
+        rng = Lcg(9)
+        for k, n, _ in product((2, 3, 4), range(1, 10), range(2)):
+            c = random_colors(rng, k, 2, n)
+            old = [f"coloring k={k} l=2 n={n}"]
+            if not c.empty:
+                old.append("bits " + "".join(str(b) for b in c.colors))
+            assert coloring_to_text(c) == "\n".join(old) + "\n"
+            assert coloring_from_text(coloring_to_text(c)) == c
 
     def test_parse_errors(self):
         with pytest.raises(ValueError):

@@ -17,7 +17,13 @@ and has no effect: every count is computed in this process.
 
 main builds its argument parser once per process, on its first call, and
 reuses it: parsing keeps no state between calls, so main is safe to call
-repeatedly in-process.
+repeatedly in-process.  The verify verb imports hypergrowth.verify on its
+first call, as only it needs the acceptance suites; every other start
+skips compiling them.  The other layers (ideals, core, matrices,
+structure, constructions) stay imported at module level: the package
+__init__ imports them all anyway, so that `python -m hypergrowth.cli`
+loads them whatever this module does, and the benchmark's tracer looks
+each of them up in sys.modules right after `import hypergrowth.cli`.
 """
 
 from __future__ import annotations
@@ -36,7 +42,6 @@ from .ideals import (DEFAULT_BUDGET, IdealSpec, dichotomy_verdict, growth,
                      ideal_spec_from_text, sequence_value)
 from .structure import (is_c_simple, is_p_tame, is_r_rich, is_wealthy,
                         nuclear_decomposition, variant_from_text)
-from .verify import run_all, run_one
 
 
 # --- small formatting helpers ------------------------------------------------------
@@ -259,6 +264,7 @@ def _cmd_sequence(args, out: TextIO) -> int:
 
 
 def _cmd_verify(args, out: TextIO) -> int:
+    from .verify import run_all, run_one  # loaded on first use, see module doc
     if args.suite == "all":
         results = run_all(seed=args.seed)
     else:

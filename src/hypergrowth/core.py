@@ -183,7 +183,8 @@ class ColoringPattern:
         if len(self.colors) != want:
             raise ValueError(f"expected {want} colors, got {len(self.colors)}")
         for c in self.colors:
-            if c is not None and not 0 <= c < self.l:
+            if c is not None and (not isinstance(c, int)
+                                  or not 0 <= c < self.l):
                 raise ValueError(f"color {c!r} outside 0..{self.l - 1}")
 
     @property

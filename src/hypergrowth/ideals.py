@@ -27,7 +27,6 @@ import io
 import os
 from bisect import bisect_left
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import comb
@@ -503,9 +502,12 @@ def growth(spec: IdealSpec, n_max: int, budget: int = DEFAULT_BUDGET,
         raise ValueError("n_max must be >= 1")
     digest = spec.digest()
     if cache is not None:
+        # a hit needs every level's row, each flagged exact; a row that is
+        # not exact is a miss, and the recount's update overwrites it
         got = _read_cache(cache)[1]
-        if all((digest, n) in got for n in range(1, n_max + 1)):
-            counts = {n: got[(digest, n)][0] for n in range(1, n_max + 1)}
+        rows = [got.get((digest, n)) for n in range(1, n_max + 1)]
+        if all(row is not None and row[1] for row in rows):
+            counts = {n: row[0] for n, row in enumerate(rows, 1)}
             return GrowthRecord(digest, spec.k,
                                 counts, {n: True for n in counts}, 0)
     if spec.kind == "builtin":
@@ -589,6 +591,9 @@ def dichotomy_verdict(record: GrowthRecord, theorem: str) -> DichotomyVerdict:
         else:
             classification = "violation"
     elif theorem == "quasi_fibonacci":
+        # imported here: fractions (and decimal, which it loads) would add
+        # ~2 ms to every process start for this one branch
+        from fractions import Fraction
         ge = all(cnt[n] >= sequence_G(n) for n in ns)
         eq = all(cnt[n] == sequence_G(n) for n in ns)
         c = 0

@@ -7,9 +7,14 @@ languages.
 
     state' = (6364136223846793005 * state + 1442695040888963407) mod 2^64
 
-A draw returns the new state.  Bounded draws reduce the raw value with a
-plain modulus (documented bias is irrelevant at the ranges used here:
-bounds are tiny compared to 2^64).
+A draw returns the new state.  randint reduces the raw value with a
+plain modulus, so it reads the state's low bits, and those have short
+periods (bit j repeats every 2^(j+1) draws): randint(0, 1) alternates
+0, 1, 0, 1, ... and randint(0, 3) cycles through four values.  Its
+draws are kept as they are because the acceptance suites' sampled
+objects are pinned by them.  Draws that must look random in small
+ranges should come from the high bits instead, as bit() does, or as
+``lo + (next_u64() * span >> 64)``.
 """
 
 from __future__ import annotations

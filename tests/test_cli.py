@@ -175,6 +175,22 @@ class TestGrowthCacheFlag:
             ["base.is", "counts.tsv"]
 
 
+    def test_non_exact_row_is_recounted(self, tmp_path):
+        spec = IdealSpec.avoid([Coloring(3, 2, 4, (0, 0, 0, 0))])
+        path = tmp_path / "base.is"
+        path.write_text(spec.canonical_text())
+        cache = tmp_path / "counts.tsv"
+        dg = spec.digest()
+        cache.write_text("".join(f"{dg}\t{n}\t{c}\t1\n" for n, c in
+                                 ((1, 1), (2, 1), (3, 2), (4, 15)))
+                         + f"{dg}\t5\t999\t0\n")
+        res = run_cli("growth", "--spec", f"avoid:{path}", "--n-max", "5",
+                      "--cache", str(cache))
+        assert res.returncode == 0
+        assert res.stdout.endswith("n=4 count=15\nn=5 count=768\n")
+        assert f"{dg}\t5\t768\t1" in cache.read_text().splitlines()
+
+
 class TestErrorExits:
     @pytest.mark.parametrize("exc", [RuntimeError, RecursionError])
     def test_engine_errors_exit_two(self, monkeypatch, capsys, exc):
@@ -598,6 +614,39 @@ class TestVerifyVerb:
     def test_non_numeric_suite(self):
         res = run_cli("verify", "--suite", "everything")
         assert res.returncode == 2
+
+
+class TestImportContract:
+    """A CLI start loads the layers, but not the acceptance suites."""
+
+    SRC = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    SUITE_1 = ("criterion  1 [pass] sequence tables: G(1..11) and F(1..8) "
+               "match their fixed tables\n")
+
+    def run_python(self, *args):
+        env = os.environ.copy()
+        env["PYTHONPATH"] = self.SRC
+        return subprocess.run([sys.executable, *args], capture_output=True,
+                              text=True, env=env)
+
+    def test_import_loads_layers_but_not_verify(self):
+        res = self.run_python("-c", "import sys, hypergrowth, hypergrowth.cli; "
+                                    "print(*sys.modules)")
+        assert res.returncode == 0, res.stderr
+        loaded = set(res.stdout.split())
+        assert not loaded & {"hypergrowth.verify", "fractions", "decimal"}
+        # the layers the benchmark's tracer looks up after this import
+        assert {f"hypergrowth.{m}" for m in ("ideals", "core", "matrices",
+                                             "structure", "constructions",
+                                             "cli")} <= loaded
+
+    def test_verify_verb_loads_suites_on_first_use(self, capsys):
+        res = self.run_python("-m", "hypergrowth.cli", "verify", "--suite",
+                              "1")
+        assert (res.returncode, res.stdout) == (0, self.SUITE_1)
+        assert cli.main(["verify", "--suite", "1"]) == 0
+        assert capsys.readouterr().out == self.SUITE_1
 
 
 class TestUsageErrors:

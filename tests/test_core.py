@@ -22,9 +22,18 @@ def rank_oracle(edge, n, k):
     return sorted(combinations(range(1, n + 1), k)).index(tuple(sorted(edge)))
 
 
+def draw(rng, lo, hi):
+    """An integer in [lo, hi] from the high bits of the next LCG draw.
+
+    Lcg.randint reduces the raw state modulo the span, and the low bits
+    of this LCG have short periods: randint(0, 1) alternates.
+    """
+    return lo + (rng.next_u64() * (hi - lo + 1) >> 64)
+
+
 def random_coloring(rng, k, l, n):
     nedges = len(list(all_edges(n, k)))
-    return Coloring(k, l, n, tuple(rng.randint(0, l - 1) for _ in range(nedges)))
+    return Coloring(k, l, n, tuple(draw(rng, 0, l - 1) for _ in range(nedges)))
 
 
 def contains_oracle(small, big):
@@ -91,13 +100,17 @@ class TestColoring:
         p = ColoringPattern.from_map(3, 2, 4, {(1, 2, 3): 1})
         assert p.color((1, 2, 3)) == 1 and p.color((1, 2, 4)) is None
 
-    @pytest.mark.parametrize("bad", [2, -1, 1.0, "1", None])
+    @pytest.mark.parametrize("bad", [2, -1, 0.5, 1.0, "1", None])
     def test_public_constructor_checks_every_color(self, bad):
-        with pytest.raises(ValueError, match=rf"^color {bad!r} outside 0..1$"):
-            Coloring(3, 2, 4, (0, 1, bad, 0))
+        # None is a pattern's wildcard, so only Coloring rejects it
+        for cls in (Coloring,) if bad is None else (Coloring, ColoringPattern):
+            with pytest.raises(ValueError,
+                               match=rf"^color {bad!r} outside 0..1$"):
+                cls(3, 2, 4, (0, 1, bad, 0))
 
     def test_bool_color_accepted(self):
-        assert Coloring(3, 2, 3, (True,)) == Coloring(3, 2, 3, (1,))
+        for cls in (Coloring, ColoringPattern):
+            assert cls(3, 2, 3, (True,)) == cls(3, 2, 3, (1,))
 
     def test_trusted_equals_and_hashes_like_public(self):
         rng = Lcg(7)
@@ -185,7 +198,7 @@ class TestHomogeneity:
 def random_small(rng, big, m):
     """A small side on m vertices: a restriction of big, possibly with
     wildcards or changed colours, or an unrelated random coloring."""
-    kind = rng.randint(0, 2)
+    kind = draw(rng, 0, 2)
     if kind == 0:
         return random_coloring(rng, big.k, big.l, m)
     vs = rng.choice(list(combinations(range(1, big.n + 1), m)))
@@ -194,9 +207,9 @@ def random_small(rng, big, m):
         return base
     cols = []
     for c in base.colors:
-        draw = rng.randint(0, 5)
-        cols.append(None if draw < 2
-                    else rng.randint(0, big.l - 1) if draw == 2 else c)
+        pick = draw(rng, 0, 5)
+        cols.append(None if pick < 2
+                    else draw(rng, 0, big.l - 1) if pick == 2 else c)
     return ColoringPattern(big.k, big.l, m, tuple(cols))
 
 
@@ -247,14 +260,6 @@ def reference_contains(small, big):
         i, lo = i + 1, images[i] + 1
 
 
-def random_colors(rng, k, l, n):
-    """Like random_coloring, but l=2 draws take the LCG's top bit; its
-    low bit, which randint(0, 1) reads, alternates."""
-    if l != 2:
-        return random_coloring(rng, k, l, n)
-    return Coloring.from_function(k, l, n, lambda e: rng.bit())
-
-
 def planted(rng, big, m):
     """big restricted to m distinct random vertices."""
     vs = set()
@@ -276,10 +281,10 @@ class TestContainsParity:
         rng = Lcg(20)
         seen = {"found": 0, "absent": 0}
         for n in range(20, 41, 2):
-            big = random_colors(rng, 3, 2, n)
+            big = random_coloring(rng, 3, 2, n)
             self.check(planted(rng, big, rng.randint(6, 8)), big, seen)
             # 56 random edges: absent from a random host but for ~1e-9
-            self.check(random_colors(rng, 3, 2, 8), big, seen)
+            self.check(random_coloring(rng, 3, 2, 8), big, seen)
         assert seen == {"found": 11, "absent": 11}, seen
 
     def test_k2_scalar_row_keys(self):
@@ -287,9 +292,9 @@ class TestContainsParity:
         seen = {"found": 0, "absent": 0}
         for n in (12, 20, 30):
             for l, m in ((2, 10), (3, 7)):
-                big = random_colors(rng, 2, l, n)
+                big = random_coloring(rng, 2, l, n)
                 self.check(planted(rng, big, rng.randint(4, m)), big, seen)
-                self.check(random_colors(rng, 2, l, m), big, seen)
+                self.check(random_coloring(rng, 2, l, m), big, seen)
         assert seen == {"found": 6, "absent": 6}, seen
 
     def test_k4_l3_patterns_small_and_full(self):
@@ -358,7 +363,7 @@ class TestContainment:
         for _ in range(40):
             big = random_coloring(rng, 3, 2, 6)
             pat = ColoringPattern.from_map(
-                3, 2, 4, {(1, 2, 4): rng.randint(0, 1)})
+                3, 2, 4, {(1, 2, 4): draw(rng, 0, 1)})
             assert contains(pat, big) == contains_oracle(pat, big)
 
     def test_incompatible_operands(self):
@@ -426,7 +431,7 @@ class TestTextFormat:
     def test_bulk_bits_writer_matches_join(self):
         rng = Lcg(9)
         for k, n, _ in product((2, 3, 4), range(1, 10), range(2)):
-            c = random_colors(rng, k, 2, n)
+            c = random_coloring(rng, k, 2, n)
             old = [f"coloring k={k} l=2 n={n}"]
             if not c.empty:
                 old.append("bits " + "".join(str(b) for b in c.colors))

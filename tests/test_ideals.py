@@ -375,13 +375,22 @@ WINDOW_COUNTS = {
 }
 
 
+def draw(rng, lo, hi):
+    """An integer in [lo, hi] from the high bits of the next LCG draw.
+
+    Lcg.randint reduces the raw state modulo the span, and the low bits
+    of this LCG have short periods: randint(0, 1) alternates.
+    """
+    return lo + (rng.next_u64() * (hi - lo + 1) >> 64)
+
+
 def random_basis(rng, k, l, size, wildcards):
     """Random basis elements on k+1 vertices, with one wildcard if asked."""
     out = []
     for _ in range(size):
-        cols = [rng.randint(0, l - 1) for _ in range(k + 1)]
+        cols = [draw(rng, 0, l - 1) for _ in range(k + 1)]
         if wildcards:
-            cols[rng.randint(0, k)] = None
+            cols[draw(rng, 0, k)] = None
         cls = ColoringPattern if wildcards else Coloring
         out.append(cls(k, l, k + 1, tuple(cols)))
     return out
@@ -535,6 +544,19 @@ class TestGrowthCache:
         entries = load_cache(path)
         assert (spec.digest(), 4) in entries
         assert (spec.digest(), 5) not in entries
+
+    def test_non_exact_row_is_a_miss_and_is_overwritten(self, tmp_path):
+        path = tmp_path / "growth.tsv"
+        spec = IdealSpec.avoid([Coloring(3, 2, 4, (0, 0, 0, 0))])
+        dg = spec.digest()
+        path.write_text("".join(f"{dg}\t{n}\t{c}\t1\n"
+                                for n, c in ((1, 1), (2, 1), (3, 2), (4, 15)))
+                        + f"{dg}\t5\t999\t0\n")
+        rec = growth(spec, 5, cache=str(path))
+        assert rec.counts[5] == 768 and rec.exact[5] and rec.nodes > 0
+        assert load_cache(str(path))[(dg, 5)] == (768, True)
+        served = growth(spec, 5, cache=str(path))
+        assert served.nodes == 0 and served.counts[5] == 768
 
     def test_merge_keeps_other_digests(self, tmp_path):
         path = str(tmp_path / "growth.tsv")

@@ -42,18 +42,29 @@ def metrics2_oracle(m):
     return al, tuple(sorted(rset)), tuple(sorted(cset))
 
 
+def draw(rng, lo, hi):
+    """An integer in [lo, hi] from the high bits of the next LCG draw.
+
+    Lcg.randint reduces the raw state modulo the span, and the low bits
+    of this LCG have short periods: randint(0, 1) alternates.
+    """
+    return lo + (rng.next_u64() * (hi - lo + 1) >> 64)
+
+
 def random_matrix2(rng, maxdim, stars=False):
     r = rng.randint(1, maxdim)
     s = rng.randint(1, maxdim)
     pool = (0, 1, None) if stars else (0, 1)
-    return StarMatrix2(r, s, tuple(tuple(rng.choice(pool) for _ in range(s))
+    return StarMatrix2(r, s, tuple(tuple(pool[draw(rng, 0, len(pool) - 1)]
+                                         for _ in range(s))
                                    for _ in range(r)))
 
 
 def random_matrix3(rng, maxdim, stars=False):
     dims = tuple(rng.randint(1, maxdim) for _ in range(3))
     pool = (0, 1, None) if stars else (0, 1)
-    return StarMatrix3.build(dims, lambda i, j, k: rng.choice(pool))
+    return StarMatrix3.build(
+        dims, lambda i, j, k: pool[draw(rng, 0, len(pool) - 1)])
 
 
 class TestStarMatrix2:

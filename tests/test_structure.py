@@ -20,23 +20,32 @@ from hypergrowth.structure import (WEALTHY_FAMILIES, SizeMismatchError,
                                    wealthy_variants)
 
 
+def draw(rng, lo, hi):
+    """An integer in [lo, hi] from the high bits of the next LCG draw.
+
+    Lcg.randint reduces the raw state modulo the span, and the low bits
+    of this LCG have short periods: randint(0, 1) alternates.
+    """
+    return lo + (rng.next_u64() * (hi - lo + 1) >> 64)
+
+
 def random_coloring(rng, k, l, n):
     edges = list(combinations(range(1, n + 1), k))
-    return Coloring(k, l, n, tuple(rng.randint(0, l - 1) for _ in edges))
+    return Coloring(k, l, n, tuple(draw(rng, 0, l - 1) for _ in edges))
 
 
 def blocky_coloring(rng, k, l, n):
     """Homogeneous blocks, random crossing edges and a few flips."""
     block = [0] * (n + 1)
     for v in range(2, n + 1):
-        block[v] = block[v - 1] + (rng.randint(0, 3) == 0)
-    tint = [rng.randint(0, l - 1) for _ in range(n + 1)]
+        block[v] = block[v - 1] + (draw(rng, 0, 3) == 0)
+    tint = [draw(rng, 0, l - 1) for _ in range(n + 1)]
     cols = [tint[block[e[0]]] if block[e[0]] == block[e[-1]]
-            else rng.randint(0, l - 1)
+            else draw(rng, 0, l - 1)
             for e in combinations(range(1, n + 1), k)]
-    for _ in range(rng.randint(0, 2)):
+    for _ in range(draw(rng, 0, 2)):
         if cols:
-            cols[rng.randint(0, len(cols) - 1)] = rng.randint(0, l - 1)
+            cols[draw(rng, 0, len(cols) - 1)] = draw(rng, 0, l - 1)
     return Coloring(k, l, n, tuple(cols))
 
 
@@ -365,7 +374,7 @@ class TestTamenessParity:
             dims = tuple(rng.randint(1, 5) for _ in range(3))
             stars = rng.randint(0, 4)
             entries = tuple(tuple(tuple(
-                None if rng.randint(0, 9) < stars else rng.bit()
+                None if draw(rng, 0, 9) < stars else rng.bit()
                 for _ in range(dims[2])) for _ in range(dims[1]))
                 for _ in range(dims[0]))
             m = StarMatrix3(*dims, entries)

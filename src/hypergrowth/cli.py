@@ -10,10 +10,15 @@ Reports are line oriented and machine parseable: data lines carry
 space-separated key=value fields, followed where applicable by one
 serialized object block (coloring or matrix text).  Exit status is 0 when
 the command succeeds and any tested property holds, 1 when a tested
-property fails or nothing is found, 2 on usage or I/O errors and when the
-engine cannot finish (a RuntimeError, RecursionError included).  Identical
-invocations print identical bytes.  --jobs is accepted for compatibility
-and has no effect: every count is computed in this process.
+property fails or nothing is found, and 2 on usage or I/O errors, when
+the engine raises a RuntimeError (RecursionError included) and when a
+verb runs out of memory.  argparse reports usage errors itself; the
+others print one "error:" line on stderr.  A growth level that the node
+budget cannot finish prints count=unknown and keeps exit status 0.
+Identical invocations print identical bytes.  --jobs is accepted for
+compatibility and has no effect: every count is computed in this
+process.  growth --cache appends the exact counts it computed to an
+append-only count file, which concurrent runs may share.
 
 main builds its argument parser once per process, on its first call, and
 reuses it: parsing keeps no state between calls, so main is safe to call
@@ -405,6 +410,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (OSError, ValueError, KeyError, RuntimeError) as exc:
         # RuntimeError includes RecursionError
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 2
 
 

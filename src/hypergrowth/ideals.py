@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import io
 import os
-from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
@@ -84,10 +83,10 @@ def sequence_Gk(k: int, n: int) -> int:
         raise ValueError("part size k must be >= 2")
     if n < 0:
         raise ValueError("Gk is defined for n >= 0")
-    vals = [1] * k  # indices 0 .. k-1
+    vals = [1] * k  # a(m) at index m % k, for the last k values of m
     for m in range(k, n + 1):
-        vals.append(vals[-1] + vals[m - k])
-    return vals[n]
+        vals[m % k] += vals[(m - 1) % k]
+    return vals[n % k]
 
 
 def sequence_value(name: str, n: int, k: Optional[int] = None) -> int:
@@ -722,18 +721,16 @@ def count_p_tame(n: int, p: int) -> int:
 # --- growth cache ---------------------------------------------------------------------
 
 
-# The last cache bytes parsed or written, with their entries and, once an
-# update has needed them, the sorted keys and each key's encoded row: a
-# repeated read of unchanged bytes skips the parse, and an update to them
-# formats only its new rows.  Keyed by content, not by path or os.stat,
-# because coarse mtimes and reused inodes can hide a rewrite.
+# The last cache bytes parsed, with their entries: a read of the same
+# bytes skips the parse, and a read of those bytes with rows appended
+# parses only the appended text.  Keyed by content, not by path or
+# os.stat, because coarse mtimes and reused inodes can hide a rewrite.
 _CacheEntries = dict[tuple[str, int], tuple[int, bool]]
-_cache_slot: tuple[bytes, _CacheEntries, Optional[tuple[list, list]]] = (
-    b"", {}, None)
+_cache_slot: tuple[bytes, _CacheEntries] = (b"", {})
 
 
-def _read_cache(path: str):
-    """The slot holding the file's current bytes; parses them if they changed.
+def _read_cache(path: str) -> tuple[bytes, _CacheEntries]:
+    """The file's bytes and their entries, parsing only what is new.
 
     A missing file reads as empty.  The caller must not change the entries.
     """
@@ -743,32 +740,38 @@ def _read_cache(path: str):
             data = fh.read()
     except FileNotFoundError:
         data = b""
-    slot = _cache_slot  # one read, so a concurrent refill cannot mix slots
-    if data != slot[0]:
-        out: _CacheEntries = {}
-        text = data.decode("utf-8", errors="replace")
-        for line in io.StringIO(text, newline=None):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                digest, n, count, exact = line.split("\t")
-                out[(digest, int(n))] = (int(count), exact == "1")
-            except ValueError:
-                continue
-        slot = _cache_slot = (data, out, None)
-    return slot
+    # one read, so a concurrent refill cannot mix slots
+    old, entries = _cache_slot
+    if data == old:
+        return old, entries
+    if data.startswith(old) and old[-1:] in (b"", b"\n"):
+        # rows appended after a whole line: the old rows parse as before
+        entries, text = dict(entries), data[len(old):]
+    else:
+        entries, text = {}, data
+    for line in io.StringIO(text.decode("utf-8", errors="replace"),
+                            newline=None):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            digest, n, count, exact = line.split("\t")
+            entries[(digest, int(n))] = (int(count), exact == "1")
+        except ValueError:
+            continue
+    _cache_slot = (data, entries)
+    return data, entries
 
 
 def load_cache(path: str) -> dict[tuple[str, int], tuple[int, bool]]:
     """Cached counts by (digest, n); malformed rows are skipped.
 
     The file is read on every call, so rows written by other processes
-    are always seen; when its bytes equal the last ones parsed or written
-    in this process, a copy of that parse is returned.  A missing file
-    reads as empty.  Rows are UTF-8 (undecodable bytes replaced) with
-    universal newlines; a later row overrides an earlier one with the same
-    key.
+    are always seen; when it only grew, after a complete line, since the
+    last parse in this process, only the appended bytes are parsed.  A
+    missing file reads as empty.  Rows are UTF-8 (undecodable bytes
+    replaced) with universal newlines; a later row overrides an earlier
+    one with the same key.
     """
     return dict(_read_cache(path)[1])
 
@@ -780,57 +783,25 @@ def _cache_row(key: tuple[str, int], value: tuple[int, bool]) -> bytes:
 
 def update_cache(path: str, digest: str, counts: dict[int, int],
                  exact: dict[int, bool]):
-    """Merge exact counts into the cache; replaces the file atomically.
+    """Append the exact counts whose rows the cache lacks or holds otherwise.
 
-    The current rows are read from the file as load_cache reads them, so
-    rows another process wrote since this one last read the file are
-    kept.  The file holds every row sorted by key; only the new rows are
-    formatted and put into the sorted rows kept from the last parse or
-    write.  When they read back as written (a plain digest, int n and
-    count), the written bytes and merged entries become that parse.
+    The new rows go out as one block through an O_APPEND descriptor, so
+    rows that other processes append meanwhile are kept, and a reader sees
+    whole rows up to at most one torn last row, which parses as malformed
+    or not exact.  The block starts on a fresh line even after such a row.
     """
-    global _cache_slot
-    new = {(digest, n): (cnt, True) for n, cnt in counts.items()
-           if exact.get(n)}
-    plain = all(_plain_row(dg, n, cnt) for (dg, n), (cnt, _) in new.items())
-    _, entries, table = _read_cache(path)
-    # the slot's lists change in place below; until the write succeeds
-    # no slot is trusted
-    _cache_slot = (b"", {}, None)
-    if table is None:
-        keys = sorted(entries)
-        table = (keys, [_cache_row(key, entries[key]) for key in keys])
-    keys, encoded = table
-    for key, val in new.items():
-        i = bisect_left(keys, key)
-        if i < len(keys) and keys[i] == key:
-            # a merge keeps the existing key object, as dict.update does
-            encoded[i] = _cache_row(keys[i], val)
-        else:
-            keys.insert(i, key)
-            encoded.insert(i, _cache_row(key, val))
-    entries.update(new)
-    data = b"".join(encoded)
-    _replace_file(path, data)
-    if plain:
-        _cache_slot = (data, entries, table)
-
-
-def _replace_file(path: str, data: bytes):
-    # readers see the old file or the new one, never a torn one
-    tmp = f"{path}.{os.getpid()}.tmp"
+    data, entries = _read_cache(path)
+    block = b"".join(_cache_row((digest, n), (cnt, True))
+                     for n, cnt in counts.items() if exact.get(n)
+                     and entries.get((digest, n)) != (cnt, True))
+    if not block:
+        return
+    if data and not data.endswith(b"\n"):
+        block = b"\n" + block
+    fd = os.open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
     try:
-        with open(tmp, "wb") as fh:
-            fh.write(data)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
-def _plain_row(digest: str, n, count) -> bool:
-    """Whether the row written for these values parses back to them."""
-    return (type(n) is type(count) is int and digest != ""
-            and digest == digest.strip() and digest.isprintable()
-            and "\t" not in digest)
+        view = memoryview(block)
+        while view:
+            view = view[os.write(fd, view):]
+    finally:
+        os.close(fd)

@@ -154,26 +154,29 @@ class TestGrowthCacheFlag:
         assert first.stdout == second.stdout
         assert first.returncode == second.returncode == 0
 
-    def test_garbage_rows_skipped_and_rewritten_clean(self, tmp_path):
+    def test_garbage_rows_skipped_and_kept(self, tmp_path):
         spec = IdealSpec.avoid([Coloring(3, 2, 4, (0, 0, 0, 0))])
         path = tmp_path / "base.is"
         path.write_text(spec.canonical_text())
         cache = tmp_path / "counts.tsv"
+        dg = spec.digest()
         other = "f" * 16 + "\t1\t1\t1"
-        cache.write_text("not a cache row\n" + other + "\n"
-                         + spec.digest() + "\tfive\t768\t1\n")
+        garbage = ["not a cache row", other, dg + "\tfive\t768\t1"]
+        cache.write_text("\n".join(garbage) + "\n")
         res = run_cli("growth", "--spec", f"avoid:{path}", "--n-max", "5",
                       "--cache", str(cache))
         assert res.returncode == 0
         assert res.stdout == ("n=1 count=1\nn=2 count=1\nn=3 count=2\n"
                               "n=4 count=15\nn=5 count=768\n")
-        lines = cache.read_text().splitlines()
-        assert lines == sorted([other] + [f"{spec.digest()}\t{n}\t{c}\t1"
-                                          for n, c in ((1, 1), (2, 1), (3, 2),
-                                                       (4, 15), (5, 768))])
+        counts = ((1, 1), (2, 1), (3, 2), (4, 15), (5, 768))
+        # the update appends its rows; the malformed ones stay, unread
+        assert cache.read_text().splitlines() == garbage + [
+            f"{dg}\t{n}\t{c}\t1" for n, c in counts]
+        assert load_cache(str(cache)) == {
+            ("f" * 16, 1): (1, True),
+            **{(dg, n): (c, True) for n, c in counts}}
         assert sorted(p.name for p in tmp_path.iterdir()) == \
             ["base.is", "counts.tsv"]
-
 
     def test_non_exact_row_is_recounted(self, tmp_path):
         spec = IdealSpec.avoid([Coloring(3, 2, 4, (0, 0, 0, 0))])
@@ -203,6 +206,17 @@ class TestErrorExits:
         assert rc == 2
         assert got.out == ""
         assert got.err == "error: maximum depth exceeded\n"
+
+    def test_out_of_memory_exits_two(self, monkeypatch, capsys):
+        def fail(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "make_wealthy", fail)
+        rc = cli.main(["make", "wealthy", "--family", "W3.2", "--r", "1000"])
+        got = capsys.readouterr()
+        assert rc == 2
+        assert got.out == ""
+        assert got.err == "error: out of memory\n"
 
 
 def main_in_process(argv, capsys):

@@ -1,6 +1,10 @@
 """Ideal descriptions, growth engine, verdicts, tame census, cache."""
 
+import io
 import os
+import subprocess
+import sys
+import tracemalloc
 from functools import lru_cache
 from itertools import combinations, product
 from math import comb
@@ -48,14 +52,32 @@ def reference_load_cache(path):
 
 
 def reference_update_cache(path, digest, counts, exact):
-    """update_cache before it kept sorted rows: merge, sort, format all."""
+    """update_cache as an append model: the exact rows that differ from
+    the file's parse, on a fresh line at its end."""
     entries = reference_load_cache(path)
-    entries.update({(digest, n): (cnt, True) for n, cnt in counts.items()
-                    if exact.get(n)})
-    rows = sorted(entries.items())
-    data = "".join(f"{dg}\t{n}\t{cnt}\t{1 if ex else 0}\n"
-                   for (dg, n), (cnt, ex) in rows).encode("utf-8")
-    Path(path).write_bytes(data)
+    block = "".join(f"{digest}\t{n}\t{cnt}\t1\n"
+                    for n, cnt in counts.items() if exact.get(n)
+                    and entries.get((digest, n)) != (cnt, True))
+    if block:
+        data = Path(path).read_bytes() if os.path.exists(path) else b""
+        if data and not data.endswith(b"\n"):
+            block = "\n" + block
+        with open(path, "ab") as fh:
+            fh.write(block.encode("utf-8"))
+
+
+# A child process that, once told to go, makes 300 cache updates, each
+# with its own digest: sys.argv[1] is the cache, sys.argv[2] the writer.
+CACHE_WRITER = """
+import sys
+from hypergrowth.ideals import update_cache
+print("ready", flush=True)
+sys.stdin.readline()
+w = int(sys.argv[2])
+for i in range(300):
+    update_cache(sys.argv[1], f"{w:08x}{i:08x}", {1: i, 2: w},
+                 {1: True, 2: True})
+"""
 
 
 def rewrite_keeping_stat(path, data):
@@ -113,6 +135,22 @@ class TestSequences:
     def test_two_part_case_shifts_fibonacci(self):
         for n in range(1, 15):
             assert sequence_Gk(2, n) == sequence_F(n + 1)
+
+    def test_keeps_only_the_last_k_values(self):
+        for k in range(2, 7):
+            vals = [1] * k
+            for m in range(k, 301):
+                vals.append(vals[-1] + vals[m - k])
+            assert [sequence_Gk(k, n) for n in range(301)] == vals
+
+    def test_memory_stays_flat(self):
+        tracemalloc.start()
+        try:
+            sequence_Gk(3, 20000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -384,6 +422,11 @@ def draw(rng, lo, hi):
     return lo + (rng.next_u64() * (hi - lo + 1) >> 64)
 
 
+def pick(rng, seq):
+    """An element of seq, chosen through draw."""
+    return seq[draw(rng, 0, len(seq) - 1)]
+
+
 def random_basis(rng, k, l, size, wildcards):
     """Random basis elements on k+1 vertices, with one wildcard if asked."""
     out = []
@@ -575,12 +618,21 @@ class TestGrowthCache:
                          + b"\xff\xfe\t1\n" + b"b" * 16 + b"\t3\t7\t1\n")
         assert load_cache(str(path)) == {("b" * 16, 3): (7, True)}
 
-    def test_update_replaces_file_and_leaves_no_temp(self, tmp_path):
+    def test_update_appends_and_leaves_no_temp(self, tmp_path):
         path = tmp_path / "growth.tsv"
         path.write_text("garbage\n")
         update_cache(str(path), "a" * 16, {1: 1}, {1: True})
-        assert path.read_text() == "a" * 16 + "\t1\t1\t1\n"
+        # the garbage row stays on disk and is skipped on read
+        assert path.read_text() == "garbage\n" + "a" * 16 + "\t1\t1\t1\n"
+        assert load_cache(str(path)) == {("a" * 16, 1): (1, True)}
         assert [p.name for p in tmp_path.iterdir()] == ["growth.tsv"]
+
+    def test_new_file_gets_the_default_mode(self, tmp_path):
+        update_cache(str(tmp_path / "growth.tsv"), "a" * 16, {1: 1},
+                     {1: True})
+        (tmp_path / "plain.txt").write_text("")
+        assert os.stat(tmp_path / "growth.tsv").st_mode == \
+            os.stat(tmp_path / "plain.txt").st_mode
 
     def test_golden_file(self, tmp_path):
         # digests of builtin S(3) and of Avoid of the constant base 0000
@@ -597,7 +649,13 @@ class TestGrowthCache:
                      {1: True, 2: True, 3: True, 4: True, 5: False})
         update_cache(path, s_dg, {n: g[n - 1] for n in range(1, 12)},
                      {n: True for n in range(1, 12)})
-        assert Path(path).read_bytes() == (FIXTURES / "cache.tsv").read_bytes()
+        # append order: S 1..6, A 1..4 (5 is not exact), then only the
+        # S levels the file lacked, 7..11
+        rows = (FIXTURES / "cache.tsv").read_bytes().splitlines(keepends=True)
+        a_rows, s_rows = rows[:4], rows[4:]
+        assert Path(path).read_bytes() == b"".join(
+            s_rows[:6] + a_rows + s_rows[6:])
+        assert load_cache(path) == want
 
     def test_hostile_bytes_match_reference(self, tmp_path):
         tokens = [b"\t", b"\n", b"\r", b"\r\n", b"\x0c", b"\x1c", b"\x85",
@@ -608,40 +666,40 @@ class TestGrowthCache:
         rng = Lcg(2028)
 
         def valid_row():
-            return b"\t".join([rng.choice([b"a" * 16, b"b" * 16]),
-                               str(rng.randint(1, 12)).encode(),
-                               str(rng.randint(0, 99)).encode(),
-                               rng.choice([b"0", b"1"])])
+            return b"\t".join([pick(rng, [b"a" * 16, b"b" * 16]),
+                               str(draw(rng, 1, 12)).encode(),
+                               str(draw(rng, 0, 99)).encode(),
+                               pick(rng, [b"0", b"1"])])
 
         path = str(tmp_path / "growth.tsv")
         hits = 0
         for _ in range(2500):
             rows = []
-            for _ in range(rng.randint(0, 8)):
-                pick = rng.randint(0, 6)
-                if pick == 0:
+            for _ in range(draw(rng, 0, 8)):
+                kind = draw(rng, 0, 6)
+                if kind == 0:
                     rows.append(b"")
-                elif pick == 1 and rows:
-                    rows.append(rng.choice(rows))
-                elif pick == 2:
-                    rows.append(b"".join(rng.choice(tokens)
-                                         for _ in range(rng.randint(1, 12))))
-                elif pick == 5:
+                elif kind == 1 and rows:
+                    rows.append(pick(rng, rows))
+                elif kind == 2:
+                    rows.append(b"".join(pick(rng, tokens)
+                                         for _ in range(draw(rng, 1, 12))))
+                elif kind == 5:
                     # two rows that only a wider line split separates
-                    rows.append(valid_row() + rng.choice(tokens) + valid_row())
+                    rows.append(valid_row() + pick(rng, tokens) + valid_row())
                 else:
                     fields = valid_row().split(b"\t")
-                    i = rng.randint(0, 3)
-                    if pick == 3:
-                        fields[i] = rng.choice(tokens)
-                    elif pick == 4:
-                        cut = rng.randint(0, len(fields[i]))
-                        fields[i] = (fields[i][:cut] + rng.choice(tokens)
+                    i = draw(rng, 0, 3)
+                    if kind == 3:
+                        fields[i] = pick(rng, tokens)
+                    elif kind == 4:
+                        cut = draw(rng, 0, len(fields[i]))
+                        fields[i] = (fields[i][:cut] + pick(rng, tokens)
                                      + fields[i][cut:])
                     rows.append(b"\t".join(fields))
             ends = [b"\n", b"\r\n", b"\r"]
-            data = b"".join(r + rng.choice(ends) for r in rows)
-            if rng.randint(0, 4) == 0:
+            data = b"".join(r + pick(rng, ends) for r in rows)
+            if draw(rng, 0, 4) == 0:
                 data = data.rstrip(b"\r\n")
             Path(path).write_bytes(data)
             want = reference_load_cache(path)
@@ -705,97 +763,131 @@ class TestGrowthCache:
         assert load_cache(path) == reference_load_cache(path)
 
     def test_unchanged_file_is_not_parsed_again(self, tmp_path, monkeypatch):
-        path = str(tmp_path / "growth.tsv")
+        path = tmp_path / "growth.tsv"
+        path.write_text("".join(f"{'c' * 16}\t{n}\t{n}\t1\n"
+                                for n in range(1, 30)))
         spec = IdealSpec.avoid([Coloring(3, 2, 4, (0, 0, 0, 0))])
-        first = growth(spec, 5, cache=path)
+        first = growth(spec, 5, cache=str(path))
+        assert first.nodes > 0
+        parsed = []
+        string_io = io.StringIO
 
-        def no_parse(*args, **kwargs):
-            raise AssertionError("cache parsed again")
+        def recording(text, newline):
+            parsed.append(text)
+            return string_io(text, newline=newline)
 
-        monkeypatch.setattr(ideals, "io", SimpleNamespace(StringIO=no_parse))
-        again = growth(spec, 5, cache=path)
+        monkeypatch.setattr(ideals, "io", SimpleNamespace(StringIO=recording))
+        # the hit after this process's own append parses only that block
+        again = growth(spec, 5, cache=str(path))
         assert again.nodes == 0 and again.counts == first.counts
-        assert load_cache(path) == reference_load_cache(path)
-
+        assert parsed == ["".join(f"{spec.digest()}\t{n}\t{c}\t1\n"
+                                  for n, c in first.counts.items())]
+        # a hit on unchanged bytes parses nothing
+        parsed.clear()
+        assert growth(spec, 5, cache=str(path)).nodes == 0
+        assert load_cache(str(path)) == reference_load_cache(str(path))
+        assert parsed == []
 
     def test_updates_match_reference(self, tmp_path):
         rng = Lcg(4242)
+
         ours, theirs = tmp_path / "ours.tsv", tmp_path / "theirs.tsv"
         digests = [f"{rng.next_u64():016x}" for _ in range(12)]
         odd = ["a\tb", " lead", "", "two\nlines", "\u2028x", "tail "]
         junk = [b"garbage", b"x\t1\t2", b"\xff\xfe\t1\t1\t1",
                 b"a" * 16 + b"\tfive\t1\t1", b"\r", b"\t\t\t"]
-        plain_calls = odd_calls = rewrites = 0
+        plain_calls = odd_calls = rewrites = torn = 0
         for _ in range(600):
-            pick = rng.randint(0, 9)
-            if pick == 0:
+            kind = draw(rng, 0, 9)
+            if kind == 0:
                 # another writer: unsorted, duplicate and malformed rows
                 rows = []
-                for _ in range(rng.randint(0, 6)):
-                    if rng.randint(0, 2) == 0:
-                        rows.append(rng.choice(junk))
+                for _ in range(draw(rng, 0, 6)):
+                    if draw(rng, 0, 2) == 0:
+                        rows.append(pick(rng, junk))
                     elif rows and rng.bit():
-                        rows.append(rng.choice(rows))
+                        rows.append(pick(rng, rows))
                     else:
                         rows.append(b"\t".join([
-                            rng.choice(digests).encode(),
-                            str(rng.randint(1, 9)).encode(),
-                            str(rng.randint(0, 999)).encode(),
-                            rng.choice([b"0", b"1"])]))
-                data = b"".join(r + rng.choice([b"\n", b"\r\n"])
-                                for r in rows)
+                            pick(rng, digests).encode(),
+                            str(draw(rng, 1, 9)).encode(),
+                            str(draw(rng, 0, 999)).encode(),
+                            pick(rng, [b"0", b"1"])]))
+                data = b"".join(r + pick(rng, [b"\n", b"\r\n"]) for r in rows)
+                if data and draw(rng, 0, 3) == 0:
+                    # a torn last row
+                    data = data[:draw(rng, 0, len(data) - 1)]
+                    torn += not data.endswith(b"\n")
                 for path in (ours, theirs):
                     path.write_bytes(data)
                 rewrites += 1
-            elif pick == 1 and ours.exists():
+            elif kind == 1 and ours.exists():
                 ours.unlink()
                 theirs.unlink()
                 rewrites += 1
             else:
-                digest = (rng.choice(odd) if pick == 2
-                          else rng.choice(digests))
-                top = rng.randint(1, 9)
-                counts = {n: rng.randint(0, 10 ** rng.randint(1, 12))
+                digest = pick(rng, odd) if kind == 2 else pick(rng, digests)
+                top = draw(rng, 1, 9)
+                counts = {n: draw(rng, 0, 10 ** draw(rng, 1, 12))
                           for n in range(1, top + 1)}
-                exact = {n: rng.randint(0, 4) > 0 for n in counts}
-                if pick == 3:
+                exact = {n: draw(rng, 0, 4) > 0 for n in counts}
+                if kind == 3:
                     counts = {True: 5}
                     exact = {True: True}
-                plain = pick not in (2, 3)
+                plain = kind not in (2, 3)
                 plain_calls += plain
                 odd_calls += not plain
+                merged = reference_load_cache(str(theirs))
                 update_cache(str(ours), digest, counts, exact)
                 reference_update_cache(str(theirs), digest, counts, exact)
+                if plain:
+                    # the appended rows win over older ones: a merge
+                    merged.update({(digest, n): (cnt, True)
+                                   for n, cnt in counts.items() if exact[n]})
+                    assert load_cache(str(ours)) == merged
             assert ours.exists() == theirs.exists()
             if ours.exists():
                 assert ours.read_bytes() == theirs.read_bytes()
             assert load_cache(str(ours)) == reference_load_cache(str(theirs))
         assert plain_calls > 300 and odd_calls > 50 and rewrites > 50
+        assert torn > 5
 
     def test_failed_write_keeps_rows_unread(self, tmp_path, monkeypatch):
         path = str(tmp_path / "growth.tsv")
         update_cache(path, "a" * 16, {1: 2}, {1: True})
         before = Path(path).read_bytes()
+        real_write = os.write
 
-        def no_replace(src, dst):
+        def no_write(fd, data):
             raise OSError("disk full")
 
-        monkeypatch.setattr(ideals.os, "replace", no_replace)
+        monkeypatch.setattr(ideals.os, "write", no_write)
         with pytest.raises(OSError):
             update_cache(path, "b" * 16, {1: 3}, {1: True})
         monkeypatch.undo()
         assert Path(path).read_bytes() == before
         assert load_cache(path) == {("a" * 16, 1): (2, True)}
         assert [p.name for p in tmp_path.iterdir()] == ["growth.tsv"]
-        update_cache(path, "c" * 16, {1: 4}, {1: True})
+
+        def one_byte(fd, data):
+            return real_write(fd, data[:1])
+
+        # partial writes resume where they stopped
+        monkeypatch.setattr(ideals.os, "write", one_byte)
+        update_cache(path, "c" * 16, {1: 4, 2: 5}, {1: True, 2: True})
+        monkeypatch.undo()
+        assert Path(path).read_bytes() == before + (
+            "c" * 16 + "\t1\t4\t1\n" + "c" * 16 + "\t2\t5\t1\n").encode()
         assert load_cache(path) == reference_load_cache(path) == {
-            ("a" * 16, 1): (2, True), ("c" * 16, 1): (4, True)}
+            ("a" * 16, 1): (2, True), ("c" * 16, 1): (4, True),
+            ("c" * 16, 2): (5, True)}
 
     def test_unchanged_file_formats_only_new_rows(self, tmp_path,
                                                   monkeypatch):
         path = str(tmp_path / "growth.tsv")
-        Path(path).write_text("".join(f"{dg * 16}\t{n}\t{n * 7}\t1\n"
-                                      for dg in "ezc" for n in range(1, 20)))
+        old = "".join(f"{dg * 16}\t{n}\t{n * 7}\t1\n"
+                      for dg in "ezc" for n in range(1, 20))
+        Path(path).write_text(old)
         formatted = []
         row = ideals._cache_row
 
@@ -804,25 +896,114 @@ class TestGrowthCache:
             return row(key, value)
 
         monkeypatch.setattr(ideals, "_cache_row", counting_row)
-        # the first update after a parse formats every row once
         update_cache(path, "b" * 16, {1: 3, 2: 4}, {1: True, 2: True})
-        assert len(formatted) == 3 * 19 + 2
-        formatted.clear()
         update_cache(path, "d" * 16, {1: 5, 2: 6, 3: 7},
                      {1: True, 2: False, 3: True})
         update_cache(path, "z" * 16, {4: 8}, {4: True})
-        update_cache(path, "e" * 16, {3: 9}, {3: True})
-        assert formatted == [("d" * 16, 1), ("d" * 16, 3), ("z" * 16, 4),
-                             ("e" * 16, 3)]
+        # a row the file already holds is neither formatted nor written
+        update_cache(path, "e" * 16, {3: 21, 4: 9}, {3: True, 4: True})
+        new = [(("b" * 16, 1), 3), (("b" * 16, 2), 4), (("d" * 16, 1), 5),
+               (("d" * 16, 3), 7), (("z" * 16, 4), 8), (("e" * 16, 4), 9)]
+        assert formatted == [key for key, _ in new]
         want = {(dg * 16, n): (n * 7, True) for dg in "ezc"
                 for n in range(1, 20)}
-        want.update({("b" * 16, 1): (3, True), ("b" * 16, 2): (4, True),
-                     ("d" * 16, 1): (5, True), ("d" * 16, 3): (7, True),
-                     ("z" * 16, 4): (8, True), ("e" * 16, 3): (9, True)})
+        want.update({key: (cnt, True) for key, cnt in new})
         assert reference_load_cache(path) == want
-        assert Path(path).read_bytes() == b"".join(
-            f"{dg}\t{n}\t{cnt}\t1\n".encode()
-            for (dg, n), (cnt, _) in sorted(want.items()))
+        assert Path(path).read_bytes() == old.encode() + b"".join(
+            f"{dg}\t{n}\t{cnt}\t1\n".encode() for (dg, n), cnt in new)
+
+
+    def test_torn_tail_serves_no_wrong_hit(self, tmp_path):
+        spec = IdealSpec.avoid([Coloring(3, 2, 4, (0, 0, 0, 0))])
+        dg = spec.digest()
+        want = growth(spec, 5).counts
+        head = "".join(f"{'c' * 16}\t{n}\t{n * 101}\t1\n"
+                       for n in range(1, 12)).encode()
+        block = b"".join(ideals._cache_row((dg, n), (cnt, True))
+                         for n, cnt in want.items())
+        path = tmp_path / "growth.tsv"
+        for cut in range(len(block) + 1):
+            # a writer stopped after `cut` bytes of its block
+            path.write_bytes(head + block[:cut])
+            for n, row in load_cache(str(path)).items():
+                if n[0] == dg and row[1]:
+                    assert row[0] == want[n[1]], block[:cut]
+            rec = growth(spec, 5, cache=str(path))
+            assert rec.counts == want and all(rec.exact.values())
+            # a hit only once the last row lacks nothing but its newline
+            assert (rec.nodes == 0) == (cut >= len(block) - 1)
+            # the recount's rows land whole after the torn one
+            got = load_cache(str(path))
+            assert got == reference_load_cache(str(path))
+            assert {key: row for key, row in got.items() if key[0] == dg} \
+                == {(dg, n): (cnt, True) for n, cnt in want.items()}
+            assert len(got) == 11 + 5
+            assert growth(spec, 5, cache=str(path)).nodes == 0
+
+    def test_appended_chunks_match_reference(self, tmp_path):
+        rng = Lcg(77)
+        digests = [b"a" * 16, "\u00e9\u0663".encode() * 4, b"\xe2\x80x"]
+        numbers = [b"1", b"23", "\u0663".encode(), b"\xff"]
+        ends = [b"\n", b"\r\n", b"\r", b"\x85", "\u2028".encode()]
+
+        def row():
+            fields = [pick(rng, digests), pick(rng, numbers),
+                      pick(rng, numbers), pick(rng, [b"0", b"1"])]
+            del fields[draw(rng, 0, 7):draw(rng, 4, 5)]  # most rows whole
+            return b"\t".join(fields)
+
+        path = str(tmp_path / "growth.tsv")
+        seen = {"suffix": 0, "cr|lf": 0, "utf-8": 0, "rows": 0}
+        for _ in range(300):
+            stream = b"".join(row() + pick(rng, ends)
+                              for _ in range(draw(rng, 1, 12)))
+            if rng.bit():
+                stream = stream.rstrip(b"\r\n")  # no final newline
+            # cut anywhere, or after a line end, between \r and \n, or
+            # inside a UTF-8 sequence
+            marks = [range(len(stream) + 1)] + [
+                [i for i in range(1, len(stream)) if test(i)] or [0]
+                for test in (lambda i: stream[i - 1] == 10,
+                             lambda i: stream[i - 1:i + 1] == b"\r\n",
+                             lambda i: stream[i] & 0xC0 == 0x80)]
+            cuts = sorted({pick(rng, pick(rng, marks)) for _ in range(4)})
+            Path(path).write_bytes(b"")
+            load_cache(path)
+            for lo, hi in zip([0] + cuts, cuts + [len(stream)]):
+                before, chunk = stream[:lo], stream[lo:hi]
+                seen["suffix"] += before.endswith(b"\n")
+                seen["cr|lf"] += before.endswith(b"\r") and chunk[:1] == b"\n"
+                seen["utf-8"] += chunk[:1] != b"" and chunk[0] & 0xC0 == 0x80
+                with open(path, "ab") as fh:
+                    fh.write(chunk)
+                want = reference_load_cache(path)
+                assert load_cache(path) == want, stream[:hi]
+                assert load_cache(path) == want, stream[:hi]
+                seen["rows"] += bool(want)
+        assert min(seen.values()) > 100, seen
+
+    def test_concurrent_writers_lose_no_row(self, tmp_path):
+        path = str(tmp_path / "growth.tsv")
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).parent.parent
+                                              / "src"))
+        procs = [subprocess.Popen([sys.executable, "-c", CACHE_WRITER,
+                                   path, str(w)], env=env, text=True,
+                                  stdin=subprocess.PIPE,
+                                  stdout=subprocess.PIPE)
+                 for w in (1, 2)]
+        for proc in procs:
+            assert proc.stdout.readline() == "ready\n"
+        for proc in procs:
+            # both start updating at once
+            proc.stdin.write("go\n")
+            proc.stdin.flush()
+        for proc in procs:
+            proc.communicate(timeout=120)
+            assert proc.returncode == 0
+        want = {(f"{w:08x}{i:08x}", n): (i if n == 1 else w, True)
+                for w in (1, 2) for i in range(300) for n in (1, 2)}
+        assert load_cache(path) == reference_load_cache(path) == want
+
 
 class TestDichotomyVerdicts:
     def test_linear_floor_family(self):

@@ -14,7 +14,11 @@ property fails or nothing is found, and 2 on usage or I/O errors, when
 the engine raises a RuntimeError (RecursionError included) and when a
 verb runs out of memory.  argparse reports usage errors itself; the
 others print one "error:" line on stderr.  A growth level that the node
-budget cannot finish prints count=unknown and keeps exit status 0.
+budget cannot finish prints count=unknown and keeps exit status 0.  A
+value too long to print (the interpreter's integer string limit) exits
+2 with nothing on stdout: growth formats every line before printing
+any, and sequence refuses from a lower bound on the value's digits
+before computing it.
 Identical invocations print identical bytes.  --jobs is accepted for
 compatibility and has no effect: every count is computed in this
 process.  growth --cache appends the exact counts it computed to an
@@ -44,7 +48,8 @@ from .constructions import (Chain, embed_chain, embed_string,
                             make_string_coloring, make_wealthy)
 from .core import Coloring, coloring_from_text, coloring_to_text, contains
 from .ideals import (DEFAULT_BUDGET, IdealSpec, dichotomy_verdict, growth,
-                     ideal_spec_from_text, sequence_value)
+                     ideal_spec_from_text, sequence_exceeds_digits,
+                     sequence_value)
 from .structure import (is_c_simple, is_p_tame, is_r_rich, is_wealthy,
                         nuclear_decomposition, variant_from_text)
 
@@ -243,19 +248,21 @@ def _cmd_growth(args, out: TextIO) -> int:
     if cache is None:
         cache = os.environ.get("HYPERGROWTH_CACHE") or None
     rec = growth(spec, args.n_max, budget=args.budget, cache=cache)
-    for n in range(1, args.n_max + 1):
-        if rec.exact.get(n):
-            print(f"n={n} count={rec.counts[n]}", file=out)
-        else:
-            print(f"n={n} count=unknown", file=out)
-    if args.verdict is None:
-        return 0
-    v = dichotomy_verdict(rec, args.verdict)
-    print(f"classification={v.classification}", file=out)
-    print(f"window={v.window[0]},{v.window[1]}", file=out)
-    for key, val in v.details:
-        print(f"{key}={val}", file=out)
-    return 1 if v.classification == "violation" else 0
+    # every line is formatted before the first is printed, so a count too
+    # long to print leaves stdout empty; the last levels, which hold the
+    # longest counts of a growing ideal, are formatted first
+    lines = [f"n={n} count={rec.counts[n]}" if rec.exact.get(n)
+             else f"n={n} count=unknown"
+             for n in range(args.n_max, 0, -1)][::-1]
+    status = 0
+    if args.verdict is not None:
+        v = dichotomy_verdict(rec, args.verdict)
+        lines.append(f"classification={v.classification}")
+        lines.append(f"window={v.window[0]},{v.window[1]}")
+        lines.extend(f"{key}={val}" for key, val in v.details)
+        status = 1 if v.classification == "violation" else 0
+    out.write("".join(line + "\n" for line in lines))
+    return status
 
 
 def _cmd_sequence(args, out: TextIO) -> int:
@@ -264,6 +271,12 @@ def _cmd_sequence(args, out: TextIO) -> int:
         if name != "Gk":
             raise ValueError("--k only applies to the Gk family")
         name = f"Gk({args.k})"
+    # refuse a value too long to print before spending time on it; 0 (or
+    # a Python without the limit) means no limit
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and sequence_exceeds_digits(name, args.n, limit):
+        raise ValueError(f"{name}({args.n}) exceeds the limit ({limit} "
+                         "digits) for integer string conversion")
     print(f"{name}({args.n})={sequence_value(name, args.n)}", file=out)
     return 0
 

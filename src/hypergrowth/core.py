@@ -60,6 +60,14 @@ def _rank_table(n: int, k: int) -> tuple[tuple[int, ...], ...]:
                  for p in range(k + 1))
 
 
+@cache
+def _colex_table(n: int, k: int) -> tuple[tuple[int, ...], ...]:
+    """X[i][v] = C(v-1, i+1), v <= n: the colex rank of a sorted edge e is
+    sum X[i][e_i], and that of its first p vertices reads the first p rows.
+    """
+    return tuple((0, *(comb(v, i + 1) for v in range(n))) for i in range(k))
+
+
 def edge_index(edge: Iterable[int], n: int, k: int) -> int:
     """0-based rank of a k-subset of [n] in lexicographic order."""
     e = _check_edge(edge, n, k)

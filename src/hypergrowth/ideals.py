@@ -16,24 +16,31 @@ have the same future and are merged, also when they extend different
 members, so one frontier serves a whole level.  Only the levels below
 the last are enumerated, since the next level extends them; the
 last level is counted, the merged prefixes carrying a multiplicity
-instead of a list.  Members are ints holding each edge's color in a
-(l-1).bit_length()-bit field, so one engine serves every color count.
-Everything is big-integer exact; no floating point enters any count.
+instead of a list.  When a counted level has few templates for its
+parents, the multiplicities instead sit in the lanes of one big int,
+one lane per set of templates, as superset sums, and each new edge
+costs a few whole-int operations; see _lane_count.  Members are ints
+holding each edge's color in a (l-1).bit_length()-bit field, so one
+engine serves every color count.  Everything is big-integer exact; no
+floating point enters any count.
 """
 
 from __future__ import annotations
 
 import io
 import os
+import sys
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from math import comb
+from math import comb, log, log10
 from typing import Optional, Sequence
 
 from .core import (AnyColoring, Coloring, ColoringPattern,
-                   IncompatibleColoringsError, _validate_header, all_edges,
-                   coloring_from_lines, coloring_to_text, parse_fields)
+                   IncompatibleColoringsError, _colex_table, _validate_header,
+                   all_edges, coloring_from_lines, coloring_to_text,
+                   parse_fields)
 from .matrices import StarMatrix3, metrics3
 
 DEFAULT_BUDGET = 10 ** 8
@@ -59,18 +66,11 @@ def sequence_G(n: int) -> int:
     G_n = G_{n-1} + G_{n-3} with G_0 = G_1 = G_2 = 1: the compositions of n
     into parts 1 and 3.
     """
-    if n < 0:
-        raise ValueError("G is defined for n >= 0")
-    return sequence_Gk(3, n)
+    return sequence_value("G", n)
 
 
 def sequence_F(n: int) -> int:
-    if n < 1:
-        raise ValueError("F is defined for n >= 1")
-    a, b = 1, 1
-    for _ in range(n - 1):
-        a, b = b, a + b
-    return a
+    return sequence_value("F", n)
 
 
 def sequence_Gk(k: int, n: int) -> int:
@@ -89,19 +89,56 @@ def sequence_Gk(k: int, n: int) -> int:
     return vals[n % k]
 
 
-def sequence_value(name: str, n: int, k: Optional[int] = None) -> int:
-    """Dispatch by sequence name: F, G, Gk (k given separately or as Gk(k))."""
+def _as_gk(name: str, n: int, k: Optional[int]) -> tuple[int, int]:
+    """(part, m) with sequence_value(name, n, k) == sequence_Gk(part, m)."""
     if name == "F":
-        return sequence_F(n)
+        if n < 1:
+            raise ValueError("F is defined for n >= 1")
+        return 2, n - 1
     if name == "G":
-        return sequence_G(n)
+        if n < 0:
+            raise ValueError("G is defined for n >= 0")
+        return 3, n
     if name == "Gk":
         if k is None:
             raise ValueError("sequence Gk needs k")
-        return sequence_Gk(k, n)
+        return k, n
     if name.startswith("Gk(") and name.endswith(")"):
-        return sequence_Gk(int(name[3:-1]), n)
+        return int(name[3:-1]), n
     raise ValueError(f"unknown sequence {name!r}")
+
+
+def sequence_value(name: str, n: int, k: Optional[int] = None) -> int:
+    """Dispatch by sequence name: F, G, Gk (k given separately or as Gk(k))."""
+    return sequence_Gk(*_as_gk(name, n, k))
+
+
+def sequence_exceeds_digits(name: str, n: int, digits: int,
+                            k: Optional[int] = None) -> bool:
+    """True when sequence_value(name, n, k) surely has more than ``digits``
+    decimal digits; decided without computing the value.
+
+    Gk(part, m) >= r**(m - part + 1) for the root r > 1 of x**part =
+    x**(part-1) + 1: the power is at most 1 for m < part, and r**(m-part)
+    + r**(m-2*part+1) = r**(m-2*part+1) * (r**(part-1) + 1) carries the
+    bound through the recurrence.  log10 r is taken a little low, so a
+    value is never reported too long; a False says nothing.
+    """
+    part, m = _as_gk(name, n, k)
+    if not 2 <= part < 2 ** 52:
+        return False  # past 2**52, r - 1 is below a float's resolution
+    # (part-1) ln x + ln(x-1) rises through 0 at r, and logs cannot
+    # overflow for a large part; keep the low end of the bracket
+    lo, hi = 1.0, 2.0
+    for _ in range(64):
+        mid = (lo + hi) / 2
+        if (part - 1) * log(mid) + log(mid - 1) < 0:
+            lo = mid
+        else:
+            hi = mid
+    low_log10 = log10(lo) * (1 - 1e-9)
+    # int-float comparison is exact, so a huge m cannot overflow
+    return low_log10 > 0 and m - part + 1 >= digits / low_log10
 
 
 # --- ideal descriptions -----------------------------------------------------------
@@ -265,6 +302,18 @@ def builtin_count(spec: IdealSpec, n: int) -> int:
     return 1 if n < 2 else 2 ** (n - 2)
 
 
+def builtin_counts(spec: IdealSpec, n_max: int) -> dict[int, int]:
+    """builtin_count(spec, n) for n = 1..n_max, S by one pass of its
+    recurrence rather than one per level."""
+    if spec.name != "S":
+        return {n: builtin_count(spec, n) for n in range(1, n_max + 1)}
+    k = spec.k
+    vals = [1] * k  # Gk(k, m) = 1 for m < k
+    for m in range(k, n_max + 1):
+        vals.append(vals[m - 1] + vals[m - k])
+    return {n: vals[n] for n in range(1, n_max + 1)}
+
+
 def builtin_pattern_basis(spec: IdealSpec) -> tuple[ColoringPattern, ...]:
     """Wildcard forbidden patterns generating the same ideal as the builtin.
 
@@ -311,10 +360,6 @@ class GrowthRecord:
     nodes: int
 
 
-def _colex_rank(edge: Sequence[int]) -> int:
-    return sum(comb(v - 1, i + 1) for i, v in enumerate(edge))
-
-
 def _level_templates(basis: Sequence[AnyColoring], n: int, k: int,
                      w: int) -> list:
     """Injection templates with the last image pinned to vertex n.
@@ -325,28 +370,34 @@ def _level_templates(basis: Sequence[AnyColoring], n: int, k: int,
     edges exactly when ``parent & sel == want``.  ``new`` holds the
     (depth, colour) pairs over the new edges (those containing n), depth
     being the new edge's colex rank without n, and ``last`` is the largest
-    depth, where the frontier checks the template.
+    depth, where the frontier checks the template.  Ranks are sums over
+    the rows of core's cached colex table.
     """
+    rows = _colex_table(n, k)
+    getitem = tuple.__getitem__
+    field = (1 << w) - 1
     out = []
     for b in basis:
         if b.empty or b.n > n:
             continue
+        # an edge's vertices as 0-based positions in the other images; a
+        # new edge drops its last vertex, the one pinned to n
+        old, new_edges = [], []
+        for e, col in zip(b.edges(), b.colors):
+            if col is not None:
+                pos = tuple(v - 1 for v in e if v != b.n)
+                (new_edges if e[-1] == b.n else old).append((pos, col))
         for sub in combinations(range(1, n), b.n - 1):
-            f = sub + (n,)
+            image = sub.__getitem__
             sel = want = 0
-            new: list[tuple[int, int]] = []
-            for e, col in zip(b.edges(), b.colors):
-                if col is None:
-                    continue
-                img = tuple(f[v - 1] for v in e)
-                if img[-1] == n:
-                    new.append((_colex_rank(img[:-1]), col))
-                else:
-                    at = _colex_rank(img) * w
-                    sel |= ((1 << w) - 1) << at
-                    want |= col << at
+            for pos, col in old:
+                at = sum(map(getitem, rows, map(image, pos))) * w
+                sel |= field << at
+                want |= col << at
+            new = tuple((sum(map(getitem, rows, map(image, pos))), col)
+                        for pos, col in new_edges)
             last = max((j for j, _ in new), default=-1)
-            out.append((sel, want, last, tuple(new)))
+            out.append((sel, want, last, new))
     return out
 
 
@@ -373,31 +424,18 @@ def _new_edge_tables(templates: list, nnew: int, l: int):
     return keep, done
 
 
-def _chunk_extend(parents, templates, shift, nnew, l, cap, build):
-    """Extend a level's parents by one frontier; (result, nodes).
+def _active_sets(parents, templates, build) -> dict:
+    """The parent filter: each parent's set of active templates, as a bit
+    set, mapped to the parents that have it, or with ``build`` unset to
+    their number.
 
-    One frontier serves every parent.  It starts from each parent's set
-    of active templates, those whose old part the parent realizes, and
-    runs over the new-edge depths, keying each surviving prefix by the set
-    of active templates it still matches, which is all that later depths
-    read of it; prefixes with one set are merged, across parents too.
-    Counting, a state holds its number of prefixes and the result is
-    their total; with ``build``, a state lists its prefixes, each a parent
-    int with the new colours in ``w``-bit fields (depth j at bit ``shift +
-    j * w``), and the result is those (unsorted) lists of members.
-    ``nodes`` grows by ``l`` per prefix and depth, the sum of the nodes
-    of each parent's depth-first walk.  Once it exceeds ``cap`` the walk
-    stops and the result is None, so a budget drops the same levels as
-    that walk.
+    A template whose old part the parent realizes is active; one without
+    new edges embeds outright, and such a parent has no children.
     """
-    w = (l - 1).bit_length()
-    keep, done = _new_edge_tables(templates, nnew, l)
     checks = [(sel, want, last, 1 << i)
               for i, (sel, want, last, _) in enumerate(templates)]
     frontier: dict = {}
     for parent in parents:
-        # a template whose old part the parent realizes stays active; one
-        # without new edges embeds outright and the parent has no children
         active = 0
         for sel, want, last, tbit in checks:
             if parent & sel == want:
@@ -409,6 +447,121 @@ def _chunk_extend(parents, templates, shift, nnew, l, cap, build):
                 frontier.setdefault(active, []).append(parent)
             else:
                 frontier[active] = frontier.get(active, 0) + 1
+    return frontier
+
+
+# Lanes and masks of one lane count together stay under this many bytes.
+_LANE_BYTES = 1 << 20
+# array typecodes by item size, for lanes of 1, 2, 4 or 8 bytes
+_LANE_TYPECODES = {array(code).itemsize: code for code in "BHILQ"}
+
+
+def _lane_width(nparents: int, l: int, nnew: int) -> int:
+    """Bytes per lane: the least of 1, 2, 4, 8 with room for the most
+    prefixes, nparents * l**nnew, or 0 when 8 bytes are too few."""
+    need = (max(1, nparents * l ** nnew).bit_length() + 7) // 8
+    width = 1 << (need - 1).bit_length()
+    return width if width <= 8 else 0
+
+
+def _lane_bytes(ntemplates: int, nparents: int, l: int, nnew: int) -> int:
+    """Bytes per lane when a counted level takes the lane count, else 0.
+
+    Lanes pay off while there are not many more of them, 2^T, than
+    parents; the T masks, the live lane ints and their temporaries must
+    also fit in _LANE_BYTES.
+    """
+    if ntemplates > 2 + nparents.bit_length():
+        return 0
+    width = _lane_width(nparents, l, nnew)
+    if (ntemplates + 8 << ntemplates) * width > _LANE_BYTES:
+        return 0
+    return width
+
+
+def _lane_count(frontier: dict, templates, nnew, l, cap, width):
+    """Count a level from its filtered parents in superset-sum lanes.
+
+    One int holds a lane of ``width`` bytes per set U of templates, lane U
+    at byte ``U * width``; after the zeta transform lane U holds how many
+    prefixes still match a superset of U, so lane 0 holds them all.  A
+    colour at depth j keeps the lanes of the sets without a template that
+    wants another colour there (an AND with that template's mask), and a
+    template finishing at j with this colour is excluded by one Moebius
+    step, lane U minus lane U+t; the colours' results add up to the next
+    depth's lanes.  Each step leaves a superset sum of non-negative
+    counts, so lane U is at least lane U+t, no subtraction borrows
+    across lanes, and no lane outgrows the prefix bound of _lane_width.
+    Nodes and the cap are charged from lane 0 as the dict frontier
+    charges them.  Returns (count, nodes), or (None, nodes) past the cap.
+    """
+    size = len(templates)
+    bits = 8 * width
+    # masks[t]: all-ones lanes at the sets that lack template t
+    masks = []
+    for t in range(size):
+        run = width << t
+        masks.append(int.from_bytes(
+            (b"\xff" * run + bytes(run)) * (1 << size - t - 1), "little"))
+    packed = array(_LANE_TYPECODES[width], bytes(width << size))
+    for state, mult in frontier.items():
+        packed[state] = mult
+    if sys.byteorder == "big":
+        packed.byteswap()
+    lanes = int.from_bytes(packed.tobytes(), "little")
+    for t, mask in enumerate(masks):
+        lanes += (lanes >> (bits << t)) & mask
+    # (template, colour, whether depth j is its last) for each read at j
+    reads: list[list] = [[] for _ in range(nnew)]
+    for t, (_, _, last, new) in enumerate(templates):
+        for j, col in new:
+            reads[j].append((t, col, j == last))
+    lane0 = (1 << bits) - 1
+    nodes = 0
+    for j in range(nnew):
+        nodes += l * (lanes & lane0)
+        if nodes > cap:
+            return None, nodes
+        by_col = [lanes] * l
+        for t, want, final in reads[j]:
+            mask = masks[t]
+            for col in range(l):
+                if col != want:
+                    by_col[col] &= mask
+            if final:
+                h = by_col[want]
+                by_col[want] = (h & mask) - ((h >> (bits << t)) & mask)
+        lanes = sum(by_col)
+    return lanes & lane0, nodes
+
+
+def _chunk_extend(parents, templates, shift, nnew, l, cap, build):
+    """Extend a level's parents by one frontier; (result, nodes).
+
+    One frontier serves every parent.  It starts from each parent's set
+    of active templates, those whose old part the parent realizes, and
+    runs over the new-edge depths, keying each surviving prefix by the set
+    of active templates it still matches, which is all that later depths
+    read of it; prefixes with one set are merged, across parents too.
+    With ``build``, a state lists its prefixes, each a parent int with the
+    new colours in ``w``-bit fields (depth j at bit ``shift + j * w``),
+    and the result is those (unsorted) lists of members.  Counting, a
+    state holds its number of prefixes and the result is their total;
+    when _lane_bytes admits the level, which depends only on the number
+    of templates and parents and the lane size, _lane_count runs the
+    depths on superset-sum lanes instead of a dict, with the same result
+    and nodes.  ``nodes`` grows by ``l`` per prefix and depth, the sum of
+    the nodes of each parent's depth-first walk.  Once it exceeds ``cap``
+    the walk stops and the result is None, so a budget drops the same
+    levels as that walk.
+    """
+    frontier = _active_sets(parents, templates, build)
+    if not build:
+        width = _lane_bytes(len(templates), len(parents), l, nnew)
+        if width:
+            return _lane_count(frontier, templates, nnew, l, cap, width)
+    w = (l - 1).bit_length()
+    keep, done = _new_edge_tables(templates, nnew, l)
     nodes = 0
     for j, finished in enumerate(done):
         nodes += l * (sum(map(len, frontier.values())) if build
@@ -510,7 +663,7 @@ def growth(spec: IdealSpec, n_max: int, budget: int = DEFAULT_BUDGET,
             return GrowthRecord(digest, spec.k,
                                 counts, {n: True for n in counts}, 0)
     if spec.kind == "builtin":
-        counts = {n: builtin_count(spec, n) for n in range(1, n_max + 1)}
+        counts = builtin_counts(spec, n_max)
         exact = {n: True for n in counts}
         nodes = 0
     else:
@@ -535,7 +688,9 @@ def avoid_members(basis: Sequence[AnyColoring], k: int, l: int, n: int,
     field = (1 << w) - 1
     # member ints hold colours in colex edge order; storage is lex.  Each
     # colour is a w-bit field of an engine int, valid by construction.
-    shifts = [_colex_rank(e) * w for e in all_edges(n, k)]
+    rows = _colex_table(n, k)
+    shifts = [sum(map(tuple.__getitem__, rows, e)) * w
+              for e in all_edges(n, k)]
     return [Coloring._trusted(k, l, n, tuple(m >> at & field for at in shifts))
             for m in members]
 

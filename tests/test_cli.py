@@ -2,6 +2,7 @@
 
 import argparse
 import hashlib
+import json
 import multiprocessing
 import os
 import subprocess
@@ -17,14 +18,14 @@ from hypergrowth.ideals import IdealSpec, load_cache
 from hypergrowth.rng import Lcg
 
 
-def run_cli(*argv, env_extra=None, stdin_text=None):
+def run_cli(*argv, env_extra=None, stdin_text=None, timeout=None):
     env = os.environ.copy()
     env.pop("HYPERGROWTH_CACHE", None)
     if env_extra:
         env.update(env_extra)
     return subprocess.run([sys.executable, "-m", "hypergrowth.cli", *argv],
                           capture_output=True, text=True, env=env,
-                          input=stdin_text)
+                          input=stdin_text, timeout=timeout)
 
 
 def write_coloring(path, c):
@@ -36,6 +37,14 @@ def write_coloring(path, c):
 def parity_file(tmp_path):
     c = Coloring.from_function(3, 2, 10, lambda e: e[0] % 2)
     return write_coloring(tmp_path / "parity.col", c)
+
+
+@pytest.fixture
+def str_digits():
+    """Sets the interpreter's int-to-string digit limit for one test."""
+    old = sys.get_int_max_str_digits()
+    yield sys.set_int_max_str_digits
+    sys.set_int_max_str_digits(old)
 
 
 class TestSequenceVerb:
@@ -68,6 +77,48 @@ class TestSequenceVerb:
     def test_k_flag_rejected_off_gk(self):
         res = run_cli("sequence", "--name", "G", "--k", "3", "--n", "5")
         assert res.returncode == 2
+
+    def test_unprintable_value_refused_before_computing(self):
+        start = time.monotonic()
+        res = run_cli("sequence", "--name", "G", "--n", "100000000000",
+                      env_extra={"PYTHONINTMAXSTRDIGITS": "4300"},
+                      timeout=10)
+        assert time.monotonic() - start < 1.0
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert res.stderr == ("error: G(100000000000) exceeds the limit "
+                              "(4300 digits) for integer string "
+                              "conversion\n")
+
+    def test_limit_near_and_off(self, capsys, str_digits):
+        str_digits(4300)
+        # F(20500) has 4284 digits and is printed; F(20700) has 4326
+        assert main_in_process(["sequence", "--name", "F", "--n", "20500"],
+                               capsys)[0] == 0
+        rc, out = main_in_process(["sequence", "--name", "F", "--n",
+                                   "20700"], capsys)
+        assert (rc, out) == (2, "")
+        # a limit of 0 is no limit, and nothing is refused
+        str_digits(0)
+        rc, out = main_in_process(["sequence", "--name", "F", "--n",
+                                   "20700"], capsys)
+        assert rc == 0 and len(out) == len("F(20700)=\n") + 4326
+
+    def test_benchmark_digests_unchanged(self, capsys):
+        path = os.path.join(os.path.dirname(__file__), os.pardir, "bench",
+                            "expected_cli.json")
+        with open(path, encoding="utf-8") as fh:
+            pinned = {key: want for key, want in json.load(fh).items()
+                      if key.startswith("sequence ")}
+        assert len(pinned) == 8
+        for key, want in pinned.items():
+            _, name, k, n = key.split()
+            argv = ["sequence", "--name", name, "--n", n]
+            if k != "None":
+                argv += ["--k", k]
+            rc, out = main_in_process(argv, capsys)
+            digest = hashlib.sha256(out.encode()).hexdigest()[:16]
+            assert f"{rc}:{digest}" == want, key
 
 
 class TestGrowthVerb:
@@ -111,6 +162,30 @@ class TestGrowthVerb:
             in lines
         assert "window=1,8" in lines
         assert "eq_G=true" in lines
+
+    def test_unprintable_count_prints_nothing(self, capsys, str_digits):
+        # F(20577) is the first count of S(2) past 4300 digits, and the
+        # 20,576 printable lines ahead of it must not be printed either
+        str_digits(4300)
+        rc = cli.main(["growth", "--spec", "builtin:S,k=2", "--n-max",
+                       "21000"])
+        got = capsys.readouterr()
+        assert rc == 2
+        assert got.out == ""
+        assert len(got.err.splitlines()) == 1
+        assert got.err.startswith("error: Exceeds the limit (4300 digits)")
+
+    def test_failed_verdict_prints_nothing(self, tmp_path, capsys):
+        spec = IdealSpec.avoid([Coloring(3, 2, 4, (0, 0, 0, 0))])
+        path = tmp_path / "base.is"
+        path.write_text(spec.canonical_text())
+        # no level finishes under a zero budget, so no verdict can be read,
+        # and the four count=unknown lines must not be printed either
+        rc = cli.main(["growth", "--spec", f"avoid:{path}", "--n-max", "4",
+                       "--budget", "0", "--verdict", "constant"])
+        got = capsys.readouterr()
+        assert (rc, got.out) == (2, "")
+        assert got.err == "error: record has no exact counts\n"
 
     def test_bad_spec_forms(self):
         assert run_cli("growth", "--spec", "builtin:S", "--n-max",

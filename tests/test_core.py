@@ -3,13 +3,14 @@
 import inspect
 import sys
 from itertools import combinations, product
+from math import comb
 from pathlib import Path
 
 import pytest
 
 from hypergrowth.core import (Coloring, ColoringPattern,
                               IncompatibleColoringsError, InvalidEdgeError,
-                              all_edges, coloring_from_text, coloring_to_text,
+                              _colex_table, all_edges, coloring_from_text, coloring_to_text,
                               contains, edge_index, edge_unindex, homogeneity,
                               injection_witnesses, relabel,
                               restrict_normalize, reverse)
@@ -53,6 +54,20 @@ class TestEdgeIndexing:
             for i, e in enumerate(all_edges(n, k)):
                 assert edge_index(e, n, k) == i == rank_oracle(e, n, k)
                 assert edge_unindex(i, n, k) == e
+
+    def test_colex_table_matches_binomial_sums(self):
+        for k in range(2, 6):
+            for n in range(1, 13):
+                rows = _colex_table(n, k)
+                ranks = []
+                for e in all_edges(n, k):
+                    # every prefix too: template build reads k-1 rows
+                    for p in range(1, k + 1):
+                        assert sum(map(tuple.__getitem__, rows, e[:p])) == \
+                            sum(comb(v - 1, i + 1)
+                                for i, v in enumerate(e[:p]))
+                    ranks.append(sum(map(tuple.__getitem__, rows, e)))
+                assert sorted(ranks) == list(range(comb(n, k)))
 
     def test_accepts_any_vertex_order(self):
         assert edge_index((5, 1, 3), 5, 3) == edge_index((1, 3, 5), 5, 3)

@@ -19,12 +19,14 @@ from hypergrowth.core import (Coloring, ColoringPattern,
                               restrict_normalize)
 from hypergrowth.ideals import (BUILTIN_NAMES, GrowthRecord, IdealSpec,
                                 avoid_growth, avoid_members, builtin_count,
-                                builtin_member, builtin_members,
-                                builtin_pattern_basis, census_distinct,
+                                builtin_counts, builtin_member,
+                                builtin_members, builtin_pattern_basis,
+                                census_distinct,
                                 count_p_tame, dichotomy_verdict, fnv1a64,
                                 growth, ideal_spec_from_text,
                                 ideal_spec_to_text, load_cache, sequence_F,
-                                sequence_G, sequence_Gk, sequence_value,
+                                sequence_G, sequence_Gk,
+                                sequence_exceeds_digits, sequence_value,
                                 update_cache)
 from hypergrowth.rng import Lcg
 from hypergrowth.structure import is_p_tame
@@ -168,6 +170,33 @@ class TestSequences:
         with pytest.raises(ValueError):
             sequence_value("H", 5)
 
+    def test_digit_bound_never_refuses_a_printable_value(self):
+        for name, k in (("F", None), ("G", None), ("Gk", 2), ("Gk", 4),
+                        ("Gk", 9)):
+            for n in range(1, 1200, 7):
+                digits = len(str(sequence_value(name, n, k)))
+                for limit in (digits - 1, digits, digits + 1):
+                    if sequence_exceeds_digits(name, n, limit, k):
+                        assert limit < digits, (name, k, n, limit)
+
+    def test_digit_bound_is_tight(self):
+        # the bound refuses within 2 % of the first n past the limit
+        for name, k in (("F", None), ("G", None), ("Gk", 5)):
+            first = next(n for n in range(1, 10 ** 4)
+                         if len(str(sequence_value(name, n, k))) > 150)
+            refused = next(n for n in range(1, 10 ** 4)
+                           if sequence_exceeds_digits(name, n, 150, k))
+            assert first <= refused <= first * 1.02, (name, first, refused)
+
+    def test_digit_bound_needs_no_value(self):
+        assert sequence_exceeds_digits("G", 10 ** 11, 4300)
+        assert sequence_exceeds_digits("Gk(4)", 10 ** 400, 10 ** 30)
+        assert not sequence_exceeds_digits("F", 20500, 4300)
+        # out-of-range parts decide nothing; the value's own checks report
+        assert not sequence_exceeds_digits("Gk", 10 ** 6, 10, k=1)
+        with pytest.raises(ValueError, match="G is defined"):
+            sequence_exceeds_digits("G", -1, 10)
+
 
 class TestDigest:
     def test_hash_reference_vectors(self):
@@ -279,6 +308,14 @@ class TestBuiltinFamilies:
         with pytest.raises(IncompatibleColoringsError):
             builtin_member(IdealSpec.builtin("S", 3),
                            Coloring.constant(4, 2, 5, 0))
+
+    def test_counts_in_one_pass_match_closed_forms(self):
+        for name in BUILTIN_NAMES:
+            for k in (3,) if name == "w1tight" else (2, 3, 4, 5):
+                spec = IdealSpec.builtin(name, k)
+                assert builtin_counts(spec, 300) == \
+                    {n: builtin_count(spec, n) for n in range(1, 301)}
+                assert builtin_counts(spec, 1) == {1: 1}
 
     def test_pattern_basis_recounts_families(self):
         for name in BUILTIN_NAMES:
@@ -553,6 +590,135 @@ class TestMergedFrontier:
                 [base], k, l, n, total - 1, build_last)
             assert exact[n - 1] and not exact[n] and n not in counts
             assert nodes < total
+
+
+def force_lanes(m, lanes):
+    """Send every counted level to the lane count or to the dict."""
+    if lanes:
+        m.setattr(ideals, "_lane_bytes",
+                  lambda ntemplates, nparents, l, nnew:
+                  ideals._lane_width(nparents, l, nnew))
+    else:
+        m.setattr(ideals, "_lane_bytes", lambda *args: 0)
+
+
+class TestLaneCount:
+    """A counted level in superset-sum lanes must match the dict frontier:
+    counts, exactness and nodes, so budgets drop the same levels."""
+
+    def both_paths(self, monkeypatch, fn):
+        got = []
+        for lanes in (False, True):
+            with monkeypatch.context() as m:
+                force_lanes(m, lanes)
+                got.append(fn())
+        assert got[0] == got[1]
+        return got[0]
+
+    def test_matches_dict_frontier(self, monkeypatch):
+        rng = Lcg(41)
+        calls = []
+        lane_count = ideals._lane_count
+        monkeypatch.setattr(ideals, "_lane_count",
+                            lambda *a: calls.append(a[5]) or lane_count(*a))
+        dropped = 0
+        for case in range(60):
+            k, l = 2 + case % 3, 2 + case // 3 % 3
+            # at most 12 templates at the counted level, so 2^T lanes stay
+            # small when the choice is forced
+            while True:
+                basis = random_basis(rng, k, l, draw(rng, 1, 2),
+                                     draw(rng, 0, 1) == 1)
+                n_max = k + draw(rng, 1, 3)
+                if len(ideals._level_templates(
+                        basis, n_max, k, (l - 1).bit_length())) <= 12:
+                    break
+            _, _, nodes = self.both_paths(
+                monkeypatch, lambda: avoid_growth(basis, k, l, n_max))
+            for budget in (nodes, max(1, nodes - 1)):
+                _, exact, _ = self.both_paths(
+                    monkeypatch,
+                    lambda: avoid_growth(basis, k, l, n_max, budget))
+                dropped += not exact[n_max]
+        assert dropped > 0
+        # every case counted its last level in lanes at least twice, in
+        # lanes of 1, 2 and 4 bytes
+        assert len(calls) >= 2 * 60 and {1, 2, 4} <= set(calls)
+
+    @pytest.mark.parametrize("basis, k, l, n_max, last", [
+        # T = 0: the last level is below the basis's size
+        ([Coloring(3, 2, 5, (0,) * 10)], 3, 2, 4, 16),
+        # a pattern with no colour on an edge through its last vertex: its
+        # templates have no new edges, and a matching parent has no child
+        ([ColoringPattern(2, 3, 3, (1, None, None))], 2, 3, 4, 8 * 27),
+        ([ColoringPattern(3, 4, 4, (2, None, None, None)),
+          Coloring(3, 4, 4, (0, 1, 2, 3))], 3, 4, 5, None),
+        # both colours of the only edge on 2 vertices: level 2 is empty,
+        # so level 3 has no parents
+        ([Coloring(2, 2, 2, (0,)), Coloring(2, 2, 2, (1,))], 2, 2, 3, 0)])
+    def test_edge_cases(self, monkeypatch, basis, k, l, n_max, last):
+        counts, exact, nodes = self.both_paths(
+            monkeypatch, lambda: avoid_growth(basis, k, l, n_max))
+        assert all(exact.values())
+        if last is not None:
+            assert counts[n_max] == last
+        for budget in (nodes, nodes - 1):
+            if budget > 0:
+                self.both_paths(
+                    monkeypatch,
+                    lambda: avoid_growth(basis, k, l, n_max, budget))
+
+    def test_empty_parent_list_and_no_templates(self, monkeypatch):
+        templates = ideals._level_templates(
+            [Coloring(3, 3, 4, (0, 1, 2, 0))], 5, 3, 2)
+        for tpl in (templates, []):
+            assert self.both_paths(monkeypatch, lambda: ideals._chunk_extend(
+                [], tpl, comb(4, 3) * 2, comb(4, 2), 3, 10 ** 9,
+                False)) == (0, 0)
+        # one parent, nothing to avoid: every colouring of the 6 new edges,
+        # l nodes for each of the l**j prefixes at depth j
+        assert self.both_paths(monkeypatch, lambda: ideals._chunk_extend(
+            [0], [], comb(4, 3) * 2, comb(4, 2), 3, 10 ** 9,
+            False)) == (3 ** 6, 3 * (3 ** 6 - 1) // 2)
+
+    def test_window_levels_choose_lanes(self):
+        # n = 6: 10 templates over 768 parents; n = 7: 20 templates over
+        # 477,965 parents, whose masks alone would take 160 MB
+        assert ideals._lane_bytes(10, 768, 2, comb(5, 2)) == 4
+        assert ideals._lane_bytes(20, 477965, 2, comb(6, 2)) == 0
+        assert ideals._lane_width(477965, 2, comb(6, 2)) == 8
+        # more templates than 2 plus the parents' bit length: the dict
+        assert ideals._lane_bytes(7, 15, 2, 3) == 0
+        assert ideals._lane_bytes(6, 15, 2, 3) == 1
+
+    def test_cap_keeps_n7_window_count_at_dict_peak(self, monkeypatch):
+        """Traced, the n=7 window level allocates no more than on the
+        dict path.  The parent filter runs untraced (traced, it alone
+        takes half a minute), and a budget just below the first depth's
+        nodes stops either path right after its set-up, which is where a
+        lane count allocates its lanes and masks."""
+        base = Coloring(3, 2, 4, (0, 0, 0, 0))
+        parents = ideals._grow([base], 3, 2, 6, 10 ** 12, True)[3]
+        templates = ideals._level_templates([base], 7, 3, 1)
+        frontier = ideals._active_sets(parents, templates, False)
+        monkeypatch.setattr(ideals, "_active_sets", lambda *args: frontier)
+        cap = 2 * len(parents) - 1
+
+        def traced_peak():
+            tracemalloc.start()
+            try:
+                got = ideals._chunk_extend(parents, templates, comb(6, 3),
+                                           comb(6, 2), 2, cap, False)
+                return got, tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        chosen, chosen_peak = traced_peak()
+        with monkeypatch.context() as m:
+            force_lanes(m, False)
+            on_dict, dict_peak = traced_peak()
+        assert chosen == on_dict == (None, 2 * len(parents))
+        assert chosen_peak <= dict_peak + (64 << 10)
 
 
 class TestGrowthCache:

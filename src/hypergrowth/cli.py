@@ -11,14 +11,14 @@ space-separated key=value fields, followed where applicable by one
 serialized object block (coloring or matrix text).  Exit status is 0 when
 the command succeeds and any tested property holds, 1 when a tested
 property fails or nothing is found, and 2 on usage or I/O errors, when
-the engine raises a RuntimeError (RecursionError included) and when a
-verb runs out of memory.  argparse reports usage errors itself; the
-others print one "error:" line on stderr.  A growth level that the node
-budget cannot finish prints count=unknown and keeps exit status 0.  A
-value too long to print (the interpreter's integer string limit) exits
-2 with nothing on stdout: growth formats every line before printing
-any, and sequence refuses from a lower bound on the value's digits
-before computing it.
+the engine raises a RuntimeError (RecursionError included), when a size
+overflows an index (OverflowError) and when a verb runs out of memory.
+argparse reports usage errors itself; the others print one "error:"
+line on stderr.  A growth level that the node budget cannot finish
+prints count=unknown and keeps exit status 0.  A value too long to
+print (the interpreter's integer string limit) exits 2 with nothing on
+stdout: growth formats every line before printing any, and sequence
+refuses from a lower bound on the value's digits before computing it.
 Identical invocations print identical bytes.  --jobs is accepted for
 compatibility and has no effect: every count is computed in this
 process.  growth --cache appends the exact counts it computed to an
@@ -420,8 +420,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args, sys.stdout)
-    except (OSError, ValueError, KeyError, RuntimeError) as exc:
-        # RuntimeError includes RecursionError
+    except (OSError, ValueError, KeyError, RuntimeError,
+            OverflowError) as exc:
+        # RuntimeError includes RecursionError; OverflowError is a size
+        # past what a list or range can index
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError:

@@ -33,15 +33,16 @@ import sys
 from array import array
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, product
 from math import comb, log, log10
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .core import (AnyColoring, Coloring, ColoringPattern,
                    IncompatibleColoringsError, _colex_table, _validate_header,
                    all_edges, coloring_from_lines, coloring_to_text,
                    parse_fields)
-from .matrices import StarMatrix3, metrics3
+from .matrices import metrics3
+from .structure import crossing_matrix
 
 DEFAULT_BUDGET = 10 ** 8
 
@@ -83,10 +84,23 @@ def sequence_Gk(k: int, n: int) -> int:
         raise ValueError("part size k must be >= 2")
     if n < 0:
         raise ValueError("Gk is defined for n >= 0")
-    vals = [1] * k  # a(m) at index m % k, for the last k values of m
-    for m in range(k, n + 1):
-        vals[m % k] += vals[(m - 1) % k]
-    return vals[n % k]
+    return next(_gk_values(k, n, n))
+
+
+def _gk_values(part: int, first: int, last: int) -> Iterator[int]:
+    """sequence_Gk(part, m) for m = first..last, 0 <= first.
+
+    Every m < part has the value 1.  The ring of the last part values is
+    built only when m reaches part, so a huge part costs nothing below it.
+    """
+    for _ in range(first, min(last + 1, part)):
+        yield 1
+    if last >= part:
+        ring = [1] * part  # a(m) at index m % part
+        for m in range(part, last + 1):
+            ring[m % part] += ring[(m - 1) % part]
+            if m >= first:
+                yield ring[m % part]
 
 
 def _as_gk(name: str, n: int, k: Optional[int]) -> tuple[int, int]:
@@ -307,11 +321,7 @@ def builtin_counts(spec: IdealSpec, n_max: int) -> dict[int, int]:
     recurrence rather than one per level."""
     if spec.name != "S":
         return {n: builtin_count(spec, n) for n in range(1, n_max + 1)}
-    k = spec.k
-    vals = [1] * k  # Gk(k, m) = 1 for m < k
-    for m in range(k, n_max + 1):
-        vals.append(vals[m - 1] + vals[m - k])
-    return {n: vals[n] for n in range(1, n_max + 1)}
+    return dict(zip(range(1, n_max + 1), _gk_values(spec.k, 1, n_max)))
 
 
 def builtin_pattern_basis(spec: IdealSpec) -> tuple[ColoringPattern, ...]:
@@ -789,13 +799,25 @@ def census_distinct(colorings: Sequence[AnyColoring]) -> int:
 
 @lru_cache(maxsize=64)
 def count_p_tame(n: int, p: int) -> int:
-    """Exhaustive count of p-tame two-colorings of [n], n <= 6.
+    """Exhaustive count of p-tame two-colorings of [n], n <= 6, summed over
+    the end a of the first nuclear interval A = [1, a].
 
-    Small n keeps the nuclear decomposition short (at most two intervals),
-    so tameness reduces to the two doubled crossing matrices of the single
-    interval pair; their metrics are precomputed for every assignment of
-    the relevant edges and the 2^C(n,3) colorings stream through table
-    lookups.  The count is pure in (n, p), so it is memoized.
+    [1, 3] holds one edge, so it is always homogeneous and a >= 3.  For
+    n <= 6 the rest B = [a+1, n] then has at most three vertices and at
+    most one edge, so it is the second and last interval.  Two intervals
+    meet conditions 1-3; 4 and 5 read the doubled crossing matrices
+    M_{A,A,B} and M_{A,B,B}, whose cells are disjoint sets of cross edges.
+    A coloring with split a is a colour c inside A, a tame key of each
+    matrix, the AAB key with some edge (x, y, a+1) not of colour c (the
+    greedy break), and any colours inside B:
+
+        count = 2 + sum over a = 3..n-1 of N_AAB(a) * N_ABB(a) * 2^C(n-a, 3)
+
+    The 2 is the two constant colorings (a = n).  A tame AAB key counts
+    once for each c its break edges do not all match, which is the number
+    of distinct colours among them.  Each key is put on its cells by
+    Coloring.from_map and read back through structure.crossing_matrix.
+    The count is pure in (n, p), so it is memoized.
     """
     if p < 3:
         raise ValueError("threshold p must be at least 3")
@@ -803,73 +825,26 @@ def count_p_tame(n: int, p: int) -> int:
         raise ValueError("exhaustive census capped at n <= 6")
     if n < 3:
         return 1
-    edges = list(all_edges(n, 3))
-    eidx = {e: i for i, e in enumerate(edges)}
-    nbits = len(edges)
 
-    interval_mask = {}
-    for a in range(1, n + 1):
-        for bnd in range(a, n + 1):
-            m = 0
-            for e in combinations(range(a, bnd + 1), 3):
-                m |= 1 << eidx[e]
-            interval_mask[(a, bnd)] = m
+    def tame_keys(x: range, y: range,
+                  z: range) -> Iterator[dict[tuple[int, ...], int]]:
+        # every colouring of the cells of M_{x,y,z} meeting conditions 4, 5
+        cells = sorted({tuple(sorted(e)) for e in product(x, y, z)
+                        if len(set(e)) == 3})
+        for key in range(1 << len(cells)):
+            keyed = {e: key >> i & 1 for i, e in enumerate(cells)}
+            m = metrics3(crossing_matrix(Coloring.from_map(3, 2, n, keyed),
+                                         x, y, z))
+            if m.al <= p and len(m.r_set) <= p and len(m.c_set) <= p:
+                yield keyed
 
-    def nuclear_split(mask: int) -> Optional[int]:
-        # returns the end of the first interval, or None if it spans [n]
-        end = 1
-        while end < n:
-            im = interval_mask[(1, end + 1)]
-            part = mask & im
-            if part != 0 and part != im:
-                return end
-            end += 1
-        return None
-
-    tables = {}
-
-    def pair_tables(a: int):
-        # metrics tables for M_{A,A,B} and M_{A,B,B}, A=[1,a], B=[a+1,n]
-        xs = list(range(1, a + 1))
-        zs = list(range(a + 1, n + 1))
-        out = []
-        for shape in ((xs, xs, zs), (xs, zs, zs)):
-            cells = sorted({tuple(sorted({u, v, w}))
-                            for u in shape[0] for v in shape[1] for w in shape[2]
-                            if len({u, v, w}) == 3})
-            pos = {e: i for i, e in enumerate(cells)}
-            dims = (len(shape[0]), len(shape[1]), len(shape[2]))
-            table = []
-            for key in range(1 << len(cells)):
-                def entry(i, j, kk):
-                    e = {shape[0][i - 1], shape[1][j - 1], shape[2][kk - 1]}
-                    if len(e) != 3:
-                        return None
-                    return key >> pos[tuple(sorted(e))] & 1
-                met = metrics3(StarMatrix3.build(dims, entry))
-                table.append((met.al, len(met.r_set), len(met.c_set)))
-            out.append((tuple(eidx[e] for e in cells), table))
-        return out
-
-    total = 0
-    for mask in range(1 << nbits):
-        split = nuclear_split(mask)
-        if split is None:
-            total += 1
-            continue
-        if split not in tables:
-            tables[split] = pair_tables(split)
-        ok = True
-        for positions, table in tables[split]:
-            key = 0
-            for slot, bitpos in enumerate(positions):
-                key |= (mask >> bitpos & 1) << slot
-            al, nr, nc = table[key]
-            if al > p or nr > p or nc > p:
-                ok = False
-                break
-        if ok:
-            total += 1
+    total = 2
+    for a in range(3, n):
+        xs, zs = range(1, a + 1), range(a + 1, n + 1)
+        n_aab = sum(len({col for e, col in keyed.items() if e[2] == a + 1})
+                    for keyed in tame_keys(xs, xs, zs))
+        n_abb = sum(1 for _ in tame_keys(xs, zs, zs))
+        total += n_aab * n_abb * 2 ** comb(n - a, 3)
     return total
 
 

@@ -62,6 +62,16 @@ class TestSequenceVerb:
         inline = run_cli("sequence", "--name", "Gk(4)", "--n", "9")
         assert flag.stdout == inline.stdout == "Gk(4)(9)=10\n"
 
+    def test_huge_part_builds_no_ring(self, capsys):
+        huge = "100000000000000000000"
+        rc, out = main_in_process(["sequence", "--name", "Gk", "--k", huge,
+                                   "--n", "5"], capsys)
+        assert (rc, out) == (0, f"Gk({huge})(5)=1\n")
+        rc, out = main_in_process(["growth", "--spec", f"builtin:S,k={huge}",
+                                   "--n-max", "5"], capsys)
+        assert (rc, out) == (0, "".join(f"n={n} count=1\n"
+                                        for n in range(1, 6)))
+
     def test_unknown_name_is_usage_error(self):
         res = run_cli("sequence", "--name", "Z", "--n", "3")
         assert res.returncode == 2
@@ -281,6 +291,15 @@ class TestErrorExits:
         assert rc == 2
         assert got.out == ""
         assert got.err == "error: maximum depth exceeded\n"
+
+    def test_index_overflow_exits_two(self, capsys):
+        rc = cli.main(["make", "chain-matrix",
+                       "--m", "100000000000000000000"])
+        got = capsys.readouterr()
+        assert rc == 2
+        assert got.out == ""
+        assert got.err.startswith("error: ")
+        assert got.err.count("\n") == 1
 
     def test_out_of_memory_exits_two(self, monkeypatch, capsys):
         def fail(*args, **kwargs):

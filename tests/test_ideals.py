@@ -154,6 +154,13 @@ class TestSequences:
             tracemalloc.stop()
         assert peak < 1 << 20
 
+    def test_huge_part_is_one_below_it(self):
+        huge = 10 ** 20
+        assert [sequence_Gk(huge, n) for n in range(6)] == [1] * 6
+        assert sequence_Gk(huge, huge - 1) == 1
+        assert builtin_counts(IdealSpec.builtin("S", huge), 5) == \
+            {n: 1 for n in range(1, 6)}
+
     def test_validation(self):
         with pytest.raises(ValueError):
             sequence_Gk(1, 5)
@@ -1244,15 +1251,21 @@ class TestTameCensus:
             [1, 1, 2, 16, 1024]
 
     def test_agrees_with_direct_classifier(self):
-        for n in (3, 4, 5):
-            edges = list(all_edges(n, 3))
-            direct = sum(
-                is_p_tame(Coloring(3, 2, n, cols), 3).tame
-                for cols in product((0, 1), repeat=len(edges)))
-            assert direct == count_p_tame(n, 3)
+        for p in (3, 4):
+            for n in (3, 4, 5):
+                edges = list(all_edges(n, 3))
+                direct = sum(
+                    is_p_tame(Coloring(3, 2, n, cols), p).tame
+                    for cols in product((0, 1), repeat=len(edges)))
+                assert direct == count_p_tame(n, p)
 
     def test_six_vertex_census(self):
         assert count_p_tame(6, 3) == 1031116
+
+    def test_six_vertex_census_above_three(self):
+        # every colouring of [6] is p-tame for p >= 4
+        for p in (4, 5, 6):
+            assert count_p_tame(6, p) == 1048576
 
     def test_known_wild_coloring(self):
         c = Coloring.from_map(3, 2, 6, {(1, 2, 6): 1, (1, 4, 6): 1})

@@ -240,13 +240,13 @@ def _string_bits(w: Union[str, Sequence[int]]) -> str:
     s = "".join(str(int(ch)) for ch in w) if not isinstance(w, str) else w
     if set(s) - {"0", "1"}:
         raise ValueError("string must be binary")
-    if len(s) % 2 == 0 or not s:
-        raise ValueError("string length must be odd")
     return s
 
 
 def embed_string(w: Union[str, Sequence[int]], mode: str) -> StringEmbedding:
     s = _string_bits(w)
+    if len(s) % 2 == 0:
+        raise ValueError("string length must be odd")
     n = (len(s) + 1) // 2
     a = [int(s[2 * i - 2]) for i in range(1, n + 1)]   # diagonal, 1-based
     b = [int(s[2 * i - 1]) for i in range(1, n)]       # superdiagonal
@@ -355,9 +355,7 @@ def make_string_coloring(w: Union[str, Sequence[int]], t: int, r: int,
     """
     if t not in (0, 1):
         raise ValueError("t must be 0 or 1")
-    ws = "".join(str(int(ch)) for ch in w) if not isinstance(w, str) else w
-    if set(ws) - {"0", "1"}:
-        raise ValueError("string must be binary")
+    ws = _string_bits(w)
     if not ws:
         raise ValueError("string must be nonempty")
     if str(t) * 2 in ws:

@@ -5,7 +5,8 @@ Vertices are the 1-based integers [n] = {1, ..., n}; colors are 0-based,
 [n].  Edges are stored by their rank in the lexicographic order of sorted
 vertex tuples, so a coloring is just (k, l, n) plus a tuple of C(n, k)
 colors.  A coloring with n < k has no edges; such empty colorings are
-legal and compare contained in everything of at least their size.
+legal and compare contained in everything of at least their size.  A
+pattern stores the same way, with None for an unspecified edge.
 
 Ranks come from one cached table per (n, k), T[p][v] = C(n-v, k-p): the
 edges after a sorted edge e agree with it before some position p and are
@@ -23,7 +24,8 @@ from functools import cache
 from itertools import combinations
 from math import comb
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator, Mapping, Optional, Union
+from typing import (Callable, Iterable, Iterator, Mapping, Optional,
+                    Sequence, Union)
 
 
 class InvalidEdgeError(ValueError):
@@ -102,7 +104,56 @@ def _validate_header(k: int, l: int, n: int) -> int:
 
 
 @dataclass(frozen=True)
-class Coloring:
+class _EdgeColors:
+    """The store Coloring and ColoringPattern share: (k, l, n) and one
+    colour per edge of [n] in lexicographic edge order.
+
+    Each public class adds only its own rules.  Neither derives from the
+    other, so a Coloring never equals a ColoringPattern with the same
+    fields.  _wild lets a colour be None (unspecified).
+    """
+
+    k: int
+    l: int
+    n: int
+    colors: tuple[Optional[int], ...]
+
+    _wild = False
+
+    def __post_init__(self):
+        want = _validate_header(self.k, self.l, self.n)
+        if len(self.colors) != want:
+            raise ValueError(f"expected {want} colors, got {len(self.colors)}")
+        cols = self.colors
+        # wildcards leave first, so a Coloring's loop tests no None
+        if self._wild:
+            cols = [c for c in cols if c is not None]
+        for c in cols:
+            if not isinstance(c, int) or not 0 <= c < self.l:
+                raise ValueError(f"color {c!r} outside 0..{self.l - 1}")
+
+    @property
+    def empty(self) -> bool:
+        return self.n < self.k
+
+    def color(self, edge: Iterable[int]) -> Optional[int]:
+        return self.colors[edge_index(edge, self.n, self.k)]
+
+    def edges(self) -> Iterator[Edge]:
+        return all_edges(self.n, self.k)
+
+    @classmethod
+    def _from_map(cls, k: int, l: int, n: int,
+                  assign: Mapping[Iterable[int], int],
+                  filler: Optional[int]):
+        m = _validate_header(k, l, n)
+        cols = [filler] * m
+        for edge, c in assign.items():
+            cols[edge_index(edge, n, k)] = c
+        return cls(k, l, n, tuple(cols))
+
+
+class Coloring(_EdgeColors):
     """An edge l-coloring of the complete k-uniform hypergraph on [n].
 
     Colours are checked once, where they enter: the public constructors
@@ -111,19 +162,6 @@ class Coloring:
     which skips the per-colour loop: the parser's ``bits`` form after its
     digit and count checks, and the engine's decode in avoid_members.
     """
-
-    k: int
-    l: int
-    n: int
-    colors: tuple[int, ...]
-
-    def __post_init__(self):
-        want = _validate_header(self.k, self.l, self.n)
-        if len(self.colors) != want:
-            raise ValueError(f"expected {want} colors, got {len(self.colors)}")
-        for c in self.colors:
-            if not isinstance(c, int) or not 0 <= c < self.l:
-                raise ValueError(f"color {c!r} outside 0..{self.l - 1}")
 
     @classmethod
     def _trusted(cls, k: int, l: int, n: int,
@@ -139,16 +177,6 @@ class Coloring:
         object.__setattr__(c, "colors", colors)
         return c
 
-    @property
-    def empty(self) -> bool:
-        return self.n < self.k
-
-    def color(self, edge: Iterable[int]) -> int:
-        return self.colors[edge_index(edge, self.n, self.k)]
-
-    def edges(self) -> Iterator[Edge]:
-        return all_edges(self.n, self.k)
-
     @classmethod
     def constant(cls, k: int, l: int, n: int, color: int = 0) -> "Coloring":
         m = _validate_header(k, l, n)
@@ -160,11 +188,7 @@ class Coloring:
     def from_map(cls, k: int, l: int, n: int, assign: Mapping[Iterable[int], int],
                  filler: int = 0) -> "Coloring":
         """Coloring with the given edge colors, filler everywhere else."""
-        m = _validate_header(k, l, n)
-        cols = [filler] * m
-        for edge, c in assign.items():
-            cols[edge_index(edge, n, k)] = c
-        return cls(k, l, n, tuple(cols))
+        return cls._from_map(k, l, n, assign, filler)
 
     @classmethod
     def from_function(cls, k: int, l: int, n: int,
@@ -173,49 +197,33 @@ class Coloring:
         return cls(k, l, n, tuple(fn(e) for e in all_edges(n, k)))
 
 
-@dataclass(frozen=True)
-class ColoringPattern:
+class ColoringPattern(_EdgeColors):
     """Partially specified coloring; a None color matches anything.
 
     Used as the small side of containment searches when only some edges
     of a generated shape are pinned down.
     """
 
-    k: int
-    l: int
-    n: int
-    colors: tuple[Optional[int], ...]
-
-    def __post_init__(self):
-        want = _validate_header(self.k, self.l, self.n)
-        if len(self.colors) != want:
-            raise ValueError(f"expected {want} colors, got {len(self.colors)}")
-        for c in self.colors:
-            if c is not None and (not isinstance(c, int)
-                                  or not 0 <= c < self.l):
-                raise ValueError(f"color {c!r} outside 0..{self.l - 1}")
-
-    @property
-    def empty(self) -> bool:
-        return self.n < self.k
-
-    def color(self, edge: Iterable[int]) -> Optional[int]:
-        return self.colors[edge_index(edge, self.n, self.k)]
-
-    def edges(self) -> Iterator[Edge]:
-        return all_edges(self.n, self.k)
+    _wild = True
 
     @classmethod
     def from_map(cls, k: int, l: int, n: int,
                  assign: Mapping[Iterable[int], int]) -> "ColoringPattern":
-        m = _validate_header(k, l, n)
-        cols: list[Optional[int]] = [None] * m
-        for edge, c in assign.items():
-            cols[edge_index(edge, n, k)] = c
-        return cls(k, l, n, tuple(cols))
+        return cls._from_map(k, l, n, assign, None)
 
 
 AnyColoring = Union[Coloring, ColoringPattern]
+
+
+def _pullback(c: AnyColoring, images: Sequence[int]) -> AnyColoring:
+    """The colouring of [m], m = len(images), whose edge E has c's colour
+    on {images[v - 1] : v in E}.
+
+    combinations picks positions in lexicographic order, so it yields the
+    image of each edge of [m] in storage order.
+    """
+    return type(c)(c.k, c.l, len(images), tuple(
+        c.colors[edge_index(fe, c.n, c.k)] for fe in combinations(images, c.k)))
 
 
 def restrict_normalize(c: AnyColoring, subset: Iterable[int]) -> AnyColoring:
@@ -225,22 +233,12 @@ def restrict_normalize(c: AnyColoring, subset: Iterable[int]) -> AnyColoring:
         raise ValueError("subset must be nonempty")
     if vs[0] < 1 or vs[-1] > c.n:
         raise ValueError(f"subset not inside [{c.n}]")
-    n2 = len(vs)
-    if n2 < c.k:
-        return type(c)(c.k, c.l, n2, ())
-    # increasing relabeling keeps lexicographic edge order
-    cols = tuple(c.colors[edge_index(e, c.n, c.k)] for e in combinations(vs, c.k))
-    return type(c)(c.k, c.l, n2, cols)
+    return _pullback(c, vs)
 
 
 def reverse(c: AnyColoring) -> AnyColoring:
     """Mirror image: edge E gets the color of {n - x + 1 : x in E}."""
-    if c.empty:
-        return type(c)(c.k, c.l, c.n, ())
-    n, k = c.n, c.k
-    cols = tuple(c.colors[edge_index([n - x + 1 for x in e], n, k)]
-                 for e in all_edges(n, k))
-    return type(c)(c.k, c.l, c.n, cols)
+    return _pullback(c, range(c.n, 0, -1))
 
 
 def relabel(c: AnyColoring, new_label: Mapping[int, int]) -> AnyColoring:
@@ -253,13 +251,8 @@ def relabel(c: AnyColoring, new_label: Mapping[int, int]) -> AnyColoring:
     lab = {v: new_label[v] for v in range(1, c.n + 1)}
     if sorted(lab.values()) != list(range(1, c.n + 1)):
         raise ValueError("relabeling is not a bijection of [n]")
-    if c.empty:
-        return type(c)(c.k, c.l, c.n, ())
-    inv = {w: v for v, w in lab.items()}
-    n, k = c.n, c.k
-    cols = tuple(c.colors[edge_index([inv[x] for x in e], n, k)]
-                 for e in all_edges(n, k))
-    return type(c)(c.k, c.l, c.n, cols)
+    # the old vertices ordered by new label: the preimage of 1, 2, ..., n
+    return _pullback(c, sorted(lab, key=lab.__getitem__))
 
 
 @dataclass(frozen=True)

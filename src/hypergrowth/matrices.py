@@ -510,11 +510,6 @@ def cross(m: StarMatrix3, pair: tuple[int, int], mode: str) -> StarMatrix2:
 
 def al_23d(m: StarMatrix3) -> int:
     """Alternation number along the joint (2,3)-diagonal, per first coordinate."""
-    r, s, t = m.dims
-    if s != t:
-        raise DimensionMismatchError("axes 2 and 3 differ in extent")
-    best = 0
-    for x in range(1, r + 1):
-        diag = [m.at(x, i, i) for i in range(1, s + 1)]
-        best = max(best, len(_alternations(diag)))
+    # column x of the (2,3) diagonal cross-section is M(x, i, i), i = 1..s
+    best, _ = _scan(zip(*cross(m, (2, 3), "d").entries))
     return best + 1

@@ -198,34 +198,20 @@ def is_p_tame(c: Coloring, p: int) -> TameReport:
     if s > p:
         record(1, (), "length", s)
 
-    triple_metrics = [(idx, metrics3(crossing_matrix(c, ivs[idx[0] - 1],
-                                                     ivs[idx[1] - 1],
-                                                     ivs[idx[2] - 1])))
-                      for idx in ((u + 1, v + 1, w + 1)
-                                  for u, v, w in combinations(range(s), 3))]
-    for idx, m in triple_metrics:
-        if m.al > p:
-            record(2, idx, "al", m.al)
-    for idx, m in triple_metrics:
-        if len(m.r_set) > p:
-            record(3, idx, "rows", len(m.r_set))
-        if len(m.c_set) > p:
-            record(3, idx, "cols", len(m.c_set))
-
-    pair_metrics = []
-    for u, v in combinations(range(s), 2):
-        pair_metrics.append(((u + 1, u + 1, v + 1),
-                             metrics3(crossing_matrix(c, ivs[u], ivs[u], ivs[v]))))
-        pair_metrics.append(((u + 1, v + 1, v + 1),
-                             metrics3(crossing_matrix(c, ivs[u], ivs[v], ivs[v]))))
-    for idx, m in pair_metrics:
-        if m.al > p:
-            record(4, idx, "al", m.al)
-    for idx, m in pair_metrics:
-        if len(m.r_set) > p:
-            record(5, idx, "rows", len(m.r_set))
-        if len(m.c_set) > p:
-            record(5, idx, "cols", len(m.c_set))
+    pairs = [idx for u, v in combinations(range(1, s + 1), 2)
+             for idx in ((u, u, v), (u, v, v))]
+    # conditions 2 and 3 read the interval triples, 4 and 5 the pairs
+    for cond, idxs in ((2, combinations(range(1, s + 1), 3)), (4, pairs)):
+        metrics = [(idx, metrics3(crossing_matrix(
+            c, *(ivs[i - 1] for i in idx)))) for idx in idxs]
+        for idx, m in metrics:
+            if m.al > p:
+                record(cond, idx, "al", m.al)
+        for idx, m in metrics:
+            if len(m.r_set) > p:
+                record(cond + 1, idx, "rows", len(m.r_set))
+            if len(m.c_set) > p:
+                record(cond + 1, idx, "cols", len(m.c_set))
 
     witness = next((w for w in firsts if w is not None), None)
     return TameReport(p, tuple(conds), witness)

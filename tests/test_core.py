@@ -37,6 +37,40 @@ def random_coloring(rng, k, l, n):
     return Coloring(k, l, n, tuple(draw(rng, 0, l - 1) for _ in range(nedges)))
 
 
+def random_pattern(rng, k, l, n):
+    """A ColoringPattern with about a third of its edges unspecified."""
+    nedges = len(list(all_edges(n, k)))
+    return ColoringPattern(k, l, n, tuple(
+        None if draw(rng, 0, 2) == 0 else draw(rng, 0, l - 1)
+        for _ in range(nedges)))
+
+
+def random_subset(rng, n):
+    size = rng.randint(1, n)
+    subset = []
+    while len(subset) < size:
+        v = rng.randint(1, n)
+        if v not in subset:
+            subset.append(v)
+    return subset
+
+
+def random_bijection(rng, n):
+    """A uniform permutation of [n] as a dict, by Fisher-Yates."""
+    perm = list(range(1, n + 1))
+    for i in range(n - 1, 0, -1):
+        j = draw(rng, 0, i)
+        perm[i], perm[j] = perm[j], perm[i]
+    return dict(zip(range(1, n + 1), perm))
+
+
+def wild_cases(rng, count):
+    """Random patterns with wildcards, l = 3 and k = 2..4, n from 1 to k+4."""
+    for _ in range(count):
+        k = draw(rng, 2, 4)
+        yield random_pattern(rng, k, 3, draw(rng, 1, k + 4))
+
+
 def contains_oracle(small, big):
     """All increasing injections, smallest first."""
     for f in combinations(range(1, big.n + 1), small.n):
@@ -136,6 +170,17 @@ class TestColoring:
             assert repr(trusted) == repr(public)
             assert vars(trusted) == vars(public)
 
+    def test_classes_are_siblings(self):
+        # the tracer wraps each class's color once, and equality is per class
+        assert not issubclass(Coloring, ColoringPattern)
+        assert not issubclass(ColoringPattern, Coloring)
+        for k, l, n, cols in ((3, 2, 4, (0, 1, 1, 0)), (2, 3, 1, ()),
+                              (2, 3, 3, (2, 0, 1))):
+            c, p = Coloring(k, l, n, cols), ColoringPattern(k, l, n, cols)
+            assert c != p and p != c
+            assert c == Coloring(k, l, n, cols)
+            assert p == ColoringPattern(k, l, n, cols)
+
 
 class TestRestriction:
     def test_definition_oracle(self):
@@ -143,15 +188,17 @@ class TestRestriction:
         for _ in range(50):
             n = rng.randint(3, 8)
             c = random_coloring(rng, 3, 2, n)
-            size = rng.randint(1, n)
-            subset = []
-            while len(subset) < size:
-                v = rng.randint(1, n)
-                if v not in subset:
-                    subset.append(v)
-            vs = sorted(subset)
+            vs = sorted(random_subset(rng, n))
             r = restrict_normalize(c, vs)
             assert r.n == len(vs)
+            for e in r.edges():
+                assert r.color(e) == c.color(tuple(vs[v - 1] for v in e))
+        for c in wild_cases(rng, 60):
+            vs = sorted(random_subset(rng, c.n))
+            r = restrict_normalize(c, reversed(vs))
+            assert type(r) is ColoringPattern
+            assert (r.k, r.l, r.n) == (c.k, c.l, len(vs))
+            assert len(r.colors) == len(list(r.edges()))
             for e in r.edges():
                 assert r.color(e) == c.color(tuple(vs[v - 1] for v in e))
 
@@ -179,6 +226,12 @@ class TestSymmetries:
         c = Coloring.from_map(3, 2, 5, {(1, 2, 3): 1})
         assert reverse(c).color((3, 4, 5)) == 1
         assert reverse(c).color((1, 2, 3)) == 0
+        rng = Lcg(11)
+        for c in wild_cases(rng, 40):
+            r = reverse(c)
+            assert type(r) is ColoringPattern and reverse(r) == c
+            for e in r.edges():
+                assert r.color(e) == c.color(tuple(c.n - x + 1 for x in e))
 
     def test_relabel_matches_reverse(self):
         rng = Lcg(3)
@@ -186,6 +239,16 @@ class TestSymmetries:
             n = rng.randint(3, 7)
             c = random_coloring(rng, 3, 2, n)
             assert relabel(c, {v: n - v + 1 for v in range(1, n + 1)}) == reverse(c)
+        for c in wild_cases(rng, 40):
+            lab = random_bijection(rng, c.n)
+            r = relabel(c, lab)
+            assert type(r) is ColoringPattern and (r.k, r.l, r.n) == \
+                (c.k, c.l, c.n)
+            # the result colors the image of each edge as c colors the edge
+            for e in c.edges():
+                assert r.color(tuple(lab[x] for x in e)) == c.color(e)
+            back = {w: v for v, w in lab.items()}
+            assert relabel(r, back) == c
 
     def test_relabel_rejects_non_bijection(self):
         with pytest.raises(ValueError):

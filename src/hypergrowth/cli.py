@@ -17,8 +17,9 @@ argparse reports usage errors itself; the others print one "error:"
 line on stderr.  A growth level that the node budget cannot finish
 prints count=unknown and keeps exit status 0.  A value too long to
 print (the interpreter's integer string limit) exits 2 with nothing on
-stdout: growth formats every line before printing any, and sequence
-refuses from a lower bound on the value's digits before computing it.
+stdout: sequence, and growth of a builtin, refuse from a lower bound on
+the value's digits before computing it, and growth formats every line
+before printing any.
 Identical invocations print identical bytes.  --jobs is accepted for
 compatibility and has no effect: every count is computed in this
 process.  growth --cache appends the exact counts it computed to an
@@ -47,9 +48,9 @@ from .constructions import (Chain, embed_chain, embed_string,
                             make_disobedient, make_rich,
                             make_string_coloring, make_wealthy)
 from .core import Coloring, coloring_from_text, coloring_to_text, contains
-from .ideals import (DEFAULT_BUDGET, IdealSpec, dichotomy_verdict, growth,
-                     ideal_spec_from_text, sequence_exceeds_digits,
-                     sequence_value)
+from .ideals import (DEFAULT_BUDGET, IdealSpec, builtin_exceeds_digits,
+                     dichotomy_verdict, growth, ideal_spec_from_text,
+                     sequence_exceeds_digits, sequence_value)
 from .structure import (is_c_simple, is_p_tame, is_r_rich, is_wealthy,
                         nuclear_decomposition, variant_from_text)
 
@@ -242,8 +243,21 @@ def _cmd_contains(args, out: TextIO) -> int:
     return 0
 
 
+def _str_digits_limit() -> int:
+    """The interpreter's int-to-string digit limit; 0 (or a Python
+    without the limit) means no limit."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
 def _cmd_growth(args, out: TextIO) -> int:
     spec = _parse_spec(args.spec)
+    # refuse a builtin count too long to print before counting; builtin
+    # counts never fall, so the last level decides
+    limit = _str_digits_limit()
+    if (limit and spec.kind == "builtin"
+            and builtin_exceeds_digits(spec, args.n_max, limit)):
+        raise ValueError(f"Exceeds the limit ({limit} digits) for integer "
+                         f"string conversion: the count at n={args.n_max}")
     cache = args.cache
     if cache is None:
         cache = os.environ.get("HYPERGROWTH_CACHE") or None
@@ -271,9 +285,8 @@ def _cmd_sequence(args, out: TextIO) -> int:
         if name != "Gk":
             raise ValueError("--k only applies to the Gk family")
         name = f"Gk({args.k})"
-    # refuse a value too long to print before spending time on it; 0 (or
-    # a Python without the limit) means no limit
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    # refuse a value too long to print before spending time on it
+    limit = _str_digits_limit()
     if limit and sequence_exceeds_digits(name, args.n, limit):
         raise ValueError(f"{name}({args.n}) exceeds the limit ({limit} "
                          "digits) for integer string conversion")

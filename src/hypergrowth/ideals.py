@@ -13,12 +13,16 @@ basis element embeds through an injection whose image uses vertex n;
 older embeddings were excluded at the previous level, so the enumeration
 is complete by induction.  Prefixes that still match the same templates
 have the same future and are merged, also when they extend different
-members, so one frontier serves a whole level.  Only the levels below
-the last are enumerated, since the next level extends them; the
-last level is counted, the merged prefixes carrying a multiplicity
-instead of a list.  When a counted level has few templates for its
-parents, the multiplicities instead sit in the lanes of one big int,
-one lane per set of templates, as superset sums, and each new edge
+members, so one frontier serves a whole level.  The frontier starts
+from each parent's set of active templates.  On a level with enough
+parents, none wider than 63 bits, the parents sit in the lanes of one
+big int and each template tests them all with a few whole-int
+operations (see _lane_filter); other levels test parent by parent.
+Only the levels below the last are enumerated, since the next level
+extends them; the last level is counted, the merged prefixes carrying a
+multiplicity instead of a list.  When a counted level has few templates
+for its parents, the multiplicities instead sit in the lanes of one big
+int, one lane per set of templates, as superset sums, and each new edge
 costs a few whole-int operations; see _lane_count.  Members are ints
 holding each edge's color in a (l-1).bit_length()-bit field, so one
 engine serves every color count.  Everything is big-integer exact; no
@@ -31,6 +35,7 @@ import io
 import os
 import sys
 from array import array
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
@@ -324,6 +329,23 @@ def builtin_counts(spec: IdealSpec, n_max: int) -> dict[int, int]:
     return dict(zip(range(1, n_max + 1), _gk_values(spec.k, 1, n_max)))
 
 
+def builtin_exceeds_digits(spec: IdealSpec, n: int, digits: int) -> bool:
+    """True when builtin_count(spec, n) surely has more than ``digits``
+    decimal digits; decided without computing it, and a False says
+    nothing.
+
+    S reads sequence_exceeds_digits.  w1tight's 2**(n-2) has more than
+    ``digits`` digits once (n-2) * log10(2) >= digits, tested with
+    log10(2) taken a little low.  lineartight's n-k+2 is never reported.
+    """
+    if spec.name == "S":
+        return sequence_exceeds_digits("Gk", n, digits, spec.k)
+    if spec.name == "w1tight":
+        # int-float comparison is exact, so a huge n cannot overflow
+        return n - 2 >= digits / (log10(2) * (1 - 1e-9))
+    return False
+
+
 def builtin_pattern_basis(spec: IdealSpec) -> tuple[ColoringPattern, ...]:
     """Wildcard forbidden patterns generating the same ideal as the builtin.
 
@@ -440,8 +462,15 @@ def _active_sets(parents, templates, build) -> dict:
     their number.
 
     A template whose old part the parent realizes is active; one without
-    new edges embeds outright, and such a parent has no children.
+    new edges embeds outright, and such a parent has no children.  Sets
+    appear in the order of their first parent, and each list keeps the
+    parents' order.  When _filter_lane_bytes admits the level,
+    _lane_filter tests all parents at once with the same result;
+    otherwise each parent is scanned against each template in turn.
     """
+    width = _filter_lane_bytes(parents, templates)
+    if width:
+        return _lane_filter(parents, templates, build, width)
     checks = [(sel, want, last, 1 << i)
               for i, (sel, want, last, _) in enumerate(templates)]
     frontier: dict = {}
@@ -464,14 +493,93 @@ def _active_sets(parents, templates, build) -> dict:
 _LANE_BYTES = 1 << 20
 # array typecodes by item size, for lanes of 1, 2, 4 or 8 bytes
 _LANE_TYPECODES = {array(code).itemsize: code for code in "BHILQ"}
+# The parent filter packs a level with at least this many parents and
+# parent-template pairs; see _filter_lane_bytes.
+_FILTER_MIN_PARENTS = 32
+_FILTER_MIN_PAIRS = 128
+
+
+def _lane_size(nbits: int) -> int:
+    """Bytes in the least of the 1, 2, 4 and 8-byte lanes that holds
+    ``nbits`` >= 1 bits, or 0 when 8 bytes are too few."""
+    width = 1 << ((nbits + 7) // 8 - 1).bit_length()
+    return width if width <= 8 else 0
+
+
+def _filter_lane_bytes(parents, templates) -> int:
+    """Bytes per lane when the parent filter packs a level, else 0.
+
+    A lane holds a parent below a spare top bit, and then the parent's
+    key: a bit per template, or all ones for a dead parent.  So it needs
+    one bit more than the widest parent or ``sel`` and than the number T
+    of templates, in at most 8 bytes; wider levels keep the scan.
+    Packing costs about 4 us per call and 0.3 us per template; the scan
+    costs about 0.16 us per parent and 0.07 us per parent and template
+    (2-vCPU VM, Python 3.11).  Measured on lanes of every size, the two
+    tie near 32 parents with 2 templates and 64 parents with 1, so a
+    level with fewer parents than _FILTER_MIN_PARENTS or fewer pairs
+    than _FILTER_MIN_PAIRS, T = 0 included, keeps the scan.
+    """
+    nparents = len(parents)
+    if (nparents < _FILTER_MIN_PARENTS
+            or nparents * len(templates) < _FILTER_MIN_PAIRS):
+        return 0
+    nbits = max(max(parents), max(t[0] for t in templates)).bit_length()
+    return _lane_size(max(nbits, len(templates)) + 1)
+
+
+def _lane_filter(parents, templates, build, width) -> dict:
+    """_active_sets with one lane of ``width`` bytes per parent.
+
+    All parents sit in one int, parent i in lane i; ``ones`` has a 1 at
+    the foot of every lane and ``top`` at its spare top bit.  For a
+    template, lane i of (big & sel*ones) ^ want*ones is below the top bit
+    and is 0 exactly when parent i matches, so adding top - ones carries
+    into the top bit just for the parents that miss.  A live template's
+    misses are shifted to bit i of their lanes, and a template without
+    new edges clears the top bit of ``alive`` for the parents it kills.
+    Flipping the live bits gives each lane its active set; dead lanes
+    become all ones, a value no set reaches, and that one key is dropped.
+    """
+    bits = 8 * width
+    code = _LANE_TYPECODES[width]
+    packed = array(code, parents)
+    if sys.byteorder == "big":
+        packed.byteswap()
+    big = int.from_bytes(packed.tobytes(), "little")
+    ones = int.from_bytes((b"\x01" + bytes(width - 1)) * len(parents),
+                          "little")
+    top = ones << bits - 1
+    fill = top - ones
+    missed = live = 0
+    alive = top
+    for i, (sel, want, last, _) in enumerate(templates):
+        miss = ((big & sel * ones) ^ want * ones) + fill & top
+        if last < 0:
+            alive &= miss
+        else:
+            missed |= miss >> bits - 1 - i
+            live |= 1 << i
+    dead = (1 << bits) - 1
+    flat = missed ^ live * ones | ((top ^ alive) >> bits - 1) * dead
+    keys = array(code, flat.to_bytes(width * len(parents), "little"))
+    if sys.byteorder == "big":
+        keys.byteswap()
+    if build:
+        frontier: dict = {}
+        for key, parent in zip(keys, parents):
+            if key != dead:
+                frontier.setdefault(key, []).append(parent)
+        return frontier
+    counts = Counter(keys)
+    counts.pop(dead, None)
+    return counts
 
 
 def _lane_width(nparents: int, l: int, nnew: int) -> int:
     """Bytes per lane: the least of 1, 2, 4, 8 with room for the most
     prefixes, nparents * l**nnew, or 0 when 8 bytes are too few."""
-    need = (max(1, nparents * l ** nnew).bit_length() + 7) // 8
-    width = 1 << (need - 1).bit_length()
-    return width if width <= 8 else 0
+    return _lane_size(max(1, nparents * l ** nnew).bit_length())
 
 
 def _lane_bytes(ntemplates: int, nparents: int, l: int, nnew: int) -> int:
@@ -549,10 +657,13 @@ def _chunk_extend(parents, templates, shift, nnew, l, cap, build):
     """Extend a level's parents by one frontier; (result, nodes).
 
     One frontier serves every parent.  It starts from each parent's set
-    of active templates, those whose old part the parent realizes, and
-    runs over the new-edge depths, keying each surviving prefix by the set
-    of active templates it still matches, which is all that later depths
-    read of it; prefixes with one set are merged, across parents too.
+    of active templates, those whose old part the parent realizes, found
+    by _active_sets: in packed lanes when _filter_lane_bytes admits the
+    level (enough parents and pairs, and parents, sels and the template
+    count within 63 bits), else by a scan.  It then runs over the
+    new-edge depths, keying each surviving prefix by the set of active
+    templates it still matches, which is all that later depths read of
+    it; prefixes with one set are merged, across parents too.
     With ``build``, a state lists its prefixes, each a parent int with the
     new colours in ``w``-bit fields (depth j at bit ``shift + j * w``),
     and the result is those (unsorted) lists of members.  Counting, a
@@ -815,9 +926,9 @@ def count_p_tame(n: int, p: int) -> int:
 
     The 2 is the two constant colorings (a = n).  A tame AAB key counts
     once for each c its break edges do not all match, which is the number
-    of distinct colours among them.  Each key is put on its cells by
-    Coloring.from_map and read back through structure.crossing_matrix.
-    The count is pure in (n, p), so it is memoized.
+    of distinct colours among them.  The keys come from _tame_split_tables,
+    built once per (n, a) for every p.  The count is pure in (n, p), so it
+    is memoized.
     """
     if p < 3:
         raise ValueError("threshold p must be at least 3")
@@ -825,27 +936,47 @@ def count_p_tame(n: int, p: int) -> int:
         raise ValueError("exhaustive census capped at n <= 6")
     if n < 3:
         return 1
+    total = 2
+    for a in range(3, n):
+        aab, abb = _tame_split_tables(n, a)
+        n_aab = sum(cnt for size, cnt in aab.items() if size <= p)
+        n_abb = sum(cnt for size, cnt in abb.items() if size <= p)
+        total += n_aab * n_abb * 2 ** comb(n - a, 3)
+    return total
 
-    def tame_keys(x: range, y: range,
-                  z: range) -> Iterator[dict[tuple[int, ...], int]]:
-        # every colouring of the cells of M_{x,y,z} meeting conditions 4, 5
-        cells = sorted({tuple(sorted(e)) for e in product(x, y, z)
+
+@lru_cache(maxsize=None)  # at most six (n, a) pairs: 3 <= a < n <= 6
+def _tame_split_tables(n: int, a: int) -> tuple[dict[int, int],
+                                                dict[int, int]]:
+    """count_p_tame's keys of the split a, tallied by the least p that
+    finds them tame.
+
+    A key meets conditions 4 and 5 exactly when the largest of al,
+    |r_set| and |c_set| of its matrix is at most p, so that largest value
+    does not depend on p.  The first table maps it to the summed number
+    of break colours of the M_{A,A,B} keys that have it, the second to
+    the number of M_{A,B,B} keys that have it.  Each key is put on its
+    cells by Coloring.from_map and read back through
+    structure.crossing_matrix.
+    """
+    xs, zs = range(1, a + 1), range(a + 1, n + 1)
+
+    def tally(ys: range, weight) -> dict[int, int]:
+        # every colouring of the cells of M_{A,ys,B}
+        cells = sorted({tuple(sorted(e)) for e in product(xs, ys, zs)
                         if len(set(e)) == 3})
+        table: dict[int, int] = {}
         for key in range(1 << len(cells)):
             keyed = {e: key >> i & 1 for i, e in enumerate(cells)}
             m = metrics3(crossing_matrix(Coloring.from_map(3, 2, n, keyed),
-                                         x, y, z))
-            if m.al <= p and len(m.r_set) <= p and len(m.c_set) <= p:
-                yield keyed
+                                         xs, ys, zs))
+            size = max(m.al, len(m.r_set), len(m.c_set))
+            table[size] = table.get(size, 0) + weight(keyed)
+        return table
 
-    total = 2
-    for a in range(3, n):
-        xs, zs = range(1, a + 1), range(a + 1, n + 1)
-        n_aab = sum(len({col for e, col in keyed.items() if e[2] == a + 1})
-                    for keyed in tame_keys(xs, xs, zs))
-        n_abb = sum(1 for _ in tame_keys(xs, zs, zs))
-        total += n_aab * n_abb * 2 ** comb(n - a, 3)
-    return total
+    return (tally(xs, lambda keyed: len({col for e, col in keyed.items()
+                                         if e[2] == a + 1})),
+            tally(zs, lambda keyed: 1))
 
 
 # --- growth cache ---------------------------------------------------------------------

@@ -185,6 +185,19 @@ class TestGrowthVerb:
         assert len(got.err.splitlines()) == 1
         assert got.err.startswith("error: Exceeds the limit (4300 digits)")
 
+    @pytest.mark.parametrize("spec", ["builtin:S,k=3", "builtin:w1tight,k=3"])
+    def test_far_past_limit_refused_before_counting(self, spec):
+        start = time.monotonic()
+        res = run_cli("growth", "--spec", spec, "--n-max", "10000000",
+                      env_extra={"PYTHONINTMAXSTRDIGITS": "4300"},
+                      timeout=10)
+        assert time.monotonic() - start < 1.0
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert res.stderr == ("error: Exceeds the limit (4300 digits) for "
+                              "integer string conversion: the count at "
+                              "n=10000000\n")
+
     def test_failed_verdict_prints_nothing(self, tmp_path, capsys):
         spec = IdealSpec.avoid([Coloring(3, 2, 4, (0, 0, 0, 0))])
         path = tmp_path / "base.is"

@@ -19,7 +19,8 @@ from hypergrowth.core import (Coloring, ColoringPattern,
                               restrict_normalize)
 from hypergrowth.ideals import (BUILTIN_NAMES, GrowthRecord, IdealSpec,
                                 avoid_growth, avoid_members, builtin_count,
-                                builtin_counts, builtin_member,
+                                builtin_counts, builtin_exceeds_digits,
+                                builtin_member,
                                 builtin_members, builtin_pattern_basis,
                                 census_distinct,
                                 count_p_tame, dichotomy_verdict, fnv1a64,
@@ -324,6 +325,27 @@ class TestBuiltinFamilies:
                     {n: builtin_count(spec, n) for n in range(1, 301)}
                 assert builtin_counts(spec, 1) == {1: 1}
 
+    def test_exceeds_digits_is_a_close_lower_bound(self):
+        for name, k in (("S", 2), ("S", 3), ("S", 5), ("lineartight", 3),
+                        ("w1tight", 3)):
+            spec = IdealSpec.builtin(name, k)
+            counts = builtin_counts(spec, 700)
+            for digits in (1, 20, 60):
+                said = [n for n in counts
+                        if builtin_exceeds_digits(spec, n, digits)]
+                long = [n for n, cnt in counts.items()
+                        if len(str(cnt)) > digits]
+                # never too soon, and for the growing families at most k
+                # levels late
+                assert said == long[len(long) - len(said):]
+                if name != "lineartight":
+                    assert len(long) - len(said) <= k, (name, k, digits)
+            # a huge n costs nothing and cannot overflow a float
+            if name == "lineartight":
+                assert not builtin_exceeds_digits(spec, 10 ** 400, 0)
+            else:
+                assert builtin_exceeds_digits(spec, 10 ** 400, 10 ** 6)
+
     def test_pattern_basis_recounts_families(self):
         for name in BUILTIN_NAMES:
             spec = IdealSpec.builtin(name, 3)
@@ -528,6 +550,26 @@ def reference_chunk_extend(parents, templates, shift, nnew, l, cap, build):
     return [out] if build else out, nodes
 
 
+def reference_active_sets(parents, templates, build):
+    """The parent filter parent by parent: each parent against each
+    template in turn, dropped at the first matching template that has no
+    new edges."""
+    frontier = {}
+    for parent in parents:
+        active = 0
+        for i, (sel, want, last, _) in enumerate(templates):
+            if parent & sel == want:
+                if last < 0:
+                    break
+                active |= 1 << i
+        else:
+            if build:
+                frontier.setdefault(active, []).append(parent)
+            else:
+                frontier[active] = frontier.get(active, 0) + 1
+    return frontier
+
+
 class TestFinalLevelCount:
     """The last level is counted without members; it must match the walk."""
 
@@ -707,6 +749,7 @@ class TestLaneCount:
         base = Coloring(3, 2, 4, (0, 0, 0, 0))
         parents = ideals._grow([base], 3, 2, 6, 10 ** 12, True)[3]
         templates = ideals._level_templates([base], 7, 3, 1)
+        assert ideals._filter_lane_bytes(parents, templates) == 4
         frontier = ideals._active_sets(parents, templates, False)
         monkeypatch.setattr(ideals, "_active_sets", lambda *args: frontier)
         cap = 2 * len(parents) - 1
@@ -726,6 +769,104 @@ class TestLaneCount:
             on_dict, dict_peak = traced_peak()
         assert chosen == on_dict == (None, 2 * len(parents))
         assert chosen_peak <= dict_peak + (64 << 10)
+
+
+def random_parents(rng, k, l, n, size):
+    """``size`` members-to-be of level n - 1: every edge's colour field
+    drawn from [0, top], top drawn per parent, so parents with few
+    colours and parents with many are both common."""
+    w = (l - 1).bit_length()
+    out = []
+    for _ in range(size):
+        top = draw(rng, 0, l - 1)
+        out.append(sum(draw(rng, 0, top) << i * w
+                       for i in range(comb(n - 1, k))))
+    return out
+
+
+class TestLaneFilter:
+    """The parent filter in packed lanes must return the scan's dict: the
+    same sets in the same order, each with the same parents or count."""
+
+    def test_matches_scan(self, monkeypatch):
+        rng = Lcg(53)
+        widths = []
+        lane_filter = ideals._lane_filter
+        monkeypatch.setattr(ideals, "_lane_filter",
+                            lambda *a: widths.append(a[3]) or lane_filter(*a))
+        scanned = dead = 0
+        for case in range(18):
+            k, l = 2 + case % 3, 2 + case // 3 % 3
+            basis = random_basis(rng, k, l, draw(rng, 1, 2),
+                                 draw(rng, 0, 1) == 1)
+            if case % 2:
+                # coloured only off its last vertex: its templates have no
+                # new edges and kill the parents they match
+                basis.append(ColoringPattern(
+                    k, l, k + 1, (draw(rng, 1, l - 1),) + (None,) * k))
+            w = (l - 1).bit_length()
+            # up the levels until the lanes would need more than 8 bytes
+            for n in range(k + 1, 20):
+                templates = ideals._level_templates(basis, n, k, w)
+                parents = random_parents(rng, k, l, n, draw(rng, 32, 96))
+                width = ideals._filter_lane_bytes(parents, templates)
+                for build in (False, True):
+                    got = ideals._active_sets(parents, templates, build)
+                    want = reference_active_sets(parents, templates, build)
+                    assert list(got.items()) == list(want.items()), \
+                        (case, n, build)
+                dead += sum(map(len, want.values())) < len(parents)
+                if not width and len(parents) * len(templates) >= 128:
+                    scanned += 1
+                    break
+        # lanes of every size, and levels just past 8 bytes keep the scan
+        assert {1, 2, 4, 8} <= set(widths) and scanned == 18 and dead > 0
+
+    def test_edge_cases(self):
+        rng = Lcg(59)
+        basis = [Coloring(2, 3, 3, (1, 2, 0)),
+                 ColoringPattern(2, 3, 3, (2, None, None))]
+        templates = ideals._level_templates(basis, 6, 2, 2)
+        parents = random_parents(rng, 2, 3, 6, 40)
+        for build in (False, True):
+            # T = 0, an empty parent list, one template of each kind
+            for ps, tpl in ((parents, []), ([], templates),
+                            (parents, templates[:1]),
+                            (parents, templates[-1:]),
+                            (parents * 4, templates[-1:]),
+                            # sels above every parent's highest field
+                            ([p & 3 for p in parents] * 4, templates[-4:])):
+                got = ideals._active_sets(ps, tpl, build)
+                want = reference_active_sets(ps, tpl, build)
+                assert list(got.items()) == list(want.items())
+        # a template that reads no field matches every parent
+        for last, want in ((0, {1: 64}), (-1, {})):
+            assert ideals._active_sets([5] * 64, [(0, 0, last, ())],
+                                       False) == want
+
+    def test_levels_choose_filter(self, monkeypatch):
+        base = Coloring(3, 2, 4, (0, 0, 0, 0))
+        # window n = 6: 768 parents of 10 bits, 10 templates
+        parents = ideals._grow([base], 3, 2, 5, 10 ** 12, True)[3]
+        templates = ideals._level_templates([base], 6, 3, 1)
+        assert ideals._filter_lane_bytes(parents, templates) == 2
+        # window n = 7 takes 4-byte lanes, checked on its 477,965 parents
+        # in test_cap_keeps_n7_window_count_at_dict_peak
+        # the S pattern basis at n = 12: parents of C(11, 3) = 165 bits
+        basis = builtin_pattern_basis(IdealSpec.builtin("S", 3))
+        parents = ideals._grow(basis, 3, 2, 11, 10 ** 12, True)[3]
+        templates = ideals._level_templates(basis, 12, 3, 1)
+        assert len(parents) * len(templates) >= 128
+        assert ideals._filter_lane_bytes(parents, templates) == 0
+        # tiny levels: 16 parents, or 31 parents with 4 templates
+        assert ideals._filter_lane_bytes([0] * 16, templates) == 0
+        assert ideals._filter_lane_bytes([0] * 31, templates[:4]) == 0
+        assert ideals._filter_lane_bytes([0] * 32, templates[:4]) == 1
+        # one parent and no templates packs nothing
+        monkeypatch.setattr(ideals, "_lane_filter", None)
+        assert ideals._filter_lane_bytes([0], []) == 0
+        assert ideals._chunk_extend([0], [], comb(4, 3), comb(4, 2), 2,
+                                    10 ** 9, False) == (2 ** 6, 2 ** 7 - 2)
 
 
 class TestGrowthCache:

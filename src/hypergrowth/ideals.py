@@ -13,9 +13,11 @@ basis element embeds through an injection whose image uses vertex n;
 older embeddings were excluded at the previous level, so the enumeration
 is complete by induction.  Prefixes that still match the same templates
 have the same future and are merged, also when they extend different
-members, so one frontier serves a whole level.  The frontier starts
-from each parent's set of active templates.  On a level with enough
-parents, none wider than 63 bits, the parents sit in the lanes of one
+members, so one frontier serves a whole level.  The templates keep
+their colex ranks from level to level, so each level only adds its new
+ones.  The frontier starts from each parent's set of active templates.
+On a level with enough parents, where the old edges' fields and the
+template count each fit in 63 bits, the parents sit in the lanes of one
 big int and each template tests them all with a few whole-int
 operations (see _lane_filter); other levels test parent by parent.
 Only the levels below the last are enumerated, since the next level
@@ -392,18 +394,23 @@ class GrowthRecord:
     nodes: int
 
 
-def _level_templates(basis: Sequence[AnyColoring], n: int, k: int,
-                     w: int) -> list:
-    """Injection templates with the last image pinned to vertex n.
+def _new_templates(basis: Sequence[AnyColoring], n: int, k: int,
+                   w: int) -> list:
+    """The injection templates that level n adds to level n-1's.
 
-    One template per (basis element, choice of the other image vertices),
-    as (sel, want, last, new).  Colours sit in ``w``-bit fields at bit
-    ``colex_rank * w``, so a parent realizes the basis colours over its old
-    edges exactly when ``parent & sel == want``.  ``new`` holds the
-    (depth, colour) pairs over the new edges (those containing n), depth
-    being the new edge's colex rank without n, and ``last`` is the largest
-    depth, where the frontier checks the template.  Ranks are sums over
-    the rows of core's cached colex table.
+    A template of level n is one (basis element, choice of the other image
+    vertices), the last image pinned to vertex n, as (sel, want, last,
+    new).  Colours sit in ``w``-bit fields at bit ``colex_rank * w``, so a
+    parent realizes the basis colours over its old edges exactly when
+    ``parent & sel == want``.  ``new`` holds the (depth, colour) pairs
+    over the new edges (those containing n), depth being the new edge's
+    colex rank without n, and ``last`` is the largest depth, where the
+    frontier checks the template.  A colex rank reads only the edge's own
+    vertices, never n, so a choice of other images gives the same template
+    at every level from the one after its largest image on.  Level n's
+    templates are therefore level n-1's plus the ones listed here, whose
+    largest other image is n-1.  Ranks are sums over the rows of core's
+    cached colex table.
     """
     rows = _colex_table(n, k)
     getitem = tuple.__getitem__
@@ -419,8 +426,9 @@ def _level_templates(basis: Sequence[AnyColoring], n: int, k: int,
             if col is not None:
                 pos = tuple(v - 1 for v in e if v != b.n)
                 (new_edges if e[-1] == b.n else old).append((pos, col))
-        for sub in combinations(range(1, n), b.n - 1):
-            image = sub.__getitem__
+        # b.n >= k >= 2, so there is at least one other image
+        for head in combinations(range(1, n - 1), b.n - 2):
+            image = (*head, n - 1).__getitem__
             sel = want = 0
             for pos, col in old:
                 at = sum(map(getitem, rows, map(image, pos))) * w
@@ -456,7 +464,7 @@ def _new_edge_tables(templates: list, nnew: int, l: int):
     return keep, done
 
 
-def _active_sets(parents, templates, build) -> dict:
+def _active_sets(parents, templates, build, nbits) -> dict:
     """The parent filter: each parent's set of active templates, as a bit
     set, mapped to the parents that have it, or with ``build`` unset to
     their number.
@@ -464,11 +472,12 @@ def _active_sets(parents, templates, build) -> dict:
     A template whose old part the parent realizes is active; one without
     new edges embeds outright, and such a parent has no children.  Sets
     appear in the order of their first parent, and each list keeps the
-    parents' order.  When _filter_lane_bytes admits the level,
-    _lane_filter tests all parents at once with the same result;
-    otherwise each parent is scanned against each template in turn.
+    parents' order.  ``nbits`` bounds the bit length of every parent and
+    ``sel``.  When _filter_lane_bytes admits the level, _lane_filter tests
+    all parents at once with the same result; otherwise each parent is
+    scanned against each template in turn.
     """
-    width = _filter_lane_bytes(parents, templates)
+    width = _filter_lane_bytes(parents, templates, nbits)
     if width:
         return _lane_filter(parents, templates, build, width)
     checks = [(sel, want, last, 1 << i)
@@ -506,13 +515,15 @@ def _lane_size(nbits: int) -> int:
     return width if width <= 8 else 0
 
 
-def _filter_lane_bytes(parents, templates) -> int:
+def _filter_lane_bytes(parents, templates, nbits) -> int:
     """Bytes per lane when the parent filter packs a level, else 0.
 
     A lane holds a parent below a spare top bit, and then the parent's
     key: a bit per template, or all ones for a dead parent.  So it needs
-    one bit more than the widest parent or ``sel`` and than the number T
-    of templates, in at most 8 bytes; wider levels keep the scan.
+    one bit more than ``nbits``, a bound on the bit length of every parent
+    and ``sel`` (the engine passes its C(n-1, k) * w old-edge bits), and
+    than the number T of templates, in at most 8 bytes; wider levels keep
+    the scan.
     Packing costs about 4 us per call and 0.3 us per template; the scan
     costs about 0.16 us per parent and 0.07 us per parent and template
     (2-vCPU VM, Python 3.11).  Measured on lanes of every size, the two
@@ -524,7 +535,6 @@ def _filter_lane_bytes(parents, templates) -> int:
     if (nparents < _FILTER_MIN_PARENTS
             or nparents * len(templates) < _FILTER_MIN_PAIRS):
         return 0
-    nbits = max(max(parents), max(t[0] for t in templates)).bit_length()
     return _lane_size(max(nbits, len(templates)) + 1)
 
 
@@ -597,6 +607,21 @@ def _lane_bytes(ntemplates: int, nparents: int, l: int, nnew: int) -> int:
     return width
 
 
+# _lane_bytes keeps one shape's masks under _LANE_BYTES, so the cache
+# holds at most 8 * _LANE_BYTES
+@lru_cache(maxsize=8)
+def _lane_masks(size: int, width: int) -> tuple[int, ...]:
+    """_lane_count's masks for ``size`` templates in lanes of ``width``
+    bytes: mask t is all ones in the lanes of the sets that lack template
+    t.  They depend on nothing else, so the last 8 shapes are kept."""
+    masks = []
+    for t in range(size):
+        run = width << t
+        masks.append(int.from_bytes(
+            (b"\xff" * run + bytes(run)) * (1 << size - t - 1), "little"))
+    return tuple(masks)
+
+
 def _lane_count(frontier: dict, templates, nnew, l, cap, width):
     """Count a level from its filtered parents in superset-sum lanes.
 
@@ -615,12 +640,7 @@ def _lane_count(frontier: dict, templates, nnew, l, cap, width):
     """
     size = len(templates)
     bits = 8 * width
-    # masks[t]: all-ones lanes at the sets that lack template t
-    masks = []
-    for t in range(size):
-        run = width << t
-        masks.append(int.from_bytes(
-            (b"\xff" * run + bytes(run)) * (1 << size - t - 1), "little"))
+    masks = _lane_masks(size, width)
     packed = array(_LANE_TYPECODES[width], bytes(width << size))
     for state, mult in frontier.items():
         packed[state] = mult
@@ -656,18 +676,21 @@ def _lane_count(frontier: dict, templates, nnew, l, cap, width):
 def _chunk_extend(parents, templates, shift, nnew, l, cap, build):
     """Extend a level's parents by one frontier; (result, nodes).
 
+    ``templates`` and ``parents`` may come in any order: a state is a set
+    of templates, so neither order changes the result's members or nodes.
     One frontier serves every parent.  It starts from each parent's set
     of active templates, those whose old part the parent realizes, found
     by _active_sets: in packed lanes when _filter_lane_bytes admits the
-    level (enough parents and pairs, and parents, sels and the template
-    count within 63 bits), else by a scan.  It then runs over the
-    new-edge depths, keying each surviving prefix by the set of active
-    templates it still matches, which is all that later depths read of
-    it; prefixes with one set are merged, across parents too.
-    With ``build``, a state lists its prefixes, each a parent int with the
-    new colours in ``w``-bit fields (depth j at bit ``shift + j * w``),
-    and the result is those (unsorted) lists of members.  Counting, a
-    state holds its number of prefixes and the result is their total;
+    level (enough parents and pairs, and ``shift``, the parents' old-edge
+    bits, and the template count within 63 bits), else by a scan.  It
+    then runs over the new-edge depths, keying each surviving prefix by
+    the set of active templates it still matches, which is all that later
+    depths read of it; prefixes with one set are merged, across parents
+    too.  With ``build``, a state lists its prefixes, each a parent int
+    with the new colours in ``w``-bit fields (depth j at bit ``shift + j *
+    w``), so colour 0 leaves a prefix as it is, and the result is those
+    (unsorted) lists of members.  Counting, a state holds its number of
+    prefixes and the result is their total;
     when _lane_bytes admits the level, which depends only on the number
     of templates and parents and the lane size, _lane_count runs the
     depths on superset-sum lanes instead of a dict, with the same result
@@ -676,7 +699,7 @@ def _chunk_extend(parents, templates, shift, nnew, l, cap, build):
     the walk stops and the result is None, so a budget drops the same
     levels as that walk.
     """
-    frontier = _active_sets(parents, templates, build)
+    frontier = _active_sets(parents, templates, build, shift)
     if not build:
         width = _lane_bytes(len(templates), len(parents), l, nnew)
         if width:
@@ -693,13 +716,17 @@ def _chunk_extend(parents, templates, shift, nnew, l, cap, build):
         # a template still matched at its last edge embeds; counting or
         # building is chosen once per depth, not per colour
         if build:
+            at = shift + j * w
             for state, prefixes in frontier.items():
                 for col, mask in enumerate(keep[j]):
                     matched = state & mask
                     if not matched & finished:
-                        bits = col << shift + j * w
-                        nxt.setdefault(matched, []).extend(
-                            p | bits for p in prefixes)
+                        if col:
+                            bits = col << at
+                            nxt.setdefault(matched, []).extend(
+                                [p | bits for p in prefixes])
+                        else:
+                            nxt.setdefault(matched, []).extend(prefixes)
         else:
             for state, mult in frontier.items():
                 for mask in keep[j]:
@@ -716,9 +743,12 @@ def _grow(basis: Sequence[AnyColoring], k: int, l: int, n_max: int,
           budget: int, build_last: bool):
     """The level loop; (counts, exact, nodes, members of level n_max).
 
-    Levels below n_max are built as sorted member ints, the parents of the
-    next level; level n_max is only counted unless ``build_last``, and the
-    returned members are then those of level n_max.
+    Levels below n_max are built as member ints in no particular order,
+    the parents of the next level; level n_max is only counted unless
+    ``build_last``.  One template list grows by _new_templates at every
+    level.  With ``build_last`` the returned members are those of level
+    n_max in ascending order (of the last level built, when a budget
+    stops the loop first), else an empty list.
     """
     for b in basis:
         if (b.k, b.l) != (k, l):
@@ -728,7 +758,9 @@ def _grow(basis: Sequence[AnyColoring], k: int, l: int, n_max: int,
     exact: dict[int, bool] = {}
     nodes_total = 0
     parents: list[int] = [0]
+    templates: list = []
     for n in range(1, n_max + 1):
+        templates += _new_templates(basis, n, k, w)
         if any(b.empty and b.n <= n for b in basis):
             parents = []
             counts[n] = 0
@@ -739,21 +771,21 @@ def _grow(basis: Sequence[AnyColoring], k: int, l: int, n_max: int,
             break
         build = build_last or n < n_max
         result, nodes = _chunk_extend(
-            parents, _level_templates(basis, n, k, w), comb(n - 1, k) * w,
-            comb(n - 1, k - 1), l, remaining, build)
+            parents, templates, comb(n - 1, k) * w, comb(n - 1, k - 1), l,
+            remaining, build)
         if nodes > remaining:
             break
         nodes_total += nodes
         exact[n] = True
         if build:
-            parents = sorted(m for ps in result for m in ps)
+            parents = [m for ps in result for m in ps]
             counts[n] = len(parents)
         else:
             counts[n] = result
     # a level that cannot finish is dropped with every later one
     for n in range(1, n_max + 1):
         exact.setdefault(n, False)
-    return counts, exact, nodes_total, parents
+    return counts, exact, nodes_total, sorted(parents) if build_last else []
 
 
 def avoid_growth(basis: Sequence[AnyColoring], k: int, l: int, n_max: int,
@@ -801,6 +833,8 @@ def avoid_members(basis: Sequence[AnyColoring], k: int, l: int, n: int,
 
     Runs the level loop of avoid_growth, so the node budget is spent
     cumulatively over levels 1..n; RuntimeError if it runs out first.
+    The members come in ascending order of their engine ints, which hold
+    each edge's colour in colex edge order, the last edge highest.
     """
     _, exact, _, members = _grow(basis, k, l, n, budget, True)
     if not all(exact.values()):

@@ -1,10 +1,12 @@
 """Ideal descriptions, growth engine, verdicts, tame census, cache."""
 
+import hashlib
 import io
 import os
 import subprocess
 import sys
 import tracemalloc
+from collections import Counter
 from functools import lru_cache
 from itertools import combinations, product
 from math import comb
@@ -15,8 +17,8 @@ import pytest
 
 from hypergrowth import ideals
 from hypergrowth.core import (Coloring, ColoringPattern,
-                              IncompatibleColoringsError, all_edges, contains,
-                              restrict_normalize)
+                              IncompatibleColoringsError, _colex_table,
+                              all_edges, contains, restrict_normalize)
 from hypergrowth.ideals import (BUILTIN_NAMES, GrowthRecord, IdealSpec,
                                 avoid_growth, avoid_members, builtin_count,
                                 builtin_counts, builtin_exceeds_digits,
@@ -505,6 +507,35 @@ def random_basis(rng, k, l, size, wildcards):
     return out
 
 
+def reference_level_templates(basis, n, k, w):
+    """Every injection template of level n, listed afresh: one per basis
+    element and choice of the other image vertices in [n-1]."""
+    rows = _colex_table(n, k)
+    field = (1 << w) - 1
+
+    def rank(pos, sub):
+        return sum(rows[i][sub[p]] for i, p in enumerate(pos))
+
+    out = []
+    for b in basis:
+        if b.empty or b.n > n:
+            continue
+        old, new_edges = [], []
+        for e, col in zip(b.edges(), b.colors):
+            if col is not None:
+                pos = tuple(v - 1 for v in e if v != b.n)
+                (new_edges if e[-1] == b.n else old).append((pos, col))
+        for sub in combinations(range(1, n), b.n - 1):
+            sel = want = 0
+            for pos, col in old:
+                sel |= field << rank(pos, sub) * w
+                want |= col << rank(pos, sub) * w
+            new = tuple((rank(pos, sub), col) for pos, col in new_edges)
+            last = max((j for j, _ in new), default=-1)
+            out.append((sel, want, last, new))
+    return out
+
+
 def reference_chunk_extend(parents, templates, shift, nnew, l, cap, build):
     """The engine's level step parent by parent: one frontier each.
 
@@ -641,6 +672,97 @@ class TestMergedFrontier:
             assert nodes < total
 
 
+def mixed_basis(rng, k, l, size, wildcards):
+    """Random basis elements on k to k+3 vertices, some with wildcards."""
+    out = []
+    for _ in range(size):
+        n = draw(rng, k, k + 3)
+        cols = [draw(rng, 0, l - 1) for _ in range(comb(n, k))]
+        if wildcards and draw(rng, 0, 1):
+            for _ in range(draw(rng, 1, len(cols))):
+                cols[draw(rng, 0, len(cols) - 1)] = None
+            out.append(ColoringPattern(k, l, n, tuple(cols)))
+        else:
+            out.append(Coloring(k, l, n, tuple(cols)))
+    return out
+
+
+class TestIncrementalTemplates:
+    """Each level adds only its new templates to one list; every level's
+    frontier must still get all of that level's templates."""
+
+    def levels_seen(self, monkeypatch, basis, k, l, n_max):
+        """The template list that each level's _chunk_extend receives;
+        the stub gives every level one parent, so all levels run."""
+        seen = []
+
+        def stub(parents, templates, shift, nnew, l, cap, build):
+            assert nnew == comb(len(seen), k - 1)
+            seen.append(list(templates))
+            return ([[0]], 0) if build else (1, 0)
+
+        monkeypatch.setattr(ideals, "_chunk_extend", stub)
+        ideals._grow(basis, k, l, n_max, 1, False)
+        return seen
+
+    def test_levels_match_full_listing(self, monkeypatch):
+        rng = Lcg(61)
+        larger = patterns = 0
+        for case in range(36):
+            k, l = 2 + case % 3, 2 + case // 3 % 3
+            basis = mixed_basis(rng, k, l, draw(rng, 1, 3), case % 2 == 1)
+            n_max = k + 6
+            seen = self.levels_seen(monkeypatch, basis, k, l, n_max)
+            assert len(seen) == n_max
+            w = (l - 1).bit_length()
+            for n, got in enumerate(seen, 1):
+                want = reference_level_templates(basis, n, k, w)
+                assert Counter(got) == Counter(want), (case, n)
+            larger += any(b.n > k + 1 for b in basis)
+            patterns += any(isinstance(b, ColoringPattern) for b in basis)
+        assert larger > 0 and patterns > 0
+
+    def test_empty_element_adds_no_template(self, monkeypatch):
+        rng = Lcg(67)
+        for k in (2, 3, 4):
+            basis = mixed_basis(rng, k, 3, 2, True)
+            basis.append(Coloring(k, 3, k - 1, ()))
+            templates = []
+            for n in range(1, k + 5):
+                templates += ideals._new_templates(basis, n, k, 2)
+                assert Counter(templates) == Counter(
+                    reference_level_templates(basis, n, k, 2)), (k, n)
+            # the empty element zeroes level k - 1 and every later one, so
+            # only the levels below it run a frontier
+            seen = self.levels_seen(monkeypatch, basis, k, 3, k + 4)
+            assert len(seen) == k - 2
+
+
+class TestMemberOrder:
+    """Only the returned level is sorted; its order is part of the API."""
+
+    def test_only_the_returned_level_is_sorted(self):
+        rng = Lcg(71)
+        for k, l in ((2, 2), (3, 2), (2, 3), (3, 4)):
+            basis = random_basis(rng, k, l, 2, l > 2)
+            built = ideals._grow(basis, k, l, k + 2, 10 ** 9, True)
+            members = built[3]
+            assert len(members) == built[0][k + 2] > 1
+            assert all(a < b for a, b in zip(members, members[1:]))
+            counted = ideals._grow(basis, k, l, k + 2, 10 ** 9, False)
+            assert counted[:3] == built[:3] and counted[3] == []
+
+    def test_avoid_members_order_is_pinned(self):
+        # base 0011 at n = 6: the colour tuples of all 419,326 members,
+        # in the order avoid_members returns them
+        members = avoid_members([Coloring(3, 2, 4, (0, 0, 1, 1))], 3, 2, 6)
+        assert len(members) == 419326
+        digest = hashlib.sha256(bytes(c for m in members for c in m.colors))
+        assert digest.hexdigest() == (
+            "25b0329171b39f806c726fa099b4e33b"
+            "7658076c03ebe8c185c3e75c038f62ef")
+
+
 def force_lanes(m, lanes):
     """Send every counted level to the lane count or to the dict."""
     if lanes:
@@ -679,7 +801,7 @@ class TestLaneCount:
                 basis = random_basis(rng, k, l, draw(rng, 1, 2),
                                      draw(rng, 0, 1) == 1)
                 n_max = k + draw(rng, 1, 3)
-                if len(ideals._level_templates(
+                if len(reference_level_templates(
                         basis, n_max, k, (l - 1).bit_length())) <= 12:
                     break
             _, _, nodes = self.both_paths(
@@ -718,7 +840,7 @@ class TestLaneCount:
                     lambda: avoid_growth(basis, k, l, n_max, budget))
 
     def test_empty_parent_list_and_no_templates(self, monkeypatch):
-        templates = ideals._level_templates(
+        templates = reference_level_templates(
             [Coloring(3, 3, 4, (0, 1, 2, 0))], 5, 3, 2)
         for tpl in (templates, []):
             assert self.both_paths(monkeypatch, lambda: ideals._chunk_extend(
@@ -740,6 +862,22 @@ class TestLaneCount:
         assert ideals._lane_bytes(7, 15, 2, 3) == 0
         assert ideals._lane_bytes(6, 15, 2, 3) == 1
 
+    def test_mask_cache_is_bounded(self):
+        assert ideals._lane_masks.cache_parameters()["maxsize"] == 8
+        assert ideals._lane_masks(3, 1) is ideals._lane_masks(3, 1)
+        # the most templates _lane_bytes admits at each lane size keep
+        # their masks under _LANE_BYTES, so the cache stays under 8 MB
+        sizes = []
+        for nparents in (127, 2 ** 15 - 1, 2 ** 31 - 1, 2 ** 63 - 1):
+            size = max(t for t in range(70)
+                       if ideals._lane_bytes(t, nparents, 2, 0))
+            width = ideals._lane_bytes(size, nparents, 2, 0)
+            masks = ideals._lane_masks.__wrapped__(size, width)
+            assert len(masks) == size
+            assert sum(map(sys.getsizeof, masks)) <= ideals._LANE_BYTES
+            sizes.append((size, width))
+        assert sizes == [(9, 1), (14, 2), (13, 4), (12, 8)]
+
     def test_cap_keeps_n7_window_count_at_dict_peak(self, monkeypatch):
         """Traced, the n=7 window level allocates no more than on the
         dict path.  The parent filter runs untraced (traced, it alone
@@ -748,9 +886,9 @@ class TestLaneCount:
         lane count allocates its lanes and masks."""
         base = Coloring(3, 2, 4, (0, 0, 0, 0))
         parents = ideals._grow([base], 3, 2, 6, 10 ** 12, True)[3]
-        templates = ideals._level_templates([base], 7, 3, 1)
-        assert ideals._filter_lane_bytes(parents, templates) == 4
-        frontier = ideals._active_sets(parents, templates, False)
+        templates = reference_level_templates([base], 7, 3, 1)
+        assert ideals._filter_lane_bytes(parents, templates, comb(6, 3)) == 4
+        frontier = ideals._active_sets(parents, templates, False, comb(6, 3))
         monkeypatch.setattr(ideals, "_active_sets", lambda *args: frontier)
         cap = 2 * len(parents) - 1
 
@@ -807,11 +945,13 @@ class TestLaneFilter:
             w = (l - 1).bit_length()
             # up the levels until the lanes would need more than 8 bytes
             for n in range(k + 1, 20):
-                templates = ideals._level_templates(basis, n, k, w)
+                templates = reference_level_templates(basis, n, k, w)
                 parents = random_parents(rng, k, l, n, draw(rng, 32, 96))
-                width = ideals._filter_lane_bytes(parents, templates)
+                nbits = comb(n - 1, k) * w
+                width = ideals._filter_lane_bytes(parents, templates, nbits)
                 for build in (False, True):
-                    got = ideals._active_sets(parents, templates, build)
+                    got = ideals._active_sets(parents, templates, build,
+                                              nbits)
                     want = reference_active_sets(parents, templates, build)
                     assert list(got.items()) == list(want.items()), \
                         (case, n, build)
@@ -826,7 +966,7 @@ class TestLaneFilter:
         rng = Lcg(59)
         basis = [Coloring(2, 3, 3, (1, 2, 0)),
                  ColoringPattern(2, 3, 3, (2, None, None))]
-        templates = ideals._level_templates(basis, 6, 2, 2)
+        templates = reference_level_templates(basis, 6, 2, 2)
         parents = random_parents(rng, 2, 3, 6, 40)
         for build in (False, True):
             # T = 0, an empty parent list, one template of each kind
@@ -836,35 +976,40 @@ class TestLaneFilter:
                             (parents * 4, templates[-1:]),
                             # sels above every parent's highest field
                             ([p & 3 for p in parents] * 4, templates[-4:])):
-                got = ideals._active_sets(ps, tpl, build)
+                # C(5, 2) fields of 2 bits hold every parent and sel
+                got = ideals._active_sets(ps, tpl, build, comb(5, 2) * 2)
                 want = reference_active_sets(ps, tpl, build)
                 assert list(got.items()) == list(want.items())
         # a template that reads no field matches every parent
         for last, want in ((0, {1: 64}), (-1, {})):
             assert ideals._active_sets([5] * 64, [(0, 0, last, ())],
-                                       False) == want
+                                       False, 3) == want
 
     def test_levels_choose_filter(self, monkeypatch):
         base = Coloring(3, 2, 4, (0, 0, 0, 0))
         # window n = 6: 768 parents of 10 bits, 10 templates
         parents = ideals._grow([base], 3, 2, 5, 10 ** 12, True)[3]
-        templates = ideals._level_templates([base], 6, 3, 1)
-        assert ideals._filter_lane_bytes(parents, templates) == 2
+        templates = reference_level_templates([base], 6, 3, 1)
+        assert ideals._filter_lane_bytes(parents, templates, comb(5, 3)) == 2
         # window n = 7 takes 4-byte lanes, checked on its 477,965 parents
         # in test_cap_keeps_n7_window_count_at_dict_peak
         # the S pattern basis at n = 12: parents of C(11, 3) = 165 bits
         basis = builtin_pattern_basis(IdealSpec.builtin("S", 3))
         parents = ideals._grow(basis, 3, 2, 11, 10 ** 12, True)[3]
-        templates = ideals._level_templates(basis, 12, 3, 1)
+        templates = reference_level_templates(basis, 12, 3, 1)
         assert len(parents) * len(templates) >= 128
-        assert ideals._filter_lane_bytes(parents, templates) == 0
-        # tiny levels: 16 parents, or 31 parents with 4 templates
-        assert ideals._filter_lane_bytes([0] * 16, templates) == 0
-        assert ideals._filter_lane_bytes([0] * 31, templates[:4]) == 0
-        assert ideals._filter_lane_bytes([0] * 32, templates[:4]) == 1
+        assert ideals._filter_lane_bytes(parents, templates,
+                                         comb(11, 3)) == 0
+        # tiny levels: 16 parents, or 31 parents with 4 templates; the
+        # parents and the first 4 sels have no bits
+        assert not any(t[0] for t in templates[:4])
+        assert ideals._filter_lane_bytes([0] * 16, templates,
+                                         comb(11, 3)) == 0
+        assert ideals._filter_lane_bytes([0] * 31, templates[:4], 0) == 0
+        assert ideals._filter_lane_bytes([0] * 32, templates[:4], 0) == 1
         # one parent and no templates packs nothing
         monkeypatch.setattr(ideals, "_lane_filter", None)
-        assert ideals._filter_lane_bytes([0], []) == 0
+        assert ideals._filter_lane_bytes([0], [], 0) == 0
         assert ideals._chunk_extend([0], [], comb(4, 3), comb(4, 2), 2,
                                     10 ** 9, False) == (2 ** 6, 2 ** 7 - 2)
 

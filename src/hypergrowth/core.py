@@ -275,10 +275,13 @@ def homogeneity(c: AnyColoring, subset: Iterable[int]) -> Homogeneity:
         raise ValueError(f"subset not inside [{c.n}]")
     if len(vs) < c.k:
         return Homogeneity(True, None, None)
+    colors = c.colors
+    t = _rank_table(c.n, c.k)
+    top = t[0][0] - 1
     first = None
     ref = None
     for e in combinations(vs, c.k):
-        col = c.colors[edge_index(e, c.n, c.k)]
+        col = colors[top - sum(map(tuple.__getitem__, t, e))]
         if first is None:
             first, ref = e, col
         elif col != ref:
@@ -315,17 +318,27 @@ def contains(small: AnyColoring, big: Coloring) -> Optional[tuple[int, ...]]:
     unspecified (None); those are never checked.
 
     Candidates are bit masks over the host vertices.  For a sorted host
-    prefix P of k-1 vertices, one int per colour has bit w set when big
-    gives the edge P + (w,) that colour.  The ranks of P + (w,) are
-    consecutive in w, so such a row is one slice of big.colors, starting
-    at a rank read from _rank_table.  Rows are built on first use and
-    kept for the rest of the call, keyed by P as one itemgetter per small
-    edge reads it from the images (a bare int when k = 2).  The
-    candidates for the image of vertex i are the window lo..n-(m-i)
+    prefix P of k-1 vertices, a row holds one int per colour with bit w
+    set when big gives the edge P + (w,) that colour.  The ranks of
+    P + (w,) are consecutive in w, so a row is one slice of big.colors.
+    Rows are kept in one list per host head, the first k-2 images of P,
+    indexed by P's last image; entry 0, which no vertex uses, holds the
+    head's part of the rank sum.  The lists are keyed by the head's
+    images (an int when k = 3; k = 2 has the one empty head).  The list
+    of each small head h is fetched once, when h's last vertex is placed,
+    so a small edge (h..., b, i) is tested by list reads and one AND: no
+    tuple key, hash or dict probe.  Head lists and rows are built on
+    first use, so a search that stops early reads only the part of big
+    it tests.
+
+    The candidates for the image of vertex i are the window lo..n-(m-i)
     ANDed with the row of every small edge whose largest vertex is i, so
-    a branch dies as soon as its mask is empty.  The search walks set
-    bits from low to high with an explicit stack of remaining masks, so
-    it does not recurse and the first full injection it reaches is the
+    a branch dies as soon as its mask is empty.  The rows of the edges of
+    vertex i + 1 whose b is below i do not depend on the image of i: they
+    are ANDed once per node at depth i, and the images of i are kept
+    below the largest candidate they leave.  The search walks set bits
+    from low to high with an explicit stack of remaining masks, so it
+    does not recurse and the first full injection it reaches is the
     lexicographically first one.
     """
     if small.k != big.k or small.l != big.l:
@@ -334,39 +347,71 @@ def contains(small: AnyColoring, big: Coloring) -> Optional[tuple[int, ...]]:
     m, n, k, l = small.n, big.n, small.k, small.l
     if m > n:
         return None
-    # (prefix images getter, colour) of the small side's edges, grouped
-    # by largest vertex
-    by_max: list[list[tuple[Callable, int]]] = [[] for _ in range(m + 1)]
-    for e, col in zip(small.edges(), small.colors):
-        if col is not None:
-            by_max[e[-1]].append((itemgetter(*e[:-1]), col))
     colors = big.colors
     t = _rank_table(n, k)
     # rank of P + (P[-1] + 1,) is top + P[-1] - sum T[j][P[j]], j < k-1,
     # as T[k-1][v] = n - v
     top = t[0][0] - n
-    rows: dict[Union[int, Edge], list[int]] = {}
+    lists: dict[Union[int, Edge], list] = {}
+
+    def head_list(hv: Edge) -> list:
+        return [top - sum(map(tuple.__getitem__, t, hv))] + [None] * n
+
+    # slot per small head; (slot, head images getter) by the head's last
+    # vertex; (slot, b, colour) by the depth whose node ANDs the row
+    slots: dict[Edge, int] = {}
+    fetch: list[list[tuple[int, Callable]]] = [[] for _ in range(m + 1)]
+    checks: list[list[tuple[int, int, int]]] = [[] for _ in range(m + 1)]
+    hoisted: list[list[tuple[int, int, int]]] = [[] for _ in range(m + 1)]
+    for e, col in zip(small.edges(), small.colors):
+        if col is None:
+            continue
+        head, b, i = e[:-2], e[-2], e[-1]
+        s = slots.get(head)
+        if s is None:
+            s = slots[head] = len(slots)
+            if head:
+                fetch[head[-1]].append((s, itemgetter(*head)))
+        (hoisted[i - 1] if b < i - 1 else checks[i]).append((s, b, col))
+    # the lists of the current heads, by slot; the empty head is fixed
+    cur = [None if h else head_list(()) for h in slots]
+
+    def build(hl: list, v: int) -> list[int]:
+        row = [0] * l
+        bit = 1 << (v + 1)
+        base = hl[0] + v - t[k - 2][v]
+        for c in colors[base:base + n - v]:
+            row[c] |= bit
+            bit <<= 1
+        hl[v] = row
+        return row
+
     images = [0] * (m + 1)
     left = [0] * (m + 1)  # candidates not yet tried, per depth
+    # per depth: the window up to n-(m-i), and that window ANDed with the
+    # rows that the node one level up hoisted
+    window = [(1 << (n - m + i + 1)) - 1 for i in range(m + 1)]
+    ahead = window[:]
     i, lo = 1, 1
     while True:
-        cand = (1 << (n - m + i + 1)) - (1 << lo)
-        for get, want in by_max[i]:
-            p = get(images)
-            row = rows.get(p)
-            if row is None:
-                pv = (p,) if k == 2 else p
-                last = pv[-1]
-                row = [0] * l
-                bit = 1 << (last + 1)
-                base = top + last - sum(map(tuple.__getitem__, t, pv))
-                for c in colors[base:base + n - last]:
-                    row[c] |= bit
-                    bit <<= 1
-                rows[p] = row
-            cand &= row[want]
+        cand = ahead[i] >> lo << lo
+        for s, b, want in checks[i]:
+            hl = cur[s]
+            v = images[b]
+            cand &= (hl[v] or build(hl, v))[want]
             if not cand:
                 break
+        if cand and hoisted[i]:
+            nxt = window[i + 1]
+            for s, b, want in hoisted[i]:
+                hl = cur[s]
+                v = images[b]
+                nxt &= (hl[v] or build(hl, v))[want]
+                if not nxt:
+                    break
+            ahead[i + 1] = nxt
+            # the image of i must leave a candidate for i + 1 above it
+            cand &= (1 << (nxt.bit_length() - 1)) - 1 if nxt else 0
         while not cand:
             i -= 1
             if i == 0:
@@ -377,6 +422,12 @@ def contains(small: AnyColoring, big: Coloring) -> Optional[tuple[int, ...]]:
         images[i] = low.bit_length() - 1
         if i == m:
             return tuple(images[1:])
+        for s, get in fetch[i]:
+            key = get(images)
+            hl = lists.get(key)
+            if hl is None:
+                hl = lists[key] = head_list((key,) if k == 3 else key)
+            cur[s] = hl
         i, lo = i + 1, images[i] + 1
 
 

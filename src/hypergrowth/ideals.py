@@ -36,6 +36,7 @@ from __future__ import annotations
 import io
 import os
 import sys
+import threading
 from array import array
 from collections import Counter
 from dataclasses import dataclass
@@ -1020,14 +1021,19 @@ def _tame_split_tables(n: int, a: int) -> tuple[dict[int, int],
 # bytes skips the parse, and a read of those bytes with rows appended
 # parses only the appended text.  Keyed by content, not by path or
 # os.stat, because coarse mtimes and reused inodes can hide a rewrite.
+# Appended rows go into the slot's own dict, so parses hold the lock:
+# two threads must not extend one dict with interleaved rows.
 _CacheEntries = dict[tuple[str, int], tuple[int, bool]]
 _cache_slot: tuple[bytes, _CacheEntries] = (b"", {})
+_cache_lock = threading.Lock()
 
 
 def _read_cache(path: str) -> tuple[bytes, _CacheEntries]:
     """The file's bytes and their entries, parsing only what is new.
 
-    A missing file reads as empty.  The caller must not change the entries.
+    A missing file reads as empty.  When the file only grew, the appended
+    rows go into the slot's own dict, so entries returned earlier gain
+    them too: the caller must neither change the entries nor keep them.
     """
     global _cache_slot
     try:
@@ -1035,26 +1041,29 @@ def _read_cache(path: str) -> tuple[bytes, _CacheEntries]:
             data = fh.read()
     except FileNotFoundError:
         data = b""
-    # one read, so a concurrent refill cannot mix slots
-    old, entries = _cache_slot
-    if data == old:
-        return old, entries
-    if data.startswith(old) and old[-1:] in (b"", b"\n"):
-        # rows appended after a whole line: the old rows parse as before
-        entries, text = dict(entries), data[len(old):]
-    else:
-        entries, text = {}, data
-    for line in io.StringIO(text.decode("utf-8", errors="replace"),
-                            newline=None):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            digest, n, count, exact = line.split("\t")
-            entries[(digest, int(n))] = (int(count), exact == "1")
-        except ValueError:
-            continue
-    _cache_slot = (data, entries)
+    with _cache_lock:
+        old, entries = _cache_slot
+        if data == old:
+            return old, entries
+        if data.startswith(old) and old[-1:] in (b"", b"\n"):
+            # rows appended after a whole line: the old rows parse as
+            # before.  The slot stays empty until the new rows are in, so
+            # a parse cut short by an exception is redone in full.
+            _cache_slot = (b"", {})
+            text = data[len(old):]
+        else:
+            entries, text = {}, data
+        for line in io.StringIO(text.decode("utf-8", errors="replace"),
+                                newline=None):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                digest, n, count, exact = line.split("\t")
+                entries[(digest, int(n))] = (int(count), exact == "1")
+            except ValueError:
+                continue
+        _cache_slot = (data, entries)
     return data, entries
 
 

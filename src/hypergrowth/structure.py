@@ -12,6 +12,7 @@ rich and simple classifiers work for any uniformity.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cache
 from itertools import combinations, permutations, product
@@ -317,6 +318,12 @@ def is_c_simple(c: Coloring, cpar: int) -> Optional[SimplicityViolation]:
     homogeneous, and any k-1 distinct vertices whose first member sits in
     the boundary give the same color no matter which deep-middle vertex
     completes them.  Small colorings pass vacuously.
+
+    Colors are read from c.colors by the lexicographic rank of the core
+    module docstring.  For a sorted (k-1)-set S and a vertex w that would
+    sit at position j of the sorted edge S + {w}, the rank is offs[j] -
+    T[j][w]: S's members below w keep their positions, those above move
+    up by one.
     """
     k, n = c.k, c.n
     if cpar < k:
@@ -328,18 +335,25 @@ def is_c_simple(c: Coloring, cpar: int) -> Optional[SimplicityViolation]:
         e1, e2 = mid.witness
         return SimplicityViolation("C1", edges=(e1, e2),
                                    colors=(c.color(e1), c.color(e2)))
+    colors = c.colors
+    t = _rank_table(n, k)
+    top = t[0][0] - 1
     boundary = list(range(1, cpar + 1)) + list(range(n - cpar + 1, n + 1))
     wlo, whi = 2 * cpar + 1, n - 2 * cpar
     for v1 in boundary:
         others = [u for u in range(1, n + 1) if u != v1]
         for rest in combinations(others, k - 2):
             vs = (v1,) + rest
-            used = set(vs)
+            srt = sorted(vs)
+            offs = [top - sum(map(tuple.__getitem__, t, srt[:j]))
+                    - sum(map(tuple.__getitem__, t[j + 1:], srt[j:]))
+                    for j in range(k)]
             ref_w = ref_col = None
             for w in range(wlo, whi + 1):
-                if w in used:
+                j = bisect_left(srt, w)
+                if j < k - 1 and srt[j] == w:
                     continue
-                col = c.color(vs + (w,))
+                col = colors[offs[j] - t[j][w]]
                 if ref_w is None:
                     ref_w, ref_col = w, col
                 elif col != ref_col:

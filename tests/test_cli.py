@@ -518,15 +518,38 @@ class TestContainsVerb:
         assert res.stdout == "contained=false\n"
 
     def test_mismatched_arity_is_usage_error(self, tmp_path):
-        small = write_coloring(tmp_path / "s.col", Coloring.constant(2, 2, 3, 0))
         big = write_coloring(tmp_path / "b.col", Coloring.constant(3, 2, 5, 0))
-        assert run_cli("contains", small, big).returncode == 2
+        # k differs, then l differs: one error line each, no traceback
+        for k, l in ((2, 2), (3, 300)):
+            small = write_coloring(tmp_path / "s.col",
+                                   Coloring.constant(k, l, 3, 0))
+            res = run_cli("contains", small, big)
+            assert res.returncode == 2
+            assert res.stdout == ""
+            assert res.stderr.startswith("error: ")
+            assert res.stderr.count("\n") == 1
 
     def test_malformed_file_is_usage_error(self, tmp_path):
         bad = tmp_path / "bad.col"
         bad.write_text("coloring k=3 l=2 n=4\nbits 01\n")
         good = write_coloring(tmp_path / "g.col", Coloring.constant(3, 2, 4, 0))
         assert run_cli("contains", str(bad), str(good)).returncode == 2
+
+    def test_colours_above_a_byte(self, tmp_path, capsys):
+        """l = 300 edge-line files: the first witness, then a miss."""
+        big = Coloring.from_function(
+            3, 300, 7, lambda e: (e[0] * 97 + e[1] * 31 + e[2] * 7) % 300)
+        assert max(big.colors) >= 256
+        hp = write_coloring(tmp_path / "host.col", big)
+        assert "bits" not in (tmp_path / "host.col").read_text()
+        small = restrict_normalize(big, (2, 4, 5, 7))
+        sp = write_coloring(tmp_path / "small.col", small)
+        rc, out = main_in_process(["contains", sp, hp], capsys)
+        assert (rc, out) == (0, "contained=true injection=2,4,5,7\n")
+        miss = Coloring(3, 300, 4, (299,) * 4)
+        mp = write_coloring(tmp_path / "miss.col", miss)
+        rc, out = main_in_process(["contains", mp, hp], capsys)
+        assert (rc, out) == (1, "contained=false\n")
 
 
 class TestMakeAndClassifyRoundTrips:

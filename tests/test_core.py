@@ -2,6 +2,7 @@
 
 import inspect
 import sys
+import tracemalloc
 from itertools import combinations, product
 from math import comb
 from pathlib import Path
@@ -391,13 +392,86 @@ class TestContainsParity:
         assert min(seen.values()) >= 10 and min(kinds.values()) >= 10, (
             seen, kinds)
 
+    def test_k5_three_vertex_heads(self):
+        rng = Lcg(5)
+        seen = {"found": 0, "absent": 0}
+        for n in (5, 7, 9, 11):
+            big = random_coloring(rng, 5, 2, n)
+            for m in sorted({1, 4, 5, rng.randint(5, n), n}):
+                for _ in range(4):
+                    self.check(random_small(rng, big, m), big, seen)
+        assert min(seen.values()) >= 10, seen
+
+    def test_colours_above_a_byte(self):
+        rng = Lcg(300)
+        seen = {"found": 0, "absent": 0}
+        for k, n in ((2, 24), (3, 12)):
+            for _ in range(6):
+                big = random_coloring(rng, k, 300, n)
+                assert max(big.colors) > 255
+                for m in (k + 1, k + 3, n):
+                    self.check(random_small(rng, big, m), big, seen)
+        assert min(seen.values()) >= 10, seen
+
+    def test_heads_without_specified_edges(self):
+        """Every edge on some heads left open: those heads get no slot,
+        and the edges of the other heads still decide the witness."""
+        rng = Lcg(7)
+        seen = {"found": 0, "absent": 0}
+        for k, n in ((3, 14), (4, 10)):
+            for _ in range(10):
+                big = random_coloring(rng, k, 2, n)
+                m = rng.randint(k + 1, k + 3)
+                base = restrict_normalize(big, range(n - m + 1, n + 1))
+                # heads of the form (1, ...) or ending at vertex 3 are open
+                open_heads = [e[:k - 2] for e in base.edges()
+                              if e[0] == 1 or e[k - 3] == 3]
+                assert open_heads
+                cols = [None if e[:k - 2] in open_heads
+                        else (c if draw(rng, 0, 3) else 1 - c)
+                        for e, c in zip(base.edges(), base.colors)]
+                self.check(ColoringPattern(k, 2, m, tuple(cols)), big, seen)
+        assert min(seen.values()) >= 3, seen
+
+    def test_node_dies_on_hoisted_edge(self):
+        """The edge (1, 3) is ANDed at the node that places vertex 2."""
+        # only (4, 5) has colour 1, so no image of 1 in the window 1..3
+        # has a colour-1 edge to a later vertex: each node dies there
+        big = Coloring.from_map(2, 2, 5, {(4, 5): 1})
+        pat = ColoringPattern.from_map(2, 2, 3, {(1, 3): 1})
+        assert contains(pat, big) is None
+        # (1, 3) alone: the image of 2 must stay below 3
+        big = Coloring.from_map(2, 2, 5, {(1, 3): 1})
+        assert contains(pat, big) == (1, 2, 3)
+        tight = ColoringPattern.from_map(2, 2, 4, {(1, 4): 1, (2, 3): 0})
+        for hosts in range(40):
+            rng = Lcg(hosts)
+            big = random_coloring(rng, 2, 2, 8)
+            assert contains(tight, big) == reference_contains(tight, big) \
+                == contains_oracle(tight, big)
+
+    def test_early_witness_reads_little_of_the_host(self):
+        """Rows and head lists are built on first use, so a witness at
+        (1, 2, 3) costs far less memory than the 280,840-edge host."""
+        rng = Lcg(120)
+        big = random_coloring(rng, 3, 2, 120)
+        small = restrict_normalize(big, (1, 2, 3))
+        tracemalloc.start()
+        try:
+            got = contains(small, big)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == (1, 2, 3)
+        assert peak < 64 * 1024, peak
+
 
 class TestContainment:
     def test_oracle_agreement_and_lex_first(self):
         rng = Lcg(11)
         seen = {"found": 0, "absent": 0, "pattern": 0, "edgeless": 0,
                 "m==n": 0}
-        for k in (2, 3, 4):
+        for k in (2, 3, 4, 5):
             for l in (2, 3):
                 for n in list(range(1, 10)) * 3:
                     for m in sorted({1, max(1, k - 1), rng.randint(1, n), n}):

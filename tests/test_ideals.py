@@ -5,6 +5,8 @@ import io
 import os
 import subprocess
 import sys
+import threading
+import time
 import tracemalloc
 from collections import Counter
 from functools import lru_cache
@@ -1185,6 +1187,70 @@ class TestGrowthCache:
             assert got == want
             got[("z" * 16, 9)] = (0, False)
             del got[("a" * 16, 1)]
+        assert load_cache(path) == want
+
+    def test_earlier_result_unchanged_by_append(self, tmp_path):
+        """An append is parsed into the last parse's own entries; a
+        load_cache result taken before it must not see the new rows."""
+        path = str(tmp_path / "growth.tsv")
+        update_cache(path, "a" * 16, {1: 1, 2: 5}, {1: True, 2: True})
+        before = load_cache(path)
+        snapshot = dict(before)
+        update_cache(path, "a" * 16, {2: 6, 3: 9}, {2: True, 3: True})
+        after = load_cache(path)
+        assert before == snapshot
+        assert after == {("a" * 16, 1): (1, True), ("a" * 16, 2): (6, True),
+                         ("a" * 16, 3): (9, True)}
+        with open(path, "ab") as fh:
+            fh.write(("b" * 16 + "\t1\t2\t1\n").encode())
+        assert load_cache(path) == {**after, ("b" * 16, 1): (2, True)}
+        assert before == snapshot
+        assert len(after) == 3
+
+    def test_threads_appending_and_reading(self, tmp_path, monkeypatch):
+        """Threads append and read one file, and every parsed line yields
+        the interpreter lock; every read sees the thread's own rows, and
+        the last parse equals a fresh one, so no row was lost or parsed
+        out of order into the shared entries."""
+        path = str(tmp_path / "growth.tsv")
+        errors = []
+
+        def yielding_lines(text, newline):
+            for line in io.StringIO(text, newline=newline):
+                time.sleep(0)
+                yield line
+
+        monkeypatch.setattr(ideals, "io",
+                            SimpleNamespace(StringIO=yielding_lines))
+
+        def work(t):
+            try:
+                for i in range(20):
+                    # each thread rewrites its own key, so order matters
+                    update_cache(path, f"{t:016x}", {1: i, 2 + i: i},
+                                 {1: True, 2 + i: True})
+                    got = load_cache(path)
+                    if got.get((f"{t:016x}", 1)) != (i, True):
+                        errors.append((t, i))
+            except Exception as exc:  # reported by the main thread
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(t,))
+                       for t in range(4)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        assert errors == []
+        want = reference_load_cache(path)
+        assert len(want) == 4 * 21
+        assert ideals._read_cache(path)[1] == want
         assert load_cache(path) == want
 
     def test_two_paths_used_alternately(self, tmp_path):

@@ -9,8 +9,8 @@ from hypergrowth.core import Coloring, homogeneity, restrict_normalize, reverse
 from hypergrowth.matrices import Metrics3, StarMatrix3, metrics3
 from hypergrowth.rng import Lcg
 from hypergrowth.structure import (WEALTHY_FAMILIES, SizeMismatchError,
-                                   TameReport, TameViolation,
-                                   WealthyVariant, crossing_matrix,
+                                   SimplicityViolation, TameReport,
+                                   TameViolation, WealthyVariant, crossing_matrix,
                                    is_c_simple, is_p_tame, is_r_rich,
                                    is_wealthy, nuclear_decomposition,
                                    rich_deletions, rich_window_edges,
@@ -492,6 +492,111 @@ class TestSimplicity:
     def test_constant_always_simple(self):
         for n in range(1, 16):
             assert is_c_simple(Coloring.constant(3, 2, n, 0), 3) is None
+
+
+def reference_is_c_simple(c, cpar):
+    """is_c_simple as it stood when every read went through c.color."""
+    k, n = c.k, c.n
+    if cpar < k:
+        raise ValueError("boundary width must be at least k")
+    if n <= 2 * cpar + k:
+        return None
+    mid = homogeneity(c, range(cpar + 1, n - cpar + 1))
+    if not mid.homogeneous:
+        e1, e2 = mid.witness
+        return SimplicityViolation("C1", edges=(e1, e2),
+                                   colors=(c.color(e1), c.color(e2)))
+    boundary = list(range(1, cpar + 1)) + list(range(n - cpar + 1, n + 1))
+    wlo, whi = 2 * cpar + 1, n - 2 * cpar
+    for v1 in boundary:
+        others = [u for u in range(1, n + 1) if u != v1]
+        for rest in combinations(others, k - 2):
+            vs = (v1,) + rest
+            used = set(vs)
+            ref_w = ref_col = None
+            for w in range(wlo, whi + 1):
+                if w in used:
+                    continue
+                col = c.color(vs + (w,))
+                if ref_w is None:
+                    ref_w, ref_col = w, col
+                elif col != ref_col:
+                    return SimplicityViolation("C2", vertices=vs,
+                                               pivots=(ref_w, w),
+                                               colors=(ref_col, col))
+    return None
+
+
+def reference_homogeneity(c, subset):
+    """homogeneity by c.color on every edge: the same verdict and witness."""
+    vs = sorted(set(subset))
+    if len(vs) < c.k:
+        return (True, None, None)
+    edges = list(combinations(vs, c.k))
+    for e in edges[1:]:
+        if c.color(e) != c.color(edges[0]):
+            return (False, None, (edges[0], e))
+    return (True, c.color(edges[0]), None)
+
+
+def controlled_coloring(rng, k, l, n, cpar, flip):
+    """Constant on the middle [cpar+1, n-cpar]; any other edge is coloured
+    by its vertices outside the deep middle, so no completion changes it.
+
+    flip "middle" recolours one edge inside the middle (a C1 witness);
+    "completion" one edge with a boundary and a deep-middle vertex (a C2
+    witness once the deep middle has two vertices outside the edge).
+    """
+    deep = range(2 * cpar + 1, n - 2 * cpar + 1)
+    table = {}
+    edges = list(combinations(range(1, n + 1), k))
+    cols = []
+    for e in edges:
+        if cpar < e[0] and e[-1] <= n - cpar:
+            cols.append(0)
+        else:
+            key = tuple(v for v in e if v not in deep)
+            if key not in table:
+                table[key] = draw(rng, 0, l - 1)
+            cols.append(table[key])
+    inside = {"middle": lambda e: cpar < e[0] and e[-1] <= n - cpar,
+              "completion": lambda e: (e[0] <= cpar or e[-1] > n - cpar)
+              and any(v in deep for v in e)}
+    if flip in inside:
+        pick = [i for i, e in enumerate(edges) if inside[flip](e)]
+        i = pick[draw(rng, 0, len(pick) - 1)]
+        cols[i] = (cols[i] + draw(rng, 1, l - 1)) % l
+    return Coloring(k, l, n, tuple(cols))
+
+
+class TestSimplicityParity:
+    """is_c_simple and homogeneity read colours by rank; their verdicts,
+    witnesses and colours must match the c.color versions exactly."""
+
+    def test_random_k2_to_4(self):
+        rng = Lcg(313)
+        seen = {"C1": 0, "C2": 0, None: 0}
+        for _ in range(120):
+            k = draw(rng, 2, 4)
+            l = draw(rng, 2, 3)
+            cpar = draw(rng, k, k + 1)
+            kind = draw(rng, 0, 3)
+            if kind == 0:
+                n = 2 * cpar + k + draw(rng, 0, 2 * cpar - k + 3)
+                c = random_coloring(rng, k, l, n)
+            else:
+                # a deep middle [2cpar+1, n-2cpar] of 3 or 4 vertices
+                n = 4 * cpar + draw(rng, 3, 4)
+                c = controlled_coloring(rng, k, l, n, cpar,
+                                        (None, "middle", "completion")[kind - 1])
+            got = is_c_simple(c, cpar)
+            assert got == reference_is_c_simple(c, cpar), (c, cpar)
+            seen[got and got.condition] += 1
+            subset = [v for v in range(1, n + 1) if draw(rng, 0, 2)]
+            h = homogeneity(c, subset)
+            assert (h.homogeneous, h.color, h.witness) == \
+                reference_homogeneity(c, subset), (c, subset)
+        assert min(seen.values()) >= 20, seen
 
 
 class TestWealthyVariants:

@@ -16,19 +16,13 @@ have the same future and are merged, also when they extend different
 members, so one frontier serves a whole level.  The templates keep
 their colex ranks from level to level, so each level only adds its new
 ones.  The frontier starts from each parent's set of active templates.
-On a level with enough parents, where the old edges' fields and the
-template count each fit in 63 bits, the parents sit in the lanes of one
-big int and each template tests them all with a few whole-int
-operations (see _lane_filter); other levels test parent by parent.
 Only the levels below the last are enumerated, since the next level
 extends them; the last level is counted, the merged prefixes carrying a
-multiplicity instead of a list.  When a counted level has few templates
-for its parents, the multiplicities instead sit in the lanes of one big
-int, one lane per set of templates, as superset sums, and each new edge
-costs a few whole-int operations; see _lane_count.  Members are ints
-holding each edge's color in a (l-1).bit_length()-bit field, so one
-engine serves every color count.  Everything is big-integer exact; no
-floating point enters any count.
+multiplicity instead of a list.  _plan picks, per level, whether the
+parent filter and the count run in the lanes of one big int or parent by
+parent and on a dict.  Members are ints holding each edge's color in a
+(l-1).bit_length()-bit field, so one engine serves every color count.
+Everything is big-integer exact; no floating point enters any count.
 """
 
 from __future__ import annotations
@@ -395,8 +389,23 @@ class GrowthRecord:
     nodes: int
 
 
-def _new_templates(basis: Sequence[AnyColoring], n: int, k: int,
-                   w: int) -> list:
+def _split_basis(basis: Sequence[AnyColoring]) -> list:
+    """The non-empty elements as _new_templates reads them, (size, old,
+    new): coloured edges as (0-based positions in the other images,
+    colour), a new edge without its last vertex."""
+    out = []
+    for b in basis:
+        if not b.empty:
+            old, new_edges = [], []
+            for e, col in zip(b.edges(), b.colors):
+                if col is not None:
+                    pos = tuple(v - 1 for v in e if v != b.n)
+                    (new_edges if e[-1] == b.n else old).append((pos, col))
+            out.append((b.n, old, new_edges))
+    return out
+
+
+def _new_templates(split: list, n: int, k: int, w: int) -> list:
     """The injection templates that level n adds to level n-1's.
 
     A template of level n is one (basis element, choice of the other image
@@ -417,18 +426,11 @@ def _new_templates(basis: Sequence[AnyColoring], n: int, k: int,
     getitem = tuple.__getitem__
     field = (1 << w) - 1
     out = []
-    for b in basis:
-        if b.empty or b.n > n:
+    for size, old, new_edges in split:
+        if size > n:
             continue
-        # an edge's vertices as 0-based positions in the other images; a
-        # new edge drops its last vertex, the one pinned to n
-        old, new_edges = [], []
-        for e, col in zip(b.edges(), b.colors):
-            if col is not None:
-                pos = tuple(v - 1 for v in e if v != b.n)
-                (new_edges if e[-1] == b.n else old).append((pos, col))
-        # b.n >= k >= 2, so there is at least one other image
-        for head in combinations(range(1, n - 1), b.n - 2):
+        # size >= k >= 2, so there is at least one other image
+        for head in combinations(range(1, n - 1), size - 2):
             image = (*head, n - 1).__getitem__
             sel = want = 0
             for pos, col in old:
@@ -465,7 +467,7 @@ def _new_edge_tables(templates: list, nnew: int, l: int):
     return keep, done
 
 
-def _active_sets(parents, templates, build, nbits) -> dict:
+def _scan_filter(parents, templates, build) -> dict:
     """The parent filter: each parent's set of active templates, as a bit
     set, mapped to the parents that have it, or with ``build`` unset to
     their number.
@@ -473,14 +475,8 @@ def _active_sets(parents, templates, build, nbits) -> dict:
     A template whose old part the parent realizes is active; one without
     new edges embeds outright, and such a parent has no children.  Sets
     appear in the order of their first parent, and each list keeps the
-    parents' order.  ``nbits`` bounds the bit length of every parent and
-    ``sel``.  When _filter_lane_bytes admits the level, _lane_filter tests
-    all parents at once with the same result; otherwise each parent is
-    scanned against each template in turn.
+    parents' order.  Each parent is tested against each template in turn.
     """
-    width = _filter_lane_bytes(parents, templates, nbits)
-    if width:
-        return _lane_filter(parents, templates, build, width)
     checks = [(sel, want, last, 1 << i)
               for i, (sel, want, last, _) in enumerate(templates)]
     frontier: dict = {}
@@ -504,7 +500,7 @@ _LANE_BYTES = 1 << 20
 # array typecodes by item size, for lanes of 1, 2, 4 or 8 bytes
 _LANE_TYPECODES = {array(code).itemsize: code for code in "BHILQ"}
 # The parent filter packs a level with at least this many parents and
-# parent-template pairs; see _filter_lane_bytes.
+# parent-template pairs; see _plan.
 _FILTER_MIN_PARENTS = 32
 _FILTER_MIN_PAIRS = 128
 
@@ -516,31 +512,50 @@ def _lane_size(nbits: int) -> int:
     return width if width <= 8 else 0
 
 
-def _filter_lane_bytes(parents, templates, nbits) -> int:
-    """Bytes per lane when the parent filter packs a level, else 0.
+def _fits(nparents, ntemplates, nbits, l, nnew, build) -> tuple[int, int]:
+    """(filter_bytes, count_bytes): bytes per lane of _lane_filter and of
+    _lane_count wherever a level fits in them, else 0.
 
-    A lane holds a parent below a spare top bit, and then the parent's
-    key: a bit per template, or all ones for a dead parent.  So it needs
-    one bit more than ``nbits``, a bound on the bit length of every parent
-    and ``sel`` (the engine passes its C(n-1, k) * w old-edge bits), and
-    than the number T of templates, in at most 8 bytes; wider levels keep
-    the scan.
-    Packing costs about 4 us per call and 0.3 us per template; the scan
-    costs about 0.16 us per parent and 0.07 us per parent and template
-    (2-vCPU VM, Python 3.11).  Measured on lanes of every size, the two
-    tie near 32 parents with 2 templates and 64 parents with 1, so a
-    level with fewer parents than _FILTER_MIN_PARENTS or fewer pairs
-    than _FILTER_MIN_PAIRS, T = 0 included, keeps the scan.
+    A filter lane holds a parent below a spare top bit, and then the
+    parent's key: a bit per template, or all ones for a dead parent.  So
+    it needs one bit more than ``nbits``, a bound on the bit length of
+    every parent and ``sel`` (the engine passes its C(n-1, k) * w
+    old-edge bits), and than the number T of templates, in at most 8
+    bytes.  Only a counted level gets count lanes: a lane holds up to
+    every prefix, nparents * l**nnew, in at most 8 bytes, and the T
+    masks, the live lane ints and their temporaries fit in _LANE_BYTES.
     """
-    nparents = len(parents)
+    filter_bytes = _lane_size(max(nbits, ntemplates) + 1)
+    count_bytes = 0 if build else _lane_size(
+        max(1, nparents * l ** nnew).bit_length())
+    if (ntemplates + 8 << ntemplates) * count_bytes > _LANE_BYTES:
+        count_bytes = 0
+    return filter_bytes, count_bytes
+
+
+def _plan(nparents, ntemplates, nbits, l, nnew, build) -> tuple[int, int]:
+    """_fits's lane widths where lanes beat the scan and the dict, else 0.
+
+    Packing the filter costs about 4 us per call and 0.3 us per template;
+    the scan costs about 0.16 us per parent and 0.07 us per parent and
+    template (2-vCPU VM, Python 3.11).  Measured on lanes of every size,
+    the two tie near 32 parents with 2 templates and 64 parents with 1,
+    so a level with fewer parents than _FILTER_MIN_PARENTS or fewer pairs
+    than _FILTER_MIN_PAIRS, T = 0 included, keeps the scan.  Count lanes
+    pay off while there are not many more of them, 2^T, than parents.
+    """
+    filter_bytes, count_bytes = _fits(nparents, ntemplates, nbits, l, nnew,
+                                      build)
     if (nparents < _FILTER_MIN_PARENTS
-            or nparents * len(templates) < _FILTER_MIN_PAIRS):
-        return 0
-    return _lane_size(max(nbits, len(templates)) + 1)
+            or nparents * ntemplates < _FILTER_MIN_PAIRS):
+        filter_bytes = 0
+    if ntemplates > 2 + nparents.bit_length():
+        count_bytes = 0
+    return filter_bytes, count_bytes
 
 
 def _lane_filter(parents, templates, build, width) -> dict:
-    """_active_sets with one lane of ``width`` bytes per parent.
+    """_scan_filter's result with one lane of ``width`` bytes per parent.
 
     All parents sit in one int, parent i in lane i; ``ones`` has a 1 at
     the foot of every lane and ``top`` at its spare top bit.  For a
@@ -587,29 +602,8 @@ def _lane_filter(parents, templates, build, width) -> dict:
     return counts
 
 
-def _lane_width(nparents: int, l: int, nnew: int) -> int:
-    """Bytes per lane: the least of 1, 2, 4, 8 with room for the most
-    prefixes, nparents * l**nnew, or 0 when 8 bytes are too few."""
-    return _lane_size(max(1, nparents * l ** nnew).bit_length())
-
-
-def _lane_bytes(ntemplates: int, nparents: int, l: int, nnew: int) -> int:
-    """Bytes per lane when a counted level takes the lane count, else 0.
-
-    Lanes pay off while there are not many more of them, 2^T, than
-    parents; the T masks, the live lane ints and their temporaries must
-    also fit in _LANE_BYTES.
-    """
-    if ntemplates > 2 + nparents.bit_length():
-        return 0
-    width = _lane_width(nparents, l, nnew)
-    if (ntemplates + 8 << ntemplates) * width > _LANE_BYTES:
-        return 0
-    return width
-
-
-# _lane_bytes keeps one shape's masks under _LANE_BYTES, so the cache
-# holds at most 8 * _LANE_BYTES
+# _fits keeps one shape's masks under _LANE_BYTES, so the cache holds at
+# most 8 * _LANE_BYTES
 @lru_cache(maxsize=8)
 def _lane_masks(size: int, width: int) -> tuple[int, ...]:
     """_lane_count's masks for ``size`` templates in lanes of ``width``
@@ -635,7 +629,7 @@ def _lane_count(frontier: dict, templates, nnew, l, cap, width):
     step, lane U minus lane U+t; the colours' results add up to the next
     depth's lanes.  Each step leaves a superset sum of non-negative
     counts, so lane U is at least lane U+t, no subtraction borrows
-    across lanes, and no lane outgrows the prefix bound of _lane_width.
+    across lanes, and no lane outgrows the prefix bound of _fits.
     Nodes and the cap are charged from lane 0 as the dict frontier
     charges them.  Returns (count, nodes), or (None, nodes) past the cap.
     """
@@ -674,37 +668,37 @@ def _lane_count(frontier: dict, templates, nnew, l, cap, width):
     return lanes & lane0, nodes
 
 
-def _chunk_extend(parents, templates, shift, nnew, l, cap, build):
+def _chunk_extend(parents, templates, shift, nnew, l, cap, build,
+                  plan=_plan):
     """Extend a level's parents by one frontier; (result, nodes).
 
     ``templates`` and ``parents`` may come in any order: a state is a set
     of templates, so neither order changes the result's members or nodes.
     One frontier serves every parent.  It starts from each parent's set
-    of active templates, those whose old part the parent realizes, found
-    by _active_sets: in packed lanes when _filter_lane_bytes admits the
-    level (enough parents and pairs, and ``shift``, the parents' old-edge
-    bits, and the template count within 63 bits), else by a scan.  It
-    then runs over the new-edge depths, keying each surviving prefix by
-    the set of active templates it still matches, which is all that later
+    of active templates, those whose old part the parent realizes, and
+    runs over the new-edge depths, keying each surviving prefix by the
+    set of active templates it still matches, which is all that later
     depths read of it; prefixes with one set are merged, across parents
     too.  With ``build``, a state lists its prefixes, each a parent int
     with the new colours in ``w``-bit fields (depth j at bit ``shift + j *
     w``), so colour 0 leaves a prefix as it is, and the result is those
     (unsorted) lists of members.  Counting, a state holds its number of
-    prefixes and the result is their total;
-    when _lane_bytes admits the level, which depends only on the number
-    of templates and parents and the lane size, _lane_count runs the
-    depths on superset-sum lanes instead of a dict, with the same result
-    and nodes.  ``nodes`` grows by ``l`` per prefix and depth, the sum of
-    the nodes of each parent's depth-first walk.  Once it exceeds ``cap``
-    the walk stops and the result is None, so a budget drops the same
-    levels as that walk.
+    prefixes and the result is their total.  ``plan`` (_plan, unless a
+    test or check forces a path) gives the filter's and the count's lane
+    widths, 0 for _scan_filter or the dict below, with the same result
+    and nodes either way.  ``nodes`` grows by ``l`` per prefix and depth,
+    the sum of the nodes of each parent's depth-first walk.  Once it
+    exceeds ``cap`` the walk stops and the result is None, so a budget
+    drops the same levels as that walk.
     """
-    frontier = _active_sets(parents, templates, build, shift)
-    if not build:
-        width = _lane_bytes(len(templates), len(parents), l, nnew)
-        if width:
-            return _lane_count(frontier, templates, nnew, l, cap, width)
+    filter_bytes, count_bytes = plan(len(parents), len(templates), shift,
+                                     l, nnew, build)
+    if filter_bytes:
+        frontier = _lane_filter(parents, templates, build, filter_bytes)
+    else:
+        frontier = _scan_filter(parents, templates, build)
+    if count_bytes:
+        return _lane_count(frontier, templates, nnew, l, cap, count_bytes)
     w = (l - 1).bit_length()
     keep, done = _new_edge_tables(templates, nnew, l)
     nodes = 0
@@ -741,7 +735,7 @@ def _chunk_extend(parents, templates, shift, nnew, l, cap, build):
 
 
 def _grow(basis: Sequence[AnyColoring], k: int, l: int, n_max: int,
-          budget: int, build_last: bool):
+          budget: int, build_last: bool, plan=_plan):
     """The level loop; (counts, exact, nodes, members of level n_max).
 
     Levels below n_max are built as member ints in no particular order,
@@ -755,25 +749,28 @@ def _grow(basis: Sequence[AnyColoring], k: int, l: int, n_max: int,
         if (b.k, b.l) != (k, l):
             raise IncompatibleColoringsError("basis does not match (k, l)")
     w = (l - 1).bit_length()
+    split = _split_basis(basis)
+    # an empty element embeds in every level of at least its size
+    first_zero = min((b.n for b in basis if b.empty), default=n_max + 1)
     counts: dict[int, int] = {}
     exact: dict[int, bool] = {}
     nodes_total = 0
     parents: list[int] = [0]
     templates: list = []
     for n in range(1, n_max + 1):
-        templates += _new_templates(basis, n, k, w)
-        if any(b.empty and b.n <= n for b in basis):
+        if n >= first_zero:
             parents = []
             counts[n] = 0
             exact[n] = True
             continue
+        templates += _new_templates(split, n, k, w)
         remaining = budget - nodes_total
         if remaining <= 0:
             break
         build = build_last or n < n_max
         result, nodes = _chunk_extend(
             parents, templates, comb(n - 1, k) * w, comb(n - 1, k - 1), l,
-            remaining, build)
+            remaining, build, plan)
         if nodes > remaining:
             break
         nodes_total += nodes

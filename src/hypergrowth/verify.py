@@ -17,7 +17,8 @@ from .constructions import (Chain, chain_to_path, embed_chain, embed_string,
                             make_disobedient, make_rich, make_string_coloring,
                             make_wealthy, path_to_chain)
 from .core import Coloring, injection_witnesses, reverse
-from .ideals import (GrowthRecord, IdealSpec, avoid_growth, builtin_members,
+from .ideals import (DEFAULT_BUDGET, GrowthRecord, IdealSpec, _fits, _grow,
+                     _plan, avoid_growth, builtin_members,
                      builtin_pattern_basis, census_distinct,
                      dichotomy_verdict, sequence_F, sequence_G)
 from .matrices import (StarMatrix2, StarMatrix3, matrix2_from_text, metrics2,
@@ -294,21 +295,18 @@ def check_row_alternation_example() -> CriterionResult:
                    "row 00011**11*010 alternates at columns {3, 11, 12}")
 
 
-def _four_vertex_base_records():
-    out = {}
-    for bits in range(16):
-        base = Coloring(3, 2, 4, tuple(bits >> i & 1 for i in range(4)))
-        out[bits] = avoid_growth([base], 3, 2, 6)[:2]
-    return out
+def _window_bases() -> list[Coloring]:
+    """The 16 four-vertex bases, k=3, l=2: edge i of base bits has bit i."""
+    return [Coloring(3, 2, 4, tuple(bits >> i & 1 for i in range(4)))
+            for bits in range(16)]
 
 
 def check_dichotomy_window() -> CriterionResult:
     failures = []
-    records = _four_vertex_base_records()
-    for bits, (counts, exact) in records.items():
-        spec = IdealSpec.avoid(
-            [Coloring(3, 2, 4, tuple(bits >> i & 1 for i in range(4)))])
-        rec = GrowthRecord(spec.digest(), 3, counts, exact, 0)
+    for bits, base in enumerate(_window_bases()):
+        counts, exact, _ = avoid_growth([base], 3, 2, 6)
+        rec = GrowthRecord(IdealSpec.avoid([base]).digest(), 3, counts,
+                           exact, 0)
         v = dichotomy_verdict(rec, "constant")
         if v.classification == "violation":
             failures.append(f"base {bits:04b} violates the window shape")
@@ -364,18 +362,23 @@ def check_deletion_and_string_censuses() -> CriterionResult:
 
 
 def check_parallel_determinism() -> CriterionResult:
-    # counts come from one process, so repeated runs must agree; the row
-    # keeps its name and summary, and with them verify's output bytes
+    # counts never depend on how a level is computed: the paths _plan
+    # picks, lanes wherever they fit and no lanes must agree.  The row
+    # keeps its name and summary, and with them verify's output bytes.
     failures = []
     pats = builtin_pattern_basis(IdealSpec.builtin("S", 3))
-    first = avoid_growth(pats, 3, 2, 12)
-    if first != avoid_growth(pats, 3, 2, 12):
-        failures.append("interval-family recount differs between runs")
-    if [first[0][n] for n in range(1, 13)] != \
+    counts = avoid_growth(pats, 3, 2, 12)[0]
+    if [counts[n] for n in range(1, 13)] != \
             [sequence_G(n) for n in range(1, 13)]:
         failures.append("interval-family recount off the recurrence")
-    if _four_vertex_base_records() != _four_vertex_base_records():
-        failures.append("window scan differs between runs")
+    cases = [("interval-family recount", pats, 12)] + [
+        (f"window base {bits:04b}", [base], 6)
+        for bits, base in enumerate(_window_bases())]
+    for name, basis, n_max in cases:
+        runs = [_grow(basis, 3, 2, n_max, DEFAULT_BUDGET, False, plan)[:3]
+                for plan in (_plan, _fits, lambda *shape: (0, 0))]
+        if any(run != runs[0] for run in runs):
+            failures.append(f"{name} differs between paths")
     return _result(13, "parallel determinism", failures,
                    "worker count never changes any reported count")
 

@@ -538,12 +538,14 @@ def reference_level_templates(basis, n, k, w):
     return out
 
 
-def reference_chunk_extend(parents, templates, shift, nnew, l, cap, build):
+def reference_chunk_extend(parents, templates, shift, nnew, l, cap, build,
+                           plan=None):
     """The engine's level step parent by parent: one frontier each.
 
     Each parent's new-edge colourings are found by their own frontier and
     spliced onto the parent; nodes accumulate over the level's parents,
     and the walk stops with no result as soon as they exceed the cap.
+    There is one path, so ``plan`` is not read.
     """
     keep, done = ideals._new_edge_tables(templates, nnew, l)
     w = (l - 1).bit_length()
@@ -603,6 +605,39 @@ def reference_active_sets(parents, templates, build):
     return frontier
 
 
+# Every path the engine has: the lanes _plan picks, lanes wherever a level
+# fits them, and no lanes at all
+PLANS = (ideals._plan, ideals._fits, lambda *shape: (0, 0))
+
+
+def on_every_path(run, plans=PLANS):
+    """run(plan) for each plan; the results must all be equal."""
+    got = [run(plan) for plan in plans]
+    assert all(res == got[0] for res in got[1:])
+    return got[0]
+
+
+def growth_on_every_path(basis, k, l, n_max, budget=ideals.DEFAULT_BUDGET,
+                         plans=PLANS):
+    """avoid_growth's (counts, exact, nodes), the same on every path."""
+    return on_every_path(lambda plan: ideals._grow(
+        basis, k, l, n_max, budget, False, plan)[:3], plans)
+
+
+def filter_on_every_path(parents, templates, build, nbits):
+    """Check the scan, and the packed lanes wherever _fits gives them a
+    width, against the reference filter: the same sets in the same order,
+    each with the same parents or count.  Returns that width, or 0."""
+    want = list(reference_active_sets(parents, templates, build).items())
+    got = ideals._scan_filter(parents, templates, build)
+    assert list(got.items()) == want
+    width = ideals._fits(len(parents), len(templates), nbits, 2, 0, True)[0]
+    if width:
+        got = ideals._lane_filter(parents, templates, build, width)
+        assert list(got.items()) == want
+    return width
+
+
 class TestFinalLevelCount:
     """The last level is counted without members; it must match the walk."""
 
@@ -640,7 +675,8 @@ class TestMergedFrontier:
             n_max = k + rng.randint(2, 3)
 
             def both(budget, build_last):
-                new = ideals._grow(basis, k, l, n_max, budget, build_last)
+                new = on_every_path(lambda plan: ideals._grow(
+                    basis, k, l, n_max, budget, build_last, plan))
                 with monkeypatch.context() as m:
                     m.setattr(ideals, "_chunk_extend", reference_chunk_extend)
                     ref = ideals._grow(basis, k, l, n_max, budget, build_last)
@@ -698,7 +734,7 @@ class TestIncrementalTemplates:
         the stub gives every level one parent, so all levels run."""
         seen = []
 
-        def stub(parents, templates, shift, nnew, l, cap, build):
+        def stub(parents, templates, shift, nnew, l, cap, build, plan):
             assert nnew == comb(len(seen), k - 1)
             seen.append(list(templates))
             return ([[0]], 0) if build else (1, 0)
@@ -731,7 +767,8 @@ class TestIncrementalTemplates:
             basis.append(Coloring(k, 3, k - 1, ()))
             templates = []
             for n in range(1, k + 5):
-                templates += ideals._new_templates(basis, n, k, 2)
+                templates += ideals._new_templates(
+                    ideals._split_basis(basis), n, k, 2)
                 assert Counter(templates) == Counter(
                     reference_level_templates(basis, n, k, 2)), (k, n)
             # the empty element zeroes level k - 1 and every later one, so
@@ -765,35 +802,21 @@ class TestMemberOrder:
             "7658076c03ebe8c185c3e75c038f62ef")
 
 
-def force_lanes(m, lanes):
-    """Send every counted level to the lane count or to the dict."""
-    if lanes:
-        m.setattr(ideals, "_lane_bytes",
-                  lambda ntemplates, nparents, l, nnew:
-                  ideals._lane_width(nparents, l, nnew))
-    else:
-        m.setattr(ideals, "_lane_bytes", lambda *args: 0)
-
-
 class TestLaneCount:
     """A counted level in superset-sum lanes must match the dict frontier:
     counts, exactness and nodes, so budgets drop the same levels."""
 
-    def both_paths(self, monkeypatch, fn):
-        got = []
-        for lanes in (False, True):
-            with monkeypatch.context() as m:
-                force_lanes(m, lanes)
-                got.append(fn())
-        assert got[0] == got[1]
-        return got[0]
-
-    def test_matches_dict_frontier(self, monkeypatch):
+    def test_matches_dict_frontier(self):
         rng = Lcg(41)
-        calls = []
-        lane_count = ideals._lane_count
-        monkeypatch.setattr(ideals, "_lane_count",
-                            lambda *a: calls.append(a[5]) or lane_count(*a))
+        widths = []
+
+        def fits(*shape):
+            # _fits, keeping the count lanes it hands out
+            got = ideals._fits(*shape)
+            widths.append(got[1])
+            return got
+
+        plans = (ideals._plan, fits, PLANS[2])
         dropped = 0
         for case in range(60):
             k, l = 2 + case % 3, 2 + case // 3 % 3
@@ -806,16 +829,16 @@ class TestLaneCount:
                 if len(reference_level_templates(
                         basis, n_max, k, (l - 1).bit_length())) <= 12:
                     break
-            _, _, nodes = self.both_paths(
-                monkeypatch, lambda: avoid_growth(basis, k, l, n_max))
+            _, _, nodes = growth_on_every_path(basis, k, l, n_max,
+                                               plans=plans)
             for budget in (nodes, max(1, nodes - 1)):
-                _, exact, _ = self.both_paths(
-                    monkeypatch,
-                    lambda: avoid_growth(basis, k, l, n_max, budget))
+                _, exact, _ = growth_on_every_path(basis, k, l, n_max,
+                                                   budget, plans)
                 dropped += not exact[n_max]
         assert dropped > 0
         # every case counted its last level in lanes at least twice, in
         # lanes of 1, 2 and 4 bytes
+        calls = [width for width in widths if width]
         assert len(calls) >= 2 * 60 and {1, 2, 4} <= set(calls)
 
     @pytest.mark.parametrize("basis, k, l, n_max, last", [
@@ -829,51 +852,38 @@ class TestLaneCount:
         # both colours of the only edge on 2 vertices: level 2 is empty,
         # so level 3 has no parents
         ([Coloring(2, 2, 2, (0,)), Coloring(2, 2, 2, (1,))], 2, 2, 3, 0)])
-    def test_edge_cases(self, monkeypatch, basis, k, l, n_max, last):
-        counts, exact, nodes = self.both_paths(
-            monkeypatch, lambda: avoid_growth(basis, k, l, n_max))
+    def test_edge_cases(self, basis, k, l, n_max, last):
+        counts, exact, nodes = growth_on_every_path(basis, k, l, n_max)
         assert all(exact.values())
         if last is not None:
             assert counts[n_max] == last
         for budget in (nodes, nodes - 1):
             if budget > 0:
-                self.both_paths(
-                    monkeypatch,
-                    lambda: avoid_growth(basis, k, l, n_max, budget))
+                growth_on_every_path(basis, k, l, n_max, budget)
 
-    def test_empty_parent_list_and_no_templates(self, monkeypatch):
+    def test_empty_parent_list_and_no_templates(self):
         templates = reference_level_templates(
             [Coloring(3, 3, 4, (0, 1, 2, 0))], 5, 3, 2)
         for tpl in (templates, []):
-            assert self.both_paths(monkeypatch, lambda: ideals._chunk_extend(
+            assert on_every_path(lambda plan: ideals._chunk_extend(
                 [], tpl, comb(4, 3) * 2, comb(4, 2), 3, 10 ** 9,
-                False)) == (0, 0)
+                False, plan)) == (0, 0)
         # one parent, nothing to avoid: every colouring of the 6 new edges,
         # l nodes for each of the l**j prefixes at depth j
-        assert self.both_paths(monkeypatch, lambda: ideals._chunk_extend(
+        assert on_every_path(lambda plan: ideals._chunk_extend(
             [0], [], comb(4, 3) * 2, comb(4, 2), 3, 10 ** 9,
-            False)) == (3 ** 6, 3 * (3 ** 6 - 1) // 2)
-
-    def test_window_levels_choose_lanes(self):
-        # n = 6: 10 templates over 768 parents; n = 7: 20 templates over
-        # 477,965 parents, whose masks alone would take 160 MB
-        assert ideals._lane_bytes(10, 768, 2, comb(5, 2)) == 4
-        assert ideals._lane_bytes(20, 477965, 2, comb(6, 2)) == 0
-        assert ideals._lane_width(477965, 2, comb(6, 2)) == 8
-        # more templates than 2 plus the parents' bit length: the dict
-        assert ideals._lane_bytes(7, 15, 2, 3) == 0
-        assert ideals._lane_bytes(6, 15, 2, 3) == 1
+            False, plan)) == (3 ** 6, 3 * (3 ** 6 - 1) // 2)
 
     def test_mask_cache_is_bounded(self):
         assert ideals._lane_masks.cache_parameters()["maxsize"] == 8
         assert ideals._lane_masks(3, 1) is ideals._lane_masks(3, 1)
-        # the most templates _lane_bytes admits at each lane size keep
+        # the most templates _plan gives count lanes at each lane size keep
         # their masks under _LANE_BYTES, so the cache stays under 8 MB
         sizes = []
         for nparents in (127, 2 ** 15 - 1, 2 ** 31 - 1, 2 ** 63 - 1):
             size = max(t for t in range(70)
-                       if ideals._lane_bytes(t, nparents, 2, 0))
-            width = ideals._lane_bytes(size, nparents, 2, 0)
+                       if ideals._plan(nparents, t, 0, 2, 0, False)[1])
+            width = ideals._plan(nparents, size, 0, 2, 0, False)[1]
             masks = ideals._lane_masks.__wrapped__(size, width)
             assert len(masks) == size
             assert sum(map(sys.getsizeof, masks)) <= ideals._LANE_BYTES
@@ -889,24 +899,24 @@ class TestLaneCount:
         base = Coloring(3, 2, 4, (0, 0, 0, 0))
         parents = ideals._grow([base], 3, 2, 6, 10 ** 12, True)[3]
         templates = reference_level_templates([base], 7, 3, 1)
-        assert ideals._filter_lane_bytes(parents, templates, comb(6, 3)) == 4
-        frontier = ideals._active_sets(parents, templates, False, comb(6, 3))
-        monkeypatch.setattr(ideals, "_active_sets", lambda *args: frontier)
+        shape = (len(parents), len(templates), comb(6, 3), 2, comb(6, 2))
+        assert ideals._plan(*shape, False) == (4, 0)
+        frontier = ideals._lane_filter(parents, templates, False, 4)
+        monkeypatch.setattr(ideals, "_lane_filter", lambda *args: frontier)
+        monkeypatch.setattr(ideals, "_scan_filter", lambda *args: frontier)
         cap = 2 * len(parents) - 1
 
-        def traced_peak():
+        def traced_peak(plan):
             tracemalloc.start()
             try:
                 got = ideals._chunk_extend(parents, templates, comb(6, 3),
-                                           comb(6, 2), 2, cap, False)
+                                           comb(6, 2), 2, cap, False, plan)
                 return got, tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
 
-        chosen, chosen_peak = traced_peak()
-        with monkeypatch.context() as m:
-            force_lanes(m, False)
-            on_dict, dict_peak = traced_peak()
+        chosen, chosen_peak = traced_peak(ideals._plan)
+        on_dict, dict_peak = traced_peak(PLANS[2])
         assert chosen == on_dict == (None, 2 * len(parents))
         assert chosen_peak <= dict_peak + (64 << 10)
 
@@ -928,12 +938,9 @@ class TestLaneFilter:
     """The parent filter in packed lanes must return the scan's dict: the
     same sets in the same order, each with the same parents or count."""
 
-    def test_matches_scan(self, monkeypatch):
+    def test_matches_scan(self):
         rng = Lcg(53)
         widths = []
-        lane_filter = ideals._lane_filter
-        monkeypatch.setattr(ideals, "_lane_filter",
-                            lambda *a: widths.append(a[3]) or lane_filter(*a))
         scanned = dead = 0
         for case in range(18):
             k, l = 2 + case % 3, 2 + case // 3 % 3
@@ -950,14 +957,12 @@ class TestLaneFilter:
                 templates = reference_level_templates(basis, n, k, w)
                 parents = random_parents(rng, k, l, n, draw(rng, 32, 96))
                 nbits = comb(n - 1, k) * w
-                width = ideals._filter_lane_bytes(parents, templates, nbits)
                 for build in (False, True):
-                    got = ideals._active_sets(parents, templates, build,
-                                              nbits)
-                    want = reference_active_sets(parents, templates, build)
-                    assert list(got.items()) == list(want.items()), \
-                        (case, n, build)
-                dead += sum(map(len, want.values())) < len(parents)
+                    width = filter_on_every_path(parents, templates, build,
+                                                 nbits)
+                widths.append(width)
+                want = reference_active_sets(parents, templates, False)
+                dead += sum(want.values()) < len(parents)
                 if not width and len(parents) * len(templates) >= 128:
                     scanned += 1
                     break
@@ -979,20 +984,43 @@ class TestLaneFilter:
                             # sels above every parent's highest field
                             ([p & 3 for p in parents] * 4, templates[-4:])):
                 # C(5, 2) fields of 2 bits hold every parent and sel
-                got = ideals._active_sets(ps, tpl, build, comb(5, 2) * 2)
-                want = reference_active_sets(ps, tpl, build)
-                assert list(got.items()) == list(want.items())
+                assert filter_on_every_path(ps, tpl, build, comb(5, 2) * 2)
         # a template that reads no field matches every parent
         for last, want in ((0, {1: 64}), (-1, {})):
-            assert ideals._active_sets([5] * 64, [(0, 0, last, ())],
-                                       False, 3) == want
+            assert filter_on_every_path([5] * 64, [(0, 0, last, ())],
+                                        False, 3)
+            assert ideals._scan_filter([5] * 64, [(0, 0, last, ())],
+                                       False) == want
 
-    def test_levels_choose_filter(self, monkeypatch):
+
+class TestPlan:
+    """_plan's (filter, count) lane widths at the shapes the engine meets;
+    0 keeps the scan or the dict."""
+
+    def test_window_levels_choose_lanes(self):
+        # n = 6: 10 templates over 768 parents
+        assert ideals._plan(768, 10, comb(5, 3), 2, comb(5, 2),
+                            False) == (2, 4)
+        # n = 7: 20 templates over 477,965 parents, whose count masks alone
+        # would take 160 MB in the 8-byte lanes its prefixes need
+        assert ideals._plan(477965, 20, comb(6, 3), 2, comb(6, 2),
+                            False) == (4, 0)
+        assert ideals._fits(477965, 0, comb(6, 3), 2, comb(6, 2),
+                            False) == (4, 8)
+        # more templates than 2 plus the parents' bit length: the dict
+        assert ideals._plan(15, 7, 0, 2, 3, False) == (0, 0)
+        assert ideals._plan(15, 6, 0, 2, 3, False) == (0, 1)
+        # a built level gets no count lanes
+        assert ideals._plan(768, 10, comb(5, 3), 2, comb(5, 2),
+                            True) == (2, 0)
+
+    def test_levels_choose_filter(self):
         base = Coloring(3, 2, 4, (0, 0, 0, 0))
         # window n = 6: 768 parents of 10 bits, 10 templates
         parents = ideals._grow([base], 3, 2, 5, 10 ** 12, True)[3]
         templates = reference_level_templates([base], 6, 3, 1)
-        assert ideals._filter_lane_bytes(parents, templates, comb(5, 3)) == 2
+        assert ideals._plan(len(parents), len(templates), comb(5, 3), 2,
+                            comb(5, 2), False) == (2, 4)
         # window n = 7 takes 4-byte lanes, checked on its 477,965 parents
         # in test_cap_keeps_n7_window_count_at_dict_peak
         # the S pattern basis at n = 12: parents of C(11, 3) = 165 bits
@@ -1000,20 +1028,30 @@ class TestLaneFilter:
         parents = ideals._grow(basis, 3, 2, 11, 10 ** 12, True)[3]
         templates = reference_level_templates(basis, 12, 3, 1)
         assert len(parents) * len(templates) >= 128
-        assert ideals._filter_lane_bytes(parents, templates,
-                                         comb(11, 3)) == 0
-        # tiny levels: 16 parents, or 31 parents with 4 templates; the
-        # parents and the first 4 sels have no bits
-        assert not any(t[0] for t in templates[:4])
-        assert ideals._filter_lane_bytes([0] * 16, templates,
-                                         comb(11, 3)) == 0
-        assert ideals._filter_lane_bytes([0] * 31, templates[:4], 0) == 0
-        assert ideals._filter_lane_bytes([0] * 32, templates[:4], 0) == 1
-        # one parent and no templates packs nothing
-        monkeypatch.setattr(ideals, "_lane_filter", None)
-        assert ideals._filter_lane_bytes([0], [], 0) == 0
-        assert ideals._chunk_extend([0], [], comb(4, 3), comb(4, 2), 2,
-                                    10 ** 9, False) == (2 ** 6, 2 ** 7 - 2)
+        assert ideals._plan(len(parents), len(templates), comb(11, 3), 2,
+                            comb(11, 2), False) == (0, 0)
+        # tiny levels: 16 parents, or 31 parents with 4 templates
+        assert ideals._plan(16, len(templates), comb(11, 3), 2, 0,
+                            True) == (0, 0)
+        assert ideals._plan(31, 4, 0, 2, 0, True) == (0, 0)
+        assert ideals._plan(32, 4, 0, 2, 0, True) == (1, 0)
+        # one parent and no templates packs nothing; every path counts
+        # its 2^6 colourings
+        assert ideals._plan(1, 0, comb(4, 3), 2, comb(4, 2),
+                            False) == (0, 1)
+        assert on_every_path(lambda plan: ideals._chunk_extend(
+            [0], [], comb(4, 3), comb(4, 2), 2, 10 ** 9, False,
+            plan)) == (2 ** 6, 2 ** 7 - 2)
+
+    def test_cli_mix_level_counts_in_lanes(self):
+        # a cli-mix growth spec, one four-vertex element counted to n = 5:
+        # too few parents to pack, few enough templates to count in lanes
+        base = Coloring(3, 2, 4, (0, 1, 1, 0))
+        parents = ideals._grow([base], 3, 2, 4, 10 ** 12, True)[3]
+        templates = reference_level_templates([base], 5, 3, 1)
+        assert (len(parents), len(templates)) == (15, 4)
+        assert ideals._plan(15, 4, comb(4, 3), 2, comb(4, 2),
+                            False) == (0, 2)
 
 
 class TestGrowthCache:

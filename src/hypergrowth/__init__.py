@@ -12,21 +12,22 @@ from .matrices import (DimensionMismatchError, Fullness, Match2, Metrics2,
                        metrics3, pattern_variants)
 from .structure import (NuclearDecomposition, RichWitness, SizeMismatchError,
                         TameReport, WealthyVariant, WealthyWitness,
-                        WEALTHY_FAMILIES, crossing_matrix, is_c_simple,
-                        is_p_tame, is_r_rich, is_wealthy,
-                        nuclear_decomposition, rich_deletions,
-                        rich_window_edges, wealthy_size, wealthy_variants)
+                        WEALTHY_FAMILIES, count_p_tame, crossing_matrix,
+                        is_c_simple, is_p_tame, is_r_rich, is_wealthy,
+                        nuclear_decomposition, pair_wealthy_type2,
+                        rich_deletions, rich_window_edges, wealthy_size,
+                        wealthy_variants)
 from .constructions import (Chain, ChainEmbedding, DisobedientResult,
                             SoutheastPath, StringEmbedding, chain_path,
                             chain_to_path, embed_chain, embed_string,
                             enumerate_chains, enumerate_paths,
                             make_disobedient, make_rich, make_string_coloring,
-                            make_wealthy, pair_wealthy_type2, path_to_chain,
+                            make_wealthy, path_to_chain,
                             slice_to_pair_coloring)
 from .ideals import (BUILTIN_NAMES, DichotomyVerdict, GrowthRecord, IdealSpec,
                      avoid_growth, avoid_members, builtin_count,
                      builtin_member, builtin_members, builtin_pattern_basis,
-                     census_distinct, count_p_tame, dichotomy_verdict,
+                     census_distinct, dichotomy_verdict,
                      fnv1a64, growth, ideal_spec_from_text,
                      ideal_spec_to_text, load_cache, sequence_F, sequence_G,
                      sequence_Gk, sequence_value, update_cache)

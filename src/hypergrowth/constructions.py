@@ -19,8 +19,8 @@ from typing import Optional, Sequence, Union
 from .core import (AnyColoring, Coloring, ColoringPattern, Edge,
                    restrict_normalize)
 from .matrices import StarMatrix2
-from .structure import (WealthyVariant, _pick_unbalanced, rich_window_edges,
-                        wealthy_assignment, wealthy_size, wealthy_variants)
+from .structure import (WealthyVariant, rich_window_edges, wealthy_assignment,
+                        wealthy_size, wealthy_variants)
 
 GridPoint = tuple[int, int]
 
@@ -498,24 +498,3 @@ def slice_to_pair_coloring(c: Coloring) -> Coloring:
     n = c.n
     return Coloring.from_function(2, c.l, n - 1,
                                   lambda e: c.color((e[0], e[1], n)))
-
-
-def pair_wealthy_type2(c: Coloring, r: int) -> Optional[tuple[tuple[int, int, int], ...]]:
-    """Triple blocks {3i-2, 3i-1, 3i} of a pair coloring, none monochromatic.
-
-    Returns one (a, b, c) per block with the pairs through a colored
-    differently, or None when some block's three pairs share a color.
-    """
-    if c.k != 2:
-        raise ValueError("needs a pair coloring")
-    if c.n != 3 * r:
-        raise ValueError(f"expected {3 * r} vertices, got {c.n}")
-    out = []
-    for i in range(1, r + 1):
-        b1, b2, b3 = 3 * i - 2, 3 * i - 1, 3 * i
-        t = _pick_unbalanced(c.color((b1, b2)), c.color((b1, b3)),
-                             c.color((b2, b3)), b1, b2, b3)
-        if t is None:
-            return None
-        out.append(t)
-    return tuple(out)

@@ -34,8 +34,8 @@ import threading
 from array import array
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import combinations, product
+from functools import cmp_to_key, lru_cache
+from itertools import combinations
 from math import comb, log, log10
 from typing import Iterator, Optional, Sequence
 
@@ -43,8 +43,6 @@ from .core import (AnyColoring, Coloring, ColoringPattern,
                    IncompatibleColoringsError, _colex_table, _validate_header,
                    all_edges, coloring_from_lines, coloring_to_text,
                    parse_fields)
-from .matrices import metrics3
-from .structure import crossing_matrix
 
 DEFAULT_BUDGET = 10 ** 8
 
@@ -901,19 +899,27 @@ def dichotomy_verdict(record: GrowthRecord, theorem: str) -> DichotomyVerdict:
         # imported here: fractions (and decimal, which it loads) would add
         # ~2 ms to every process start for this one branch
         from fractions import Fraction
-        ge = all(cnt[n] >= sequence_G(n) for n in ns)
-        eq = all(cnt[n] == sequence_G(n) for n in ns)
-        c = 0
-        while not all(cnt[n] <= n ** c for n in ns if n >= 2):
-            c += 1
+        part, lo = _as_gk("G", ns[0], None)
+        g = dict(zip(range(lo, ns[-1] + 1), _gk_values(part, lo, ns[-1])))
+        ge = all(cnt[n] >= g[n] for n in ns)
+        eq = all(cnt[n] == g[n] for n in ns)
+        c = 0  # the least c with cnt[n] <= n ** c at every n >= 2
+        for n in ns:
+            if n >= 2 and cnt[n] > n ** c:
+                # n ** e < 2 ** (e * n.bit_length()) <= cnt[n] for e >= 1
+                # up to this start, so no smaller exponent can do
+                c = max(c, (cnt[n].bit_length() - 1) // n.bit_length())
+                while cnt[n] > n ** c:
+                    c += 1
         details["ge_G"] = str(ge).lower()
         details["eq_G"] = str(eq).lower()
         details["poly_exponent"] = str(c)
-        ratios = [Fraction(cnt[b], cnt[a]) for a, b in zip(ns, ns[1:])
-                  if cnt[a] > 0]
+        ratios = [(cnt[b], cnt[a]) for a, b in zip(ns, ns[1:]) if cnt[a] > 0]
         if ratios:
-            details["ratio_min"] = str(min(ratios))
-            details["ratio_max"] = str(max(ratios))
+            # compared by cross products; only the two reported are reduced
+            key = cmp_to_key(lambda x, y: x[0] * y[1] - y[0] * x[1])
+            details["ratio_min"] = str(Fraction(*min(ratios, key=key)))
+            details["ratio_max"] = str(Fraction(*max(ratios, key=key)))
         if eq:
             classification = "quasi-fibonacci floor met with equality"
         elif ge:
@@ -938,77 +944,6 @@ def census_distinct(colorings: Sequence[AnyColoring]) -> int:
         if (c.k, c.l, c.n) != shape:
             raise ValueError("census needs colorings of one shape")
     return len({c.colors for c in colorings})
-
-
-@lru_cache(maxsize=64)
-def count_p_tame(n: int, p: int) -> int:
-    """Exhaustive count of p-tame two-colorings of [n], n <= 6, summed over
-    the end a of the first nuclear interval A = [1, a].
-
-    [1, 3] holds one edge, so it is always homogeneous and a >= 3.  For
-    n <= 6 the rest B = [a+1, n] then has at most three vertices and at
-    most one edge, so it is the second and last interval.  Two intervals
-    meet conditions 1-3; 4 and 5 read the doubled crossing matrices
-    M_{A,A,B} and M_{A,B,B}, whose cells are disjoint sets of cross edges.
-    A coloring with split a is a colour c inside A, a tame key of each
-    matrix, the AAB key with some edge (x, y, a+1) not of colour c (the
-    greedy break), and any colours inside B:
-
-        count = 2 + sum over a = 3..n-1 of N_AAB(a) * N_ABB(a) * 2^C(n-a, 3)
-
-    The 2 is the two constant colorings (a = n).  A tame AAB key counts
-    once for each c its break edges do not all match, which is the number
-    of distinct colours among them.  The keys come from _tame_split_tables,
-    built once per (n, a) for every p.  The count is pure in (n, p), so it
-    is memoized.
-    """
-    if p < 3:
-        raise ValueError("threshold p must be at least 3")
-    if not 1 <= n <= 6:
-        raise ValueError("exhaustive census capped at n <= 6")
-    if n < 3:
-        return 1
-    total = 2
-    for a in range(3, n):
-        aab, abb = _tame_split_tables(n, a)
-        n_aab = sum(cnt for size, cnt in aab.items() if size <= p)
-        n_abb = sum(cnt for size, cnt in abb.items() if size <= p)
-        total += n_aab * n_abb * 2 ** comb(n - a, 3)
-    return total
-
-
-@lru_cache(maxsize=None)  # at most six (n, a) pairs: 3 <= a < n <= 6
-def _tame_split_tables(n: int, a: int) -> tuple[dict[int, int],
-                                                dict[int, int]]:
-    """count_p_tame's keys of the split a, tallied by the least p that
-    finds them tame.
-
-    A key meets conditions 4 and 5 exactly when the largest of al,
-    |r_set| and |c_set| of its matrix is at most p, so that largest value
-    does not depend on p.  The first table maps it to the summed number
-    of break colours of the M_{A,A,B} keys that have it, the second to
-    the number of M_{A,B,B} keys that have it.  Each key is put on its
-    cells by Coloring.from_map and read back through
-    structure.crossing_matrix.
-    """
-    xs, zs = range(1, a + 1), range(a + 1, n + 1)
-
-    def tally(ys: range, weight) -> dict[int, int]:
-        # every colouring of the cells of M_{A,ys,B}
-        cells = sorted({tuple(sorted(e)) for e in product(xs, ys, zs)
-                        if len(set(e)) == 3})
-        table: dict[int, int] = {}
-        for key in range(1 << len(cells)):
-            keyed = {e: key >> i & 1 for i, e in enumerate(cells)}
-            m = metrics3(crossing_matrix(Coloring.from_map(3, 2, n, keyed),
-                                         xs, ys, zs))
-            size = max(m.al, len(m.r_set), len(m.c_set))
-            table[size] = table.get(size, 0) + weight(keyed)
-        return table
-
-    return (tally(xs, lambda keyed: len({col for e, col in keyed.items()
-                                         if e[2] == a + 1})),
-            tally(zs, lambda keyed: 1))
 
 
 # --- growth cache ---------------------------------------------------------------------

@@ -1,8 +1,9 @@
 """Structural classifiers for colored triple systems.
 
 Everything here inspects a single coloring and either certifies a shape
-(rich, simple, wealthy, tame) or reports how the shape fails.  The shapes
-are parametrized families; recognizers scan a fixed canonical order of
+(rich, simple, wealthy, tame) or reports how the shape fails; the tame
+census counts the tame colorings of a small [n].  The shapes are
+parametrized families; recognizers scan a fixed canonical order of
 symmetry variants so that recognition is deterministic and the returned
 witness pins down which variant matched.
 
@@ -14,8 +15,9 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, lru_cache
 from itertools import combinations, permutations, product
+from math import comb
 from typing import Optional, Sequence
 
 from .core import (Coloring, Edge, _rank_table, homogeneity, parse_fields,
@@ -199,16 +201,14 @@ def is_p_tame(c: Coloring, p: int) -> TameReport:
     if s > p:
         record(1, (), "length", s)
 
-    pairs = [idx for u, v in combinations(range(1, s + 1), 2)
-             for idx in ((u, u, v), (u, v, v))]
+    pairs = (idx for u, v in combinations(range(1, s + 1), 2)
+             for idx in ((u, u, v), (u, v, v)))
     # conditions 2 and 3 read the interval triples, 4 and 5 the pairs
     for cond, idxs in ((2, combinations(range(1, s + 1), 3)), (4, pairs)):
-        metrics = [(idx, metrics3(crossing_matrix(
-            c, *(ivs[i - 1] for i in idx)))) for idx in idxs]
-        for idx, m in metrics:
+        for idx in idxs:
+            m = metrics3(crossing_matrix(c, *(ivs[i - 1] for i in idx)))
             if m.al > p:
                 record(cond, idx, "al", m.al)
-        for idx, m in metrics:
             if len(m.r_set) > p:
                 record(cond + 1, idx, "rows", len(m.r_set))
             if len(m.c_set) > p:
@@ -216,6 +216,76 @@ def is_p_tame(c: Coloring, p: int) -> TameReport:
 
     witness = next((w for w in firsts if w is not None), None)
     return TameReport(p, tuple(conds), witness)
+
+
+@lru_cache(maxsize=64)
+def count_p_tame(n: int, p: int) -> int:
+    """Exhaustive count of p-tame two-colorings of [n], n <= 6, summed over
+    the end a of the first nuclear interval A = [1, a].
+
+    [1, 3] holds one edge, so it is always homogeneous and a >= 3.  For
+    n <= 6 the rest B = [a+1, n] then has at most three vertices and at
+    most one edge, so it is the second and last interval.  Two intervals
+    meet conditions 1-3; 4 and 5 read the doubled crossing matrices
+    M_{A,A,B} and M_{A,B,B}, whose cells are disjoint sets of cross edges.
+    A coloring with split a is a colour c inside A, a tame key of each
+    matrix, the AAB key with some edge (x, y, a+1) not of colour c (the
+    greedy break), and any colours inside B:
+
+        count = 2 + sum over a = 3..n-1 of N_AAB(a) * N_ABB(a) * 2^C(n-a, 3)
+
+    The 2 is the two constant colorings (a = n).  A tame AAB key counts
+    once for each c its break edges do not all match, which is the number
+    of distinct colours among them.  The keys come from _tame_split_tables,
+    built once per (n, a) for every p.  The count is pure in (n, p), so it
+    is memoized.
+    """
+    if p < 3:
+        raise ValueError("threshold p must be at least 3")
+    if not 1 <= n <= 6:
+        raise ValueError("exhaustive census capped at n <= 6")
+    if n < 3:
+        return 1
+    total = 2
+    for a in range(3, n):
+        aab, abb = _tame_split_tables(n, a)
+        n_aab = sum(cnt for size, cnt in aab.items() if size <= p)
+        n_abb = sum(cnt for size, cnt in abb.items() if size <= p)
+        total += n_aab * n_abb * 2 ** comb(n - a, 3)
+    return total
+
+
+@lru_cache(maxsize=None)  # at most six (n, a) pairs: 3 <= a < n <= 6
+def _tame_split_tables(n: int, a: int) -> tuple[dict[int, int],
+                                                dict[int, int]]:
+    """count_p_tame's keys of the split a, tallied by the least p that
+    finds them tame.
+
+    A key meets conditions 4 and 5 exactly when the largest of al,
+    |r_set| and |c_set| of its matrix is at most p, so that largest value
+    does not depend on p.  The first table maps it to the summed number
+    of break colours of the M_{A,A,B} keys that have it, the second to
+    the number of M_{A,B,B} keys that have it.  Each key is put on its
+    cells by Coloring.from_map and read back through crossing_matrix.
+    """
+    xs, zs = range(1, a + 1), range(a + 1, n + 1)
+
+    def tally(ys: range, weight) -> dict[int, int]:
+        # every colouring of the cells of M_{A,ys,B}
+        cells = sorted({tuple(sorted(e)) for e in product(xs, ys, zs)
+                        if len(set(e)) == 3})
+        table: dict[int, int] = {}
+        for key in range(1 << len(cells)):
+            keyed = {e: key >> i & 1 for i, e in enumerate(cells)}
+            m = metrics3(crossing_matrix(Coloring.from_map(3, 2, n, keyed),
+                                         xs, ys, zs))
+            size = max(m.al, len(m.r_set), len(m.c_set))
+            table[size] = table.get(size, 0) + weight(keyed)
+        return table
+
+    return (tally(xs, lambda keyed: len({col for e, col in keyed.items()
+                                         if e[2] == a + 1})),
+            tally(zs, lambda keyed: 1))
 
 
 # --- richness -----------------------------------------------------------------
@@ -491,7 +561,7 @@ def _block_starts(sizes: tuple[int, ...], perm: tuple[int, ...]) -> dict[int, in
 
 
 def _apex_cells(family: str, r: int, v: WealthyVariant):
-    """(apex, (b1, b2, b3)) for i = 1..r of a W3.3 or W4.2 variant.
+    """((apex,), (b1, b2, b3)) for i = 1..r of a W3.3 or W4.2 variant.
 
     The canonical member colors apex-b1-b2 with 0 and apex-b1-b3,
     apex-b2-b3 with 1; a member needs each cell not monochromatic.
@@ -501,13 +571,45 @@ def _apex_cells(family: str, r: int, v: WealthyVariant):
         if family == "W3.3":
             n = 3 * r + 1
             if v.reverse:
-                yield 1, tuple(n - x + 1 for x in block)
+                yield (1,), tuple(n - x + 1 for x in block)
             else:
-                yield n, block
+                yield (n,), block
         elif v.block_swap:
-            yield 3 * r + (r - i + 1 if v.reverse else i), block
+            yield (3 * r + (r - i + 1 if v.reverse else i),), block
         else:
-            yield r - i + 1 if v.reverse else i, tuple(r + x for x in block)
+            yield (r - i + 1 if v.reverse else i,), tuple(r + x for x in block)
+
+
+def _unbalanced_triples(c: Coloring, cells) -> Optional[tuple]:
+    """(a, b, d) per (apex, block) cell, a = b1 if its two edges apex + pair
+    differ in color, else b2 if its do; None at the first cell where
+    neither does, as then all three edges share a color.  apex is () for
+    a pair coloring."""
+    color = c.color
+    out = []
+    for apex, (b1, b2, b3) in cells:
+        col12 = color(apex + (b1, b2))
+        if col12 != color(apex + (b1, b3)):
+            out.append((b1, b2, b3))
+        elif col12 != color(apex + (b2, b3)):
+            out.append((b2, b1, b3))
+        else:
+            return None
+    return tuple(out)
+
+
+def pair_wealthy_type2(c: Coloring, r: int) -> Optional[tuple[tuple[int, int, int], ...]]:
+    """Triple blocks {3i-2, 3i-1, 3i} of a pair coloring, none monochromatic.
+
+    Returns one (a, b, c) per block with the pairs through a colored
+    differently, or None when some block's three pairs share a color.
+    """
+    if c.k != 2:
+        raise ValueError("needs a pair coloring")
+    if c.n != 3 * r:
+        raise SizeMismatchError(f"expected {3 * r} vertices, got {c.n}")
+    return _unbalanced_triples(c, (((), (3 * i - 2, 3 * i - 1, 3 * i))
+                                   for i in range(1, r + 1)))
 
 
 def wealthy_assignment(family: str, r: int,
@@ -568,9 +670,9 @@ def _wealthy_cells(family: str, r: int, v: WealthyVariant):
             yield (q[1], q[2], q[3]), 1
     else:
         for apex, (b1, b2, b3) in _apex_cells(family, r, v):
-            yield tuple(sorted((apex, b1, b2))), 0
-            yield tuple(sorted((apex, b1, b3))), 1
-            yield tuple(sorted((apex, b2, b3))), 1
+            yield tuple(sorted(apex + (b1, b2))), 0
+            yield tuple(sorted(apex + (b1, b3))), 1
+            yield tuple(sorted(apex + (b2, b3))), 1
 
 
 def _wealthy_base_sets(family: str, r: int,
@@ -586,18 +688,6 @@ def _wealthy_base_sets(family: str, r: int,
         if v.block_swap:
             return ((3 * r + 1, 4 * r), (1, 3 * r))
         return ((1, r), (r + 1, 4 * r))
-    return None
-
-
-def _pick_unbalanced(col12: int, col13: int, col23: int,
-                     b1: int, b2: int, b3: int) -> Optional[tuple[int, int, int]]:
-    # first vertex sharing two edges of different colors, scanned in order
-    if col12 != col13:
-        return (b1, b2, b3)
-    if col12 != col23:
-        return (b2, b1, b3)
-    if col13 != col23:
-        return (b3, b1, b2)
     return None
 
 
@@ -645,14 +735,8 @@ def _check_variant(c: Coloring, family: str, r: int, v: WealthyVariant):
             if len(seen) == 1:
                 return None
         return None, None
-    trips = []
-    for apex, (b1, b2, b3) in _apex_cells(family, r, v):
-        t = _pick_unbalanced(c.color((apex, b1, b2)), c.color((apex, b1, b3)),
-                             c.color((apex, b2, b3)), b1, b2, b3)
-        if t is None:
-            return None
-        trips.append(t)
-    return _wealthy_base_sets(family, r, v), tuple(trips)
+    trips = _unbalanced_triples(c, _apex_cells(family, r, v))
+    return None if trips is None else (_wealthy_base_sets(family, r, v), trips)
 
 
 def is_wealthy(c: Coloring, family: str, r: int,

@@ -10,11 +10,12 @@ from hypergrowth.constructions import (Chain, SoutheastPath, chain_path,
                                        embed_string, enumerate_chains,
                                        enumerate_paths, make_disobedient,
                                        make_rich, make_string_coloring,
-                                       make_wealthy, pair_wealthy_type2,
-                                       path_to_chain, slice_to_pair_coloring)
+                                       make_wealthy, path_to_chain,
+                                       slice_to_pair_coloring)
 from hypergrowth.core import Coloring, ColoringPattern, contains
 from hypergrowth.matrices import StarMatrix2, find_pattern2
-from hypergrowth.structure import WealthyVariant, is_r_rich, is_wealthy
+from hypergrowth.structure import (WealthyVariant, is_r_rich, is_wealthy,
+                                   pair_wealthy_type2)
 
 
 def no_adjacent_ones(length):

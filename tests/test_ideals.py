@@ -9,6 +9,7 @@ import threading
 import time
 import tracemalloc
 from collections import Counter
+from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
 from math import comb
@@ -26,15 +27,14 @@ from hypergrowth.ideals import (BUILTIN_NAMES, GrowthRecord, IdealSpec,
                                 builtin_counts, builtin_exceeds_digits,
                                 builtin_member,
                                 builtin_members, builtin_pattern_basis,
-                                census_distinct,
-                                count_p_tame, dichotomy_verdict, fnv1a64,
+                                census_distinct, dichotomy_verdict, fnv1a64,
                                 growth, ideal_spec_from_text,
                                 ideal_spec_to_text, load_cache, sequence_F,
                                 sequence_G, sequence_Gk,
                                 sequence_exceeds_digits, sequence_value,
                                 update_cache)
 from hypergrowth.rng import Lcg
-from hypergrowth.structure import is_p_tame
+from hypergrowth.structure import count_p_tame, is_p_tame
 
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -636,6 +636,76 @@ def filter_on_every_path(parents, templates, build, nbits):
         got = ideals._lane_filter(parents, templates, build, width)
         assert list(got.items()) == want
     return width
+
+
+def completions(b):
+    """Every coloring that fills the wildcards of b, b itself if none."""
+    free = [i for i, col in enumerate(b.colors) if col is None]
+    for fill in product(range(b.l), repeat=len(free)):
+        cols = list(b.colors)
+        for i, col in zip(free, fill):
+            cols[i] = col
+        yield Coloring(b.k, b.l, b.n, tuple(cols))
+
+
+class TestInclusionOracles:
+    """Counts must respect ideal inclusion, which needs no closed form.
+
+    A builtin family X none of whose members completes a basis element
+    lies inside Avoid(B), since X is downward closed: an engine that
+    over-prunes falls below X's count.  A larger basis can only shrink the
+    ideal: an engine that under-prunes more as the basis grows breaks
+    that.  Only levels counted exactly, within the budget, are compared.
+    """
+
+    def test_builtin_floor(self):
+        rng = Lcg(5)
+        checked = 0
+        for i in range(30):
+            k = (2, 3, 3, 4)[i % 4]
+            n_max = 8 if k == 2 else 6
+            basis = random_basis(rng, k, 2, draw(rng, 1, 3), draw(rng, 0, 1))
+            counts, exact, _ = avoid_growth(basis, k, 2, n_max, budget=50000)
+            for name in BUILTIN_NAMES:
+                if name == "w1tight" and k != 3:
+                    continue
+                spec = IdealSpec.builtin(name, k)
+                if any(builtin_member(spec, c)
+                       for b in basis for c in completions(b)):
+                    continue
+                for n in range(1, n_max + 1):
+                    if exact[n]:
+                        checked += 1
+                        assert counts[n] >= builtin_count(spec, n), \
+                            (name, basis, n)
+        assert checked >= 150
+
+    def test_larger_basis_smaller_ideal(self):
+        rng = Lcg(9)
+        checked = 0
+        for i in range(24):
+            k, l, n_max = ((3, 2, 6), (3, 3, 5), (2, 3, 6))[i % 3]
+            bigger = random_basis(rng, k, l, draw(rng, 2, 4), draw(rng, 0, 1))
+            smaller = bigger[:]
+            del smaller[draw(rng, 0, len(smaller) - 1)]
+            cb, eb, _ = avoid_growth(bigger, k, l, n_max, budget=50000)
+            cs, es, _ = avoid_growth(smaller, k, l, n_max, budget=50000)
+            for n in range(1, n_max + 1):
+                if eb[n] and es[n]:
+                    checked += 1
+                    assert cb[n] <= cs[n], (bigger, smaller, n)
+        assert checked >= 100
+
+    def test_first_dichotomy_never_violated(self):
+        rng = Lcg(13)
+        for i in range(36):
+            k, l = 2 + i % 3, 2 + i // 3 % 2
+            basis = random_basis(rng, k, l, draw(rng, 1, 3), draw(rng, 0, 1))
+            counts, exact, nodes = avoid_growth(basis, k, l, k + 5,
+                                                budget=30000)
+            rec = GrowthRecord("0" * 16, k, counts, exact, nodes)
+            v = dichotomy_verdict(rec, "constant")
+            assert v.classification != "violation", (basis, counts, exact)
 
 
 class TestFinalLevelCount:
@@ -1620,6 +1690,89 @@ class TestDichotomyVerdicts:
         rec = growth(IdealSpec.builtin("S", 3), 4)
         with pytest.raises(ValueError):
             dichotomy_verdict(rec, "linear")
+
+
+def reference_quasi_fibonacci(record):
+    """The quasi_fibonacci verdict as first written: G recomputed for every
+    level, the exponent found by trying c = 0, 1, 2, ..., and every ratio
+    reduced.  Returns (classification, window, details)."""
+    ns = sorted(n for n, ok in record.exact.items()
+                if ok and n in record.counts)
+    cnt = record.counts
+    ge = all(cnt[n] >= sequence_G(n) for n in ns)
+    eq = all(cnt[n] == sequence_G(n) for n in ns)
+    c = 0
+    while not all(cnt[n] <= n ** c for n in ns if n >= 2):
+        c += 1
+    details = {"ge_G": str(ge).lower(), "eq_G": str(eq).lower(),
+               "poly_exponent": str(c)}
+    ratios = [Fraction(cnt[b], cnt[a]) for a, b in zip(ns, ns[1:])
+              if cnt[a] > 0]
+    if ratios:
+        details["ratio_min"] = str(min(ratios))
+        details["ratio_max"] = str(max(ratios))
+    if eq:
+        classification = "quasi-fibonacci floor met with equality"
+    elif ge:
+        classification = "quasi-fibonacci floor met"
+    else:
+        classification = "below quasi-fibonacci floor within window"
+    return classification, (ns[0], ns[-1]), tuple(sorted(details.items()))
+
+
+def random_record(rng):
+    """A hand-made record whose counts sit on and next to the verdict's
+    edges: 0, 1, n**c - 1, n**c, n**c + 1, G_n, G_n + 1 and huge values;
+    some levels are inexact or missing."""
+    lo = draw(rng, 1, 6)
+    counts, exact = {}, {}
+    for n in range(lo, lo + draw(rng, 0, 30) + 1):
+        c = draw(rng, 0, 6)
+        choice = draw(rng, 0, 8)
+        counts[n] = (0, 1, n ** c - 1, n ** c, n ** c + 1, sequence_G(n),
+                     sequence_G(n) + 1, rng.next_u64() ** 3,
+                     draw(rng, 0, 50))[choice]
+        exact[n] = draw(rng, 0, 5) > 0
+        if draw(rng, 0, 9) == 0:
+            del counts[n]
+    counts.setdefault(lo, 1)
+    exact[lo] = True  # at least one exact level
+    return GrowthRecord("0" * 16, 3, counts, exact, 0)
+
+
+class TestQuasiFibonacciVerdict:
+    """The verdict reads G in one pass and finds the exponent from bit
+    lengths; it must say what the level-by-level reading said."""
+
+    @staticmethod
+    def same_as_reference(rec):
+        v = dichotomy_verdict(rec, "quasi_fibonacci")
+        assert (v.classification, v.window, v.details) == \
+            reference_quasi_fibonacci(rec)
+
+    def test_random_records(self):
+        rng = Lcg(83)
+        for _ in range(300):
+            self.same_as_reference(random_record(rng))
+
+    def test_builtin_records(self):
+        for name, k, n_max in (("S", 3, 400), ("S", 4, 200),
+                               ("lineartight", 3, 200), ("w1tight", 3, 60),
+                               ("S", 2, 100)):
+            self.same_as_reference(growth(IdealSpec.builtin(name, k), n_max))
+
+    def test_one_pass_of_the_recurrence(self, monkeypatch):
+        rec = growth(IdealSpec.builtin("S", 3), 300)
+        calls = []
+        real = ideals._gk_values
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(ideals, "_gk_values", counted)
+        dichotomy_verdict(rec, "quasi_fibonacci")
+        assert len(calls) <= 1
 
 
 class TestCensus:

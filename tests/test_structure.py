@@ -4,7 +4,8 @@ from itertools import combinations
 
 import pytest
 
-from hypergrowth.constructions import make_rich, make_wealthy
+from hypergrowth.constructions import (make_rich, make_wealthy,
+                                       slice_to_pair_coloring)
 from hypergrowth.core import Coloring, homogeneity, restrict_normalize, reverse
 from hypergrowth.matrices import Metrics3, StarMatrix3, metrics3
 from hypergrowth.rng import Lcg
@@ -13,8 +14,9 @@ from hypergrowth.structure import (WEALTHY_FAMILIES, SizeMismatchError,
                                    TameViolation, WealthyVariant, crossing_matrix,
                                    is_c_simple, is_p_tame, is_r_rich,
                                    is_wealthy, nuclear_decomposition,
-                                   rich_deletions, rich_window_edges,
-                                   variant_from_text, variant_to_text,
+                                   pair_wealthy_type2, rich_deletions,
+                                   rich_window_edges, variant_from_text,
+                                   variant_to_text,
                                    w41_vertices_from_nuclear,
                                    wealthy_assignment, wealthy_size,
                                    wealthy_variants)
@@ -763,6 +765,36 @@ class TestWealthyRecognition:
             is_wealthy(Coloring.constant(2, 2, 5, 0), "W1'", 5)
         with pytest.raises(ValueError):
             is_wealthy(Coloring.constant(3, 3, 5, 0), "W1'", 5)
+
+
+class TestPairBlocks:
+    """W3.3's first variant puts the apex at the last vertex, so its check
+    reads the same blocks as pair_wealthy_type2 on the slice there."""
+
+    def test_w33_agrees_with_the_pair_slice(self):
+        rng = Lcg(97)
+        members = 0
+        for i in range(400):
+            r = 1 + i % 4
+            n = 3 * r + 1
+            if draw(rng, 0, 1):
+                c = random_coloring(rng, 3, 2, n)
+            else:
+                # a member with a few flips: near the edge of the family
+                cols = list(make_wealthy("W3.3", r,
+                                         filler=draw(rng, 0, 1)).colors)
+                for _ in range(draw(rng, 0, 3)):
+                    cols[draw(rng, 0, len(cols) - 1)] ^= 1
+                c = Coloring(3, 2, n, tuple(cols))
+            w = is_wealthy(c, "W3.3", r, wealthy_variants("W3.3", r)[0])
+            got = pair_wealthy_type2(slice_to_pair_coloring(c), r)
+            assert (None if w is None else w.triples) == got
+            members += got is not None
+        assert 150 <= members <= 350
+
+    def test_size_mismatch(self):
+        with pytest.raises(SizeMismatchError):
+            pair_wealthy_type2(Coloring.constant(2, 2, 5, 0), 2)
 
 
 class TestQuadrupleExtraction:

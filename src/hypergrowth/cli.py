@@ -29,11 +29,12 @@ main builds its argument parser once per process, on its first call, and
 reuses it: parsing keeps no state between calls, so main is safe to call
 repeatedly in-process.  The verify verb imports hypergrowth.verify on its
 first call, as only it needs the acceptance suites; every other start
-skips compiling them.  The other layers (ideals, core, matrices,
-structure, constructions) stay imported at module level: the package
-__init__ imports them all anyway, so that `python -m hypergrowth.cli`
-loads them whatever this module does, and the benchmark's tracer looks
-each of them up in sys.modules right after `import hypergrowth.cli`.
+skips compiling them.  The layers the other verbs call (constructions,
+core, ideals, structure) stay imported at module level, and matrices
+comes in through them: the package __init__ imports them all anyway, so
+that `python -m hypergrowth.cli` loads them whatever this module does,
+and the benchmark's tracer looks each of them up in sys.modules right
+after `import hypergrowth.cli`.
 """
 
 from __future__ import annotations

@@ -56,9 +56,7 @@ class Chain:
 
     def padded(self) -> StarMatrix2:
         """(m+1) x (m+1) indicator with an extra 1 in the bottom-right corner."""
-        cells = set(self.points) | {(self.m + 1, self.m + 1)}
-        return StarMatrix2.build(self.m + 1, self.m + 1,
-                                 lambda i, j: 1 if (i, j) in cells else 0)
+        return Chain(self.m + 1, self.points + ((self.m + 1, self.m + 1),)).indicator()
 
 
 @dataclass(frozen=True)
@@ -97,37 +95,32 @@ def enumerate_chains(m: int):
                 yield Chain(m, tuple(zip(rows, cols)))
 
 
+def _walk(steps: str) -> tuple[GridPoint, ...]:
+    """Corners of the walk from (1,1) taking E (col+1) and S (row+1) steps."""
+    corners = [(1, 1)]
+    for step in steps:
+        r, c = corners[-1]
+        corners.append((r, c + 1) if step == "E" else (r + 1, c))
+    return tuple(corners)
+
+
 def enumerate_paths(m: int):
     """All southeast paths in the (m+1) x (m+1) corner grid."""
     for east_at in combinations(range(2 * m), m):
-        east = set(east_at)
-        corners = [(1, 1)]
-        for i in range(2 * m):
-            r, c = corners[-1]
-            corners.append((r, c + 1) if i in east else (r + 1, c))
-        yield SoutheastPath(m, tuple(corners))
+        steps = "".join("E" if i in east_at else "S" for i in range(2 * m))
+        yield SoutheastPath(m, _walk(steps))
 
 
 def chain_to_path(chain: Chain) -> SoutheastPath:
     """Left-turn encoding: point (r, c) becomes a south-then-east turn at (r+1, c)."""
     m = chain.m
-    corners = [(1, 1)]
-
-    def east_to(col: int):
-        while corners[-1][1] < col:
-            corners.append((corners[-1][0], corners[-1][1] + 1))
-
-    def south_to(row: int):
-        while corners[-1][0] < row:
-            corners.append((corners[-1][0] + 1, corners[-1][1]))
-
+    steps = []
+    row = col = 1
     for r, c in chain.points:
-        east_to(c)
-        south_to(r + 1)
-        corners.append((r + 1, c + 1))
-    east_to(m + 1)
-    south_to(m + 1)
-    return SoutheastPath(m, tuple(corners))
+        steps.append("E" * (c - col) + "S" * (r + 1 - row) + "E")
+        row, col = r + 1, c + 1
+    steps.append("E" * (m + 1 - col) + "S" * (m + 1 - row))
+    return SoutheastPath(m, _walk("".join(steps)))
 
 
 def path_to_chain(path: SoutheastPath) -> Chain:
@@ -438,30 +431,17 @@ def make_disobedient(n: int, A: Sequence[int], B: Sequence[int],
         raise ValueError(f"host_r must be at least {r}")
 
     af = (0,) + a + (2 * m + eps + 1,)
-    bf = (0,) + b + (2 * m + 1,)
     alpha = [af[i + 1] - af[i] - 1 for i in range(m + 1)]
-    beta = [bf[i + 1] - bf[i] - 1 for i in range(m + 1)]
     t_pos = tuple(a[i - 1] + b[i - 1] - i for i in range(1, m + 1))
+    # the t positions cut [1, r] into blocks: c_i then d_i between t_i and t_{i+1}
+    ts = (0,) + t_pos + (r + 1,)
+    c_blocks = tuple(tuple(range(t + 1, t + 1 + x)) for t, x in zip(ts, alpha))
+    d_blocks = tuple(tuple(range(t + 1 + x, u)) for t, x, u in zip(ts, alpha, ts[1:]))
 
-    c_blocks = []
-    d_blocks = []
-    cursor = 0
-    for i in range(m + 1):
-        c_blocks.append(tuple(range(cursor + 1, cursor + 1 + alpha[i])))
-        cursor += alpha[i]
-        d_blocks.append(tuple(range(cursor + 1, cursor + 1 + beta[i])))
-        cursor += beta[i]
-        if i < m:
-            cursor += 1  # the slot t_{i+1} itself
-    assert cursor == r, f"layout covers {cursor}, wanted {r}"
-
-    verts = set()
-    for j in t_pos:
-        verts.update((j, big_r + 3 * j - 2, big_r + 3 * j - 1))
-    for block in c_blocks:
-        verts.update(block)
-    for block in d_blocks:
-        verts.update(big_r + 3 * j - 2 for j in block)
+    # low picks: t positions and c blocks; high: R+3j-2 (t and d) and R+3j-1 (t)
+    verts = set(t_pos).union(*c_blocks)
+    verts.update(big_r + 3 * j - 2 for j in t_pos + sum(d_blocks, ()))
+    verts.update(big_r + 3 * j - 1 for j in t_pos)
     vertex_set = tuple(sorted(verts))
     if len(vertex_set) != n:
         raise AssertionError(f"picked {len(vertex_set)} vertices, wanted {n}")
@@ -481,8 +461,8 @@ def make_disobedient(n: int, A: Sequence[int], B: Sequence[int],
         assert mid == 2 * m + eps + b[i - 1] + i - 1, "high image identity failed"
         f_triples.append((lo, mid, mid + 1))
 
-    spec = DisobedientSpec(m, eps, a, b, t_pos, tuple(c_blocks),
-                           tuple(d_blocks), vertex_set, tuple(f_triples))
+    spec = DisobedientSpec(m, eps, a, b, t_pos, c_blocks, d_blocks,
+                           vertex_set, tuple(f_triples))
     return DisobedientResult(spec, member, host, vertex_set)
 
 

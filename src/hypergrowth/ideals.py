@@ -174,6 +174,9 @@ class IdealSpec:
         _validate_header(self.k, self.l, 1)  # the k, l checks of a coloring
         if self.kind == "avoid":
             for b in self.basis:
+                if not isinstance(b, Coloring):  # a pattern has no spec text
+                    raise ValueError(f"basis element {type(b).__name__} is not "
+                                     "a Coloring")
                 if (b.k, b.l) != (self.k, self.l):
                     raise IncompatibleColoringsError(
                         f"basis element has (k,l)=({b.k},{b.l}), "

@@ -21,7 +21,7 @@ Line orientation differs by dimension, deliberately:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations
 from typing import Iterable, Optional, Sequence, Union
 
 from .core import parse_fields
@@ -445,31 +445,31 @@ def find_pattern2(hay: StarMatrix2,
 # --- slices of 3D matrices ---------------------------------------------------
 
 
+def _section(plane) -> StarMatrix2:
+    """The 2D matrix whose entry (a, b) is plane[b][a]."""
+    return StarMatrix2(len(plane[0]), len(plane), tuple(zip(*plane)))
+
+
 def layer(m: StarMatrix3, axis: int, index: int) -> StarMatrix2:
     """2D slice at a fixed coordinate, with the swapped index convention:
 
       axis 1: N(a, b) = M(z, b, a)   (t x s)
       axis 2: N(a, b) = M(b, z, a)   (t x r)
       axis 3: N(a, b) = M(b, a, z)   (s x r)
+
+    That is the plane of entries at coordinate z, transposed.
     """
-    r, s, t = m.dims
-    z = index
+    if axis not in (1, 2, 3):
+        raise ValueError("axis must be 1, 2 or 3")
+    if not 1 <= index <= m.dims[axis - 1]:
+        raise IndexError("layer index out of range")
+    z = index - 1
+    ent = m.entries
     if axis == 1:
-        if not 1 <= z <= r:
-            raise IndexError("layer index out of range")
-        return StarMatrix2(t, s, tuple(tuple(m.at(z, b, a) for b in range(1, s + 1))
-                                       for a in range(1, t + 1)))
+        return _section(ent[z])
     if axis == 2:
-        if not 1 <= z <= s:
-            raise IndexError("layer index out of range")
-        return StarMatrix2(t, r, tuple(tuple(m.at(b, z, a) for b in range(1, r + 1))
-                                       for a in range(1, t + 1)))
-    if axis == 3:
-        if not 1 <= z <= t:
-            raise IndexError("layer index out of range")
-        return StarMatrix2(s, r, tuple(tuple(m.at(b, a, z) for b in range(1, r + 1))
-                                       for a in range(1, s + 1)))
-    raise ValueError("axis must be 1, 2 or 3")
+        return _section([plane[z] for plane in ent])
+    return _section([[shaft[z] for shaft in plane] for plane in ent])
 
 
 def cross(m: StarMatrix3, pair: tuple[int, int], mode: str) -> StarMatrix2:
@@ -482,30 +482,24 @@ def cross(m: StarMatrix3, pair: tuple[int, int], mode: str) -> StarMatrix2:
       d  (1,2): N(a,b) = M(b, b, a)        ad (1,2): N(a,b) = M(b, s-b+1, a)
       d  (1,3): N(a,b) = M(b, a, b)        ad (1,3): N(a,b) = M(b, a, t-b+1)
       d  (2,3): N(a,b) = M(b, a, a)        ad (2,3): N(a,b) = M(b, a, t-a+1)
+
+    That is the diagonal plane, first coordinate outermost, transposed.
     """
-    r, s, t = m.dims
     if mode not in ("d", "ad"):
         raise ValueError("mode must be 'd' or 'ad'")
-    anti = mode == "ad"
+    if pair not in ((1, 2), (1, 3), (2, 3)):
+        raise ValueError("pair must be (1,2), (1,3) or (2,3)")
+    x, y = pair
+    n = m.dims[y - 1]
+    if m.dims[x - 1] != n:
+        raise DimensionMismatchError(f"axes {x} and {y} differ in extent")
+    at = range(n)[::-1] if mode == "ad" else range(n)  # "ad" runs axis y backwards
+    ent = m.entries
     if pair == (1, 2):
-        if r != s:
-            raise DimensionMismatchError("axes 1 and 2 differ in extent")
-        return StarMatrix2(t, r, tuple(
-            tuple(m.at(b, s - b + 1 if anti else b, a) for b in range(1, r + 1))
-            for a in range(1, t + 1)))
+        return _section([plane[p] for plane, p in zip(ent, at)])
     if pair == (1, 3):
-        if r != t:
-            raise DimensionMismatchError("axes 1 and 3 differ in extent")
-        return StarMatrix2(s, r, tuple(
-            tuple(m.at(b, a, t - b + 1 if anti else b) for b in range(1, r + 1))
-            for a in range(1, s + 1)))
-    if pair == (2, 3):
-        if s != t:
-            raise DimensionMismatchError("axes 2 and 3 differ in extent")
-        return StarMatrix2(s, r, tuple(
-            tuple(m.at(b, a, t - a + 1 if anti else a) for b in range(1, r + 1))
-            for a in range(1, s + 1)))
-    raise ValueError("pair must be (1,2), (1,3) or (2,3)")
+        return _section([[shaft[p] for shaft in plane] for plane, p in zip(ent, at)])
+    return _section([[shaft[p] for shaft, p in zip(plane, at)] for plane in ent])
 
 
 def al_23d(m: StarMatrix3) -> int:

@@ -52,6 +52,11 @@ class TestChains:
         ch = Chain(2, ((1, 2),))
         assert ch.indicator().entries == ((0, 1), (0, 0))
         assert ch.padded().entries == ((0, 1, 0), (0, 0, 0), (0, 0, 1))
+        for m in range(1, 5):
+            for ch in enumerate_chains(m):
+                want = [[int((i, j) in ch.points or i == j == m + 1)
+                         for j in range(1, m + 2)] for i in range(1, m + 2)]
+                assert ch.padded().entries == tuple(map(tuple, want))
 
     def test_counts_match_binomials(self):
         for m in range(1, 6):
@@ -344,6 +349,31 @@ class TestDisobedient:
                                    start=1):
             want = (a, 2 * m + eps + b + i - 1, 2 * m + eps + b + i)
             assert res.spec.f_triples[i - 1] == want
+
+    def test_layout_partitions_the_slots(self):
+        # c_0 d_0 t_1 c_1 d_1 ... t_m c_m d_m runs through [1, r] in order,
+        # |c_i| is the gap alpha_i of A and |d_i| the gap beta_i of B
+        from itertools import combinations
+        for m in (1, 2, 3):
+            bs = list(combinations(range(1, 2 * m + 1), m))
+            for eps in range(5):
+                n = 5 * m + eps
+                for j, A in enumerate(combinations(range(1, 2 * m + eps + 1), m)):
+                    if m == 3 and j % 10:
+                        continue
+                    B = bs[j % len(bs)]
+                    spec = make_disobedient(n, A, B).spec
+                    assert spec.n == n
+                    slots = list(spec.c_blocks[0] + spec.d_blocks[0])
+                    for i in range(m):
+                        slots += [spec.t_positions[i], *spec.c_blocks[i + 1],
+                                  *spec.d_blocks[i + 1]]
+                    assert slots == list(range(1, 3 * m + eps + 1))
+                    af = (0,) + A + (2 * m + eps + 1,)
+                    bf = (0,) + B + (2 * m + 1,)
+                    for i in range(m + 1):
+                        assert len(spec.c_blocks[i]) == af[i + 1] - af[i] - 1
+                        assert len(spec.d_blocks[i]) == bf[i + 1] - bf[i] - 1
 
     def test_census_is_injective(self):
         from itertools import combinations

@@ -531,6 +531,10 @@ class TestContainment:
         assert not injection_witnesses(small, big, (2, 1, 4))
         assert not injection_witnesses(small, big, (1, 2))
         assert not injection_witnesses(small, big, (1, 2, 6))
+        # the right shape, but one image edge has the other colour
+        big = Coloring.from_map(3, 2, 5, {(1, 2, 4): 1})
+        assert not injection_witnesses(small, big, (1, 2, 4))
+        assert injection_witnesses(small, big, (1, 2, 5))
 
 
 class TestTextFormat:

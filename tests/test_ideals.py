@@ -11,7 +11,7 @@ import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 from math import comb
 from pathlib import Path
 from types import SimpleNamespace
@@ -21,7 +21,8 @@ import pytest
 from hypergrowth import ideals
 from hypergrowth.core import (Coloring, ColoringPattern,
                               IncompatibleColoringsError, _colex_table,
-                              all_edges, contains, restrict_normalize)
+                              all_edges, contains, restrict_normalize,
+                              reverse)
 from hypergrowth.ideals import (BUILTIN_NAMES, GrowthRecord, IdealSpec,
                                 avoid_growth, avoid_members, builtin_count,
                                 builtin_counts, builtin_exceeds_digits,
@@ -293,6 +294,16 @@ class TestIdealSpec:
         for head in ("ideal avoid k=3 l", "ideal builtin name=S k3"):
             with pytest.raises(ValueError, match="malformed field"):
                 ideal_spec_from_text(head + "\n")
+
+    def test_rejects_patterns(self):
+        # a pattern has no spec text, so a spec holding one has no digest
+        pat = ColoringPattern.from_map(3, 2, 4, {(2, 3, 4): 1})
+        with pytest.raises(ValueError, match="not a Coloring"):
+            IdealSpec.avoid([pat])
+        with pytest.raises(ValueError, match="not a Coloring"):
+            growth(IdealSpec.avoid([Coloring.constant(3, 2, 4, 0), pat]), 5)
+        counts, exact, _ = avoid_growth([pat], 3, 2, 5)
+        assert (counts[5], exact[5]) == (64, True)
 
 
 class TestBuiltinFamilies:
@@ -706,6 +717,69 @@ class TestInclusionOracles:
             rec = GrowthRecord("0" * 16, k, counts, exact, nodes)
             v = dichotomy_verdict(rec, "constant")
             assert v.classification != "violation", (basis, counts, exact)
+
+
+def small_basis(rng, k, l):
+    """1-3 random elements on k..k+2 vertices, some of them patterns."""
+    out = []
+    for _ in range(draw(rng, 1, 3)):
+        n = draw(rng, k, k + 2)
+        cols = [draw(rng, 0, l - 1) for _ in range(comb(n, k))]
+        if draw(rng, 0, 2) == 0:
+            cols[draw(rng, 0, len(cols) - 1)] = None
+            out.append(ColoringPattern(k, l, n, tuple(cols)))
+        else:
+            out.append(Coloring(k, l, n, tuple(cols)))
+    return out
+
+
+def permute_colors(b, perm):
+    return type(b)(b.k, b.l, b.n,
+                   tuple(None if c is None else perm[c] for c in b.colors))
+
+
+def extension(rng, b):
+    """A coloring that contains b: b's colours on a random increasing image
+    in one or two more vertices, random colours on every other edge."""
+    n = b.n + draw(rng, 1, 2)
+    images = list(range(1, n + 1))
+    while len(images) > b.n:
+        del images[draw(rng, 0, len(images) - 1)]
+    pinned = {tuple(images[v - 1] for v in e): c
+              for e, c in zip(b.edges(), b.colors) if c is not None}
+    return Coloring.from_function(
+        b.k, b.l, n, lambda e: pinned[e] if e in pinned else draw(rng, 0, b.l - 1))
+
+
+class TestSymmetryOracle:
+    """|Avoid(B)_n| is unchanged by reversing every element of B, by any
+    permutation of the colours, and by adding an element that contains
+    one already in B.  Only levels exact on both sides are compared, and
+    the test requires enough of them where B removes some colourings but
+    not all."""
+
+    def test_counts_are_invariant(self):
+        rng = Lcg(27)
+        checked = 0
+        for i in range(20):
+            k, l = 2 + i % 2, 2 + i // 2 % 2
+            n_max = 8 if k == 2 else 6
+            basis = small_basis(rng, k, l)
+            counts, exact, _ = avoid_growth(basis, k, l, n_max, budget=200000)
+            b = pick(rng, basis)
+            bigger = extension(rng, b)
+            assert contains(b, bigger) is not None
+            variants = [[reverse(e) for e in basis], basis + [bigger]]
+            variants += [[permute_colors(e, perm) for e in basis]
+                         for perm in permutations(range(l))]
+            for other in variants:
+                got, got_exact, _ = avoid_growth(other, k, l, n_max,
+                                                 budget=200000)
+                for n in range(1, n_max + 1):
+                    if exact[n] and got_exact[n]:
+                        assert got[n] == counts[n], (basis, other, n)
+                        checked += 0 < counts[n] < l ** comb(n, k)
+        assert checked >= 250
 
 
 class TestFinalLevelCount:

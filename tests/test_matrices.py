@@ -103,6 +103,20 @@ class TestStarMatrix2:
         assert sub.entries == ((1, None), (1, 1))
 
 
+class TestStarMatrix3:
+    def test_submatrix_reads_the_selected_entries(self):
+        rng = Lcg(29)
+        for _ in range(30):
+            m = random_matrix3(rng, 4, stars=True)
+            sels = [sorted({draw(rng, 1, d) for _ in range(draw(rng, 1, d))})
+                    for d in m.dims]
+            sub = m.submatrix(*sels)
+            assert sub.dims == tuple(map(len, sels))
+            for idx in product(*(range(1, len(sel) + 1) for sel in sels)):
+                assert sub.at(*idx) == m.at(*(sel[i - 1]
+                                              for sel, i in zip(sels, idx)))
+
+
 class TestMetrics2:
     def test_identity3_example(self):
         met = metrics2(StarMatrix2.identity(3))
@@ -372,6 +386,67 @@ class TestSlices:
             cross(m, (1, 2), "d")
         with pytest.raises(ValueError):
             cross(m, (2, 1), "d")
+
+    def test_layer_formulas_and_errors(self):
+        # every axis and index against the docstring table, then each error
+        rng = Lcg(27)
+        for _ in range(40):
+            m = random_matrix3(rng, 4, stars=True)
+            r, s, t = m.dims
+            formulas = {1: (r, (t, s), lambda z, a, b: m.at(z, b, a)),
+                        2: (s, (t, r), lambda z, a, b: m.at(b, z, a)),
+                        3: (t, (s, r), lambda z, a, b: m.at(b, a, z))}
+            for axis, (extent, (rows, cols), at) in formulas.items():
+                for z in range(1, extent + 1):
+                    got = layer(m, axis, z)
+                    assert (got.rows, got.cols) == (rows, cols)
+                    assert got.entries == tuple(
+                        tuple(at(z, a, b) for b in range(1, cols + 1))
+                        for a in range(1, rows + 1))
+                for z in (0, extent + 1):
+                    with pytest.raises(IndexError, match="layer index"):
+                        layer(m, axis, z)
+            for axis in (0, 4):
+                with pytest.raises(ValueError, match="axis must be"):
+                    layer(m, axis, 1)
+
+    def test_cross_formulas_and_errors(self):
+        rng = Lcg(28)
+        formulas = {
+            ((1, 2), "d"): lambda m, a, b: m.at(b, b, a),
+            ((1, 2), "ad"): lambda m, a, b: m.at(b, m.dim2 - b + 1, a),
+            ((1, 3), "d"): lambda m, a, b: m.at(b, a, b),
+            ((1, 3), "ad"): lambda m, a, b: m.at(b, a, m.dim3 - b + 1),
+            ((2, 3), "d"): lambda m, a, b: m.at(b, a, a),
+            ((2, 3), "ad"): lambda m, a, b: m.at(b, a, m.dim3 - a + 1),
+        }
+        for _ in range(60):
+            r, s, t = (draw(rng, 1, 4) for _ in range(3))
+            dims = (r, r, t) if draw(rng, 0, 1) else (r, s, r)
+            if draw(rng, 0, 2) == 0:
+                dims = (r, s, s)
+            pool = (0, 1, None)
+            m = StarMatrix3.build(dims, lambda i, j, k: pool[draw(rng, 0, 2)])
+            for (pair, mode), at in formulas.items():
+                x, y = pair
+                if m.dims[x - 1] != m.dims[y - 1]:
+                    with pytest.raises(DimensionMismatchError,
+                                       match=f"axes {x} and {y} differ"):
+                        cross(m, pair, mode)
+                    continue
+                got = cross(m, pair, mode)
+                free = m.dim3 if pair == (1, 2) else m.dim2
+                assert (got.rows, got.cols) == (free, m.dim1)
+                assert got.entries == tuple(
+                    tuple(at(m, a, b) for b in range(1, m.dim1 + 1))
+                    for a in range(1, free + 1))
+            with pytest.raises(ValueError, match="mode must be"):
+                cross(m, (1, 2), "x")
+            with pytest.raises(ValueError, match="mode must be"):
+                cross(m, (2, 1), "x")  # the mode is checked first
+            for pair in ((2, 1), (1, 1), (3, 2), [1, 2]):
+                with pytest.raises(ValueError, match="pair must be"):
+                    cross(m, pair, "d")
 
     def test_al_23d(self):
         m = StarMatrix3.build((2, 3, 3),

@@ -451,6 +451,10 @@ class TestRichness:
         assert is_r_rich(Coloring.constant(3, 2, 5, 0), 4) is None
         assert is_r_rich(Coloring.constant(3, 2, 2, 0), 2) is None
 
+    def test_right_size_without_a_window(self):
+        # 2r - k + 1 = 6 vertices, but no window ends in a second colour
+        assert is_r_rich(Coloring.constant(3, 2, 6, 0), 4) is None
+
     def test_deletions_are_distinct(self):
         from hypergrowth.constructions import make_rich
         for r in (4, 5, 6):
@@ -688,6 +692,12 @@ class TestWealthyRecognition:
         assert w.to_text() == ("wealthy family=W2.1 r=2 "
                                "variant=swap:0,rev:00,perm:123 "
                                "base=[1,2]|[3,4]|[5]")
+
+    def test_default_variant_is_the_first(self):
+        for fam in WEALTHY_FAMILIES:
+            first = wealthy_variants(fam, 3)[0]
+            assert wealthy_assignment(fam, 3) == \
+                wealthy_assignment(fam, 3, first)
 
     def test_alternating_pair_family(self):
         asg = wealthy_assignment("W1'", 6, WealthyVariant(colors=(1, 0)))

@@ -14,9 +14,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from math import comb
 from typing import Optional, Sequence, Union
 
-from .core import (AnyColoring, Coloring, ColoringPattern, Edge,
+from .core import (AnyColoring, Coloring, ColoringPattern, Edge, edge_index,
                    restrict_normalize)
 from .matrices import StarMatrix2
 from .structure import (WealthyVariant, rich_window_edges, wealthy_assignment,
@@ -307,14 +308,19 @@ def make_wealthy(family: str, r: int, variant: Optional[WealthyVariant] = None,
 
 def _crossing_host(big_r: int, marked: dict[Edge, int], cross_color: int,
                    filler: int) -> Coloring:
-    # crossing = exactly one vertex in [big_r], two in [big_r+1, 4*big_r]
-    def fn(e: Edge) -> int:
-        x, y, _ = e
-        if x <= big_r < y:
-            return marked.get(e, cross_color)
-        return filler
-
-    return Coloring.from_function(3, 2, 4 * big_r, fn)
+    # crossing = exactly one vertex in [big_r]; those of each x <= big_r
+    # run through consecutive ranks, (x, big_r+1, big_r+2) to (x, n-1, n)
+    if not isinstance(filler, int) or not 0 <= filler <= 1:
+        raise ValueError(f"color {filler!r} outside 0..1")
+    n = 4 * big_r
+    cols = bytearray([filler]) * comb(n, 3)
+    run = comb(n - big_r, 2)
+    for x in range(1, big_r + 1):
+        start = edge_index((x, big_r + 1, big_r + 2), n, 3)
+        cols[start:start + run] = bytes([cross_color]) * run
+    for e, col in marked.items():
+        cols[edge_index(e, n, 3)] = col
+    return Coloring._trusted(3, 2, n, tuple(cols))
 
 
 @dataclass(frozen=True)

@@ -20,9 +20,9 @@ from itertools import combinations, permutations, product
 from math import comb
 from typing import Optional, Sequence
 
-from .core import (Coloring, Edge, _rank_table, homogeneity, parse_fields,
-                   restrict_normalize)
-from .matrices import StarMatrix3, metrics3
+from .core import (Coloring, Edge, _rank_table, edge_index, homogeneity,
+                   parse_fields, restrict_normalize)
+from .matrices import StarMatrix3
 
 
 class SizeMismatchError(ValueError):
@@ -144,6 +144,66 @@ def crossing_matrix(c: Coloring, x: Sequence[int], y: Sequence[int],
     return StarMatrix3(len(xs), len(ys), len(zs), tuple(planes))
 
 
+# Two entries (0, 1 or 2 = star) XOR to 1 exactly at an alternation, and
+# _lines ORs 4 into the last entry of every line.  The table keeps the 1s
+# and turns each marked entry (4..7) into the separator 4; the deletion
+# drops 0, 2 and 3.
+_ALTERNATIONS = bytes(1 if v == 1 else 4 if v >= 4 else 0 for v in range(256))
+
+
+def _lines(b: int, size: int, s: int, length: int) -> bytes:
+    """Every line of stride s and the given length of a matrix held as the
+    int b (byte p = entry p), one after another: each entry XOR the next
+    one on its line, the last entry marked."""
+    ends = (bytes(s * (length - 1)) + b"\4" * s) * (size // (s * length))
+    d = ((b ^ b >> 8 * s) | int.from_bytes(ends, "little")).to_bytes(size, "little")
+    return b"".join([d[q::s] for q in range(s)])
+
+
+def _crossing_sizes(cb, t, xs: range, ys: range,
+                    zs: range) -> tuple[int, int, int]:
+    """al, |r_set| and |c_set| of metrics3(crossing_matrix(c, xs, ys, zs)).
+
+    cb holds c's colours, one byte per edge rank and 2 for an unspecified
+    edge; t is _rank_table(n, 3).  The intervals come in a tame shape:
+    xs < ys < zs, xs = ys < zs or xs < ys = zs.  The matrix is one byte per
+    entry (2 = star), entry (i, j, k) at byte (i*|ys| + j)*|zs| + k.  An
+    edge x < y < z has rank C(n,3) - 1 - t0[x] - t1[y] - (n - z), so a
+    shaft's entries with z above x and y are one slice of cb; for ys = zs
+    the entries with z < y mirror those with z > y.  A line's alternations
+    are the 1s of the matrix XOR itself shifted by the line's stride.
+    """
+    nx, ny, nz = len(xs), len(ys), len(zs)
+    t0, t1 = t[0], t[1]
+    off = t0[0] - len(t0) + zs[0]  # (x, y, z): off - t0[x] - t1[y] + z - zs[0]
+    size = nx * ny * nz
+    star = b"\2" * nz
+    if ys[0] < zs[0]:
+        buf = b"".join([cb[(s := off - t0[x] - t1[y]):s + nz] if x < y
+                        else cb[(s := off - t0[y] - t1[x]):s + nz] if y < x
+                        else star for x in xs for y in ys])
+    else:  # the entries with z > y, stars below
+        buf = b"".join([star[:(d := y + 1 - zs[0])]
+                        + cb[(s := off - t0[x] - t1[y]) + d:s + nz]
+                        for x in xs for y in ys])
+    if 0 not in buf or 1 not in buf:  # no line can alternate
+        return 1, 0, 0
+    b = int.from_bytes(buf, "little")
+    if ys[0] == zs[0]:
+        plane = nz * nz
+        lower = b"".join([buf[q:q + plane:nz] for i in range(0, size, plane)
+                          for q in range(i, i + nz)])
+        # each entry is a star on at least one side, and 2 ^ 2 ^ 2 = 2
+        b ^= (int.from_bytes(lower, "little")
+              ^ int.from_bytes(b"\2" * size, "little"))
+    rows = _lines(b, size, ny * nz, nx)
+    cols = _lines(b, size, nz, ny)
+    most = max(map(len, (rows + cols + _lines(b, size, 1, nz)).translate(
+        _ALTERNATIONS, b"\0\2\3").split(b"\4")))
+    return (most + 1, sum(1 in rows[a::nx] for a in range(nx - 1)),
+            sum(1 in cols[a::ny] for a in range(ny - 1)))
+
+
 # --- tameness -----------------------------------------------------------------
 
 
@@ -181,14 +241,20 @@ def is_p_tame(c: Coloring, p: int) -> TameReport:
     number at most p; (3) those matrices have at most p row and column
     alternation positions; (4) and (5) the same two bounds for the doubled
     matrices of interval pairs.  All five are evaluated in full; the witness
-    is the first violation in condition-then-lexicographic order.
+    is the first violation in condition-then-lexicographic order.  The
+    metrics are read by _crossing_sizes (a pattern's None is a star).
     """
     if c.k != 3 or c.l != 2:
         raise ValueError("tameness is defined for k = 3, l = 2")
     if p < 3:
         raise ValueError("threshold p must be at least 3")
     nd = nuclear_decomposition(c)
-    ivs = [tuple(range(a, b + 1)) for a, b in nd.intervals]
+    ivs = [range(a, b + 1) for a, b in nd.intervals]
+    try:
+        cb = bytes(c.colors)
+    except TypeError:  # a pattern: its unspecified edges are stars
+        cb = bytes(2 if x is None else x for x in c.colors)
+    t = _rank_table(c.n, 3)
     s = len(ivs)
     conds = [True] * 5
     firsts: list[Optional[TameViolation]] = [None] * 5
@@ -206,13 +272,14 @@ def is_p_tame(c: Coloring, p: int) -> TameReport:
     # conditions 2 and 3 read the interval triples, 4 and 5 the pairs
     for cond, idxs in ((2, combinations(range(1, s + 1), 3)), (4, pairs)):
         for idx in idxs:
-            m = metrics3(crossing_matrix(c, *(ivs[i - 1] for i in idx)))
-            if m.al > p:
-                record(cond, idx, "al", m.al)
-            if len(m.r_set) > p:
-                record(cond + 1, idx, "rows", len(m.r_set))
-            if len(m.c_set) > p:
-                record(cond + 1, idx, "cols", len(m.c_set))
+            al, rows, cols = _crossing_sizes(cb, t,
+                                             *(ivs[i - 1] for i in idx))
+            if al > p:
+                record(cond, idx, "al", al)
+            if rows > p:
+                record(cond + 1, idx, "rows", rows)
+            if cols > p:
+                record(cond + 1, idx, "cols", cols)
 
     witness = next((w for w in firsts if w is not None), None)
     return TameReport(p, tuple(conds), witness)
@@ -237,8 +304,9 @@ def count_p_tame(n: int, p: int) -> int:
     The 2 is the two constant colorings (a = n).  A tame AAB key counts
     once for each c its break edges do not all match, which is the number
     of distinct colours among them.  The keys come from _tame_split_tables,
-    built once per (n, a) for every p.  The count is pure in (n, p), so it
-    is memoized.
+    built once per (n, a) for every p, which reads each key's metrics from
+    a colour buffer without building the matrix.  The count is pure in
+    (n, p), so it is memoized.
     """
     if p < 3:
         raise ValueError("threshold p must be at least 3")
@@ -265,27 +333,30 @@ def _tame_split_tables(n: int, a: int) -> tuple[dict[int, int],
     |r_set| and |c_set| of its matrix is at most p, so that largest value
     does not depend on p.  The first table maps it to the summed number
     of break colours of the M_{A,A,B} keys that have it, the second to
-    the number of M_{A,B,B} keys that have it.  Each key is put on its
-    cells by Coloring.from_map and read back through crossing_matrix.
+    the number of M_{A,B,B} keys that have it.  Bit i of a key is the
+    colour of the i-th cell; the keys are written by rank into one colour
+    buffer and read back by _crossing_sizes.
     """
     xs, zs = range(1, a + 1), range(a + 1, n + 1)
+    t = _rank_table(n, 3)
+    cb = bytearray(comb(n, 3))
 
-    def tally(ys: range, weight) -> dict[int, int]:
+    def tally(ys: range) -> dict[int, int]:
         # every colouring of the cells of M_{A,ys,B}
         cells = sorted({tuple(sorted(e)) for e in product(xs, ys, zs)
                         if len(set(e)) == 3})
+        ranks = [edge_index(e, n, 3) for e in cells]
+        brk = sum(1 << i for i, e in enumerate(cells) if e[2] == a + 1)
         table: dict[int, int] = {}
         for key in range(1 << len(cells)):
-            keyed = {e: key >> i & 1 for i, e in enumerate(cells)}
-            m = metrics3(crossing_matrix(Coloring.from_map(3, 2, n, keyed),
-                                         xs, ys, zs))
-            size = max(m.al, len(m.r_set), len(m.c_set))
-            table[size] = table.get(size, 0) + weight(keyed)
+            for i, r in enumerate(ranks):
+                cb[r] = key >> i & 1
+            size = max(_crossing_sizes(cb, t, xs, ys, zs))
+            hit = key & brk  # M_{A,B,B} has no break edge: weight 1
+            table[size] = table.get(size, 0) + ((hit != 0) + (hit != brk) or 1)
         return table
 
-    return (tally(xs, lambda keyed: len({col for e, col in keyed.items()
-                                         if e[2] == a + 1})),
-            tally(zs, lambda keyed: 1))
+    return tally(xs), tally(zs)
 
 
 # --- richness -----------------------------------------------------------------

@@ -384,6 +384,26 @@ class TestDisobedient:
         assert len(members) == 36
         assert len(set(members)) == 36
 
+    def test_host_matches_its_definition(self):
+        # crossing triples (one vertex in [R]) are 1 except the marked
+        # {i, R+3i-2, R+3i-1}, which are 0; every other triple is filler
+        for n, A, B, host_r, filler in ((5, (1,), (1,), None, 0),
+                                        (12, (1, 4), (2, 3), 9, 1),
+                                        (19, (1, 4, 7), (2, 3, 6), None, 0)):
+            res = make_disobedient(n, A, B, host_r, filler)
+            big_r = res.host.n // 4
+
+            def want(e):
+                x, y, z = e
+                if not x <= big_r < y:
+                    return filler
+                return 0 if (y, z) == (big_r + 3 * x - 2, big_r + 3 * x - 1) else 1
+
+            assert res.host == Coloring.from_function(3, 2, 4 * big_r, want)
+        for bad in (2, -1):
+            with pytest.raises(ValueError, match=rf"^color {bad} outside 0..1$"):
+                make_disobedient(12, (1, 4), (2, 3), filler=bad)
+
     def test_input_validation(self):
         with pytest.raises(ValueError):
             make_disobedient(10, (1, 2), (1,))

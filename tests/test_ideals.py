@@ -35,7 +35,7 @@ from hypergrowth.ideals import (BUILTIN_NAMES, GrowthRecord, IdealSpec,
                                 sequence_exceeds_digits, sequence_value,
                                 update_cache)
 from hypergrowth.rng import Lcg
-from hypergrowth.structure import count_p_tame, is_p_tame
+from hypergrowth.structure import _tame_split_tables, count_p_tame, is_p_tame
 
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -1878,6 +1878,24 @@ class TestTameCensus:
 
     def test_six_vertex_census(self):
         assert count_p_tame(6, 3) == 1031116
+
+    def test_pinned_values(self):
+        # every colouring of [n] is tame for n <= 5, and for n = 6 at p >= 4
+        want = {n: [v] * 4 for n, v in ((1, 1), (2, 1), (3, 2), (4, 16),
+                                         (5, 1024))}
+        want[6] = [1031116, 1048576, 1048576, 1048576]
+        assert {n: [count_p_tame(n, p) for p in range(3, 7)]
+                for n in range(1, 7)} == want
+
+    def test_pinned_split_tables(self):
+        assert {(n, a): _tame_split_tables(n, a)
+                for n in range(4, 7) for a in range(3, n)} == {
+            (4, 3): ({1: 2, 2: 12}, {1: 1}),
+            (5, 3): ({1: 2, 2: 110}, {1: 2, 2: 4, 3: 2}),
+            (5, 4): ({1: 2, 2: 48, 3: 76}, {1: 1}),
+            (6, 3): ({1: 2, 2: 376, 3: 518}, {1: 2, 2: 214, 3: 296}),
+            (6, 4): ({1: 2, 2: 850, 3: 7212}, {1: 2, 2: 6, 3: 6, 4: 2}),
+            (6, 5): ({1: 2, 2: 116, 3: 596, 4: 1332}, {1: 1})}
 
     def test_six_vertex_census_above_three(self):
         # every colouring of [6] is p-tame for p >= 4

@@ -1,17 +1,22 @@
 """Shape classifiers: nuclear splits, tameness, rich/simple/wealthy recognition."""
 
 from itertools import combinations
+from math import comb
 
 import pytest
 
+from hypergrowth import structure
 from hypergrowth.constructions import (make_rich, make_wealthy,
                                        slice_to_pair_coloring)
-from hypergrowth.core import Coloring, homogeneity, restrict_normalize, reverse
+from hypergrowth.core import (Coloring, ColoringPattern, _rank_table,
+                              homogeneity, restrict_normalize, reverse)
 from hypergrowth.matrices import Metrics3, StarMatrix3, metrics3
 from hypergrowth.rng import Lcg
 from hypergrowth.structure import (WEALTHY_FAMILIES, SizeMismatchError,
                                    SimplicityViolation, TameReport,
-                                   TameViolation, WealthyVariant, crossing_matrix,
+                                   TameViolation, WealthyVariant,
+                                   _crossing_sizes, count_p_tame,
+                                   crossing_matrix,
                                    is_c_simple, is_p_tame, is_r_rich,
                                    is_wealthy, nuclear_decomposition,
                                    pair_wealthy_type2, rich_deletions,
@@ -49,6 +54,10 @@ def blocky_coloring(rng, k, l, n):
         if cols:
             cols[draw(rng, 0, len(cols) - 1)] = draw(rng, 0, l - 1)
     return Coloring(k, l, n, tuple(cols))
+
+
+# the rich window shapes (f, g, h) whose members cli-mix classifies
+RICH_SHAPES = ((0, 1, 2), (1, 1, 1), (2, 1, 0), (0, 2, 1), (1, 2, 0))
 
 
 def parity_coloring(n):
@@ -388,8 +397,7 @@ class TestTamenessParity:
     def test_reports_match_color_oracle(self):
         cases = [make_wealthy(fam, r) for fam in WEALTHY_FAMILIES
                  for r in (3, 6, 9)]
-        cases += [make_rich(3, r, *shape) for shape in
-                  ((0, 1, 2), (1, 1, 1), (2, 1, 0), (0, 2, 1), (1, 2, 0))
+        cases += [make_rich(3, r, *shape) for shape in RICH_SHAPES
                   for r in (4, 8)]
         rng = Lcg(1717)
         for i in range(300):
@@ -405,6 +413,107 @@ class TestTamenessParity:
             witnessed += sum(rep.witness is not None
                              and rep.witness.condition > 1 for rep in got)
         assert tame > 50 and witnessed > 50
+
+
+class TestTameReader:
+    """is_p_tame and the tame census read the metrics of each crossing
+    matrix from colour ranks; the public crossing_matrix and metrics3 are
+    the reference."""
+
+    @staticmethod
+    def public(c, sets):
+        m = metrics3(crossing_matrix(c, *sets))
+        return m.al, len(m.r_set), len(m.c_set)
+
+    @staticmethod
+    def read(c, sets):
+        cb = (bytes(2 if x is None else x for x in c.colors)
+              if isinstance(c, ColoringPattern) else bytes(c.colors))
+        return _crossing_sizes(cb, _rank_table(c.n, 3), *sets)
+
+    def test_matches_public_metrics(self):
+        rng = Lcg(4242)
+        seen = {"shapes": set(), "single": 0, "flat": 0, "wild": 0}
+        for case in range(500):
+            n = draw(rng, 3, 14)
+            c = (random_coloring(rng, 3, 2, n) if case % 3
+                 else blocky_coloring(rng, 3, 2, n))
+            if case % 5 == 0:  # a pattern: unspecified edges are stars
+                c = ColoringPattern(3, 2, n, tuple(
+                    None if draw(rng, 0, 3) == 0 else x for x in c.colors))
+                seen["wild"] += 1
+            # consecutive intervals I < J < K, some of one vertex
+            a = draw(rng, 1, n - 1)
+            ivs = []
+            while a <= n and len(ivs) < 3:
+                b = a if draw(rng, 0, 3) == 0 else draw(rng, a, n)
+                ivs.append(range(a, b + 1))
+                a = b + 1
+            shapes = []
+            if len(ivs) > 1:
+                i, j = ivs[:2]
+                shapes = [(i, i, j), (i, j, j)]
+            if len(ivs) == 3:
+                shapes.append(tuple(ivs))
+            for sets in shapes:
+                got = self.read(c, sets)
+                assert got == self.public(c, sets), (c, sets)
+                seen["shapes"].add((sets[0] == sets[1], sets[1] == sets[2]))
+                seen["single"] += min(map(len, sets)) == 1
+                seen["flat"] += got[0] == 1
+        assert len(seen["shapes"]) == 3
+        assert seen["single"] > 100 and seen["flat"] > 100
+        assert seen["wild"] == 100
+
+    def test_line_with_many_alternations(self):
+        # colour = parity of the least vertex: the row (y, z) = (n-1, n)
+        # alternates between any two consecutive x < n-1
+        n = 300
+        c = Coloring(3, 2, n, tuple(b"".join(
+            bytes([a % 2]) * comb(n - a, 2) for a in range(1, n + 1))))
+        head, last = range(1, n), range(n, n + 1)
+        for sets in ((head, head, last), (head, last, last)):
+            assert self.read(c, sets) == self.public(c, sets)
+        assert self.read(c, (head, head, last)) == (n - 2, n - 3, n - 3)
+
+    def test_reports_match_reference_for_p_3_to_6(self):
+        cases = [make_wealthy(fam, r) for fam in WEALTHY_FAMILIES
+                 for r in (3, 6, 9)]
+        cases += [make_rich(3, r, *shape) for shape in RICH_SHAPES
+                  for r in (4, 8)]
+        rng = Lcg(6262)
+        for i in range(60):
+            n = draw(rng, 3, 14)
+            cases.append(random_coloring(rng, 3, 2, n) if i % 2
+                         else blocky_coloring(rng, 3, 2, n))
+        cases.append(make_wealthy("W3.3", 6, wildcard=True))
+        ps = (3, 4, 5, 6)
+        above = 0
+        for c in cases:
+            got = [is_p_tame(c, p) for p in ps]
+            assert got == reference_tame_reports(c, ps), c
+            above += sum(rep.witness is not None and rep.witness.condition > 1
+                         for rep in got[1:])
+        assert above > 20
+        # the pattern's stars still leave a violation
+        assert is_p_tame(cases[-1], 3).witness == \
+            TameViolation(5, (1, 1, 2), "rows", 6)
+
+    def test_no_matrix_objects(self, monkeypatch):
+        c = make_wealthy("W4.1", 9)
+
+        def refuse(*args):
+            raise AssertionError("a matrix object was built")
+
+        monkeypatch.setattr(StarMatrix3, "__post_init__", refuse)
+        monkeypatch.setattr(structure, "crossing_matrix", refuse)
+        assert is_p_tame(c, 3) == TameReport(
+            3, (False, True, True, True, True),
+            TameViolation(1, (), "length", 10))
+        assert is_p_tame(c, 10).tame
+        count_p_tame.cache_clear()
+        structure._tame_split_tables.cache_clear()
+        assert count_p_tame(6, 3) == 1031116
 
 
 class TestRichness:

@@ -27,14 +27,17 @@ append-only count file, which concurrent runs may share.
 
 main builds its argument parser once per process, on its first call, and
 reuses it: parsing keeps no state between calls, so main is safe to call
-repeatedly in-process.  The verify verb imports hypergrowth.verify on its
-first call, as only it needs the acceptance suites; every other start
-skips compiling them.  The layers the other verbs call (constructions,
-core, ideals, structure) stay imported at module level, and matrices
-comes in through them: the package __init__ imports them all anyway, so
-that `python -m hypergrowth.cli` loads them whatever this module does,
-and the benchmark's tracer looks each of them up in sys.modules right
-after `import hypergrowth.cli`.
+repeatedly in-process.  Only core and ideals, which the parser and the
+contains, growth and sequence verbs use, are imported at module level.
+The make and classify verbs import constructions and structure (and
+through them matrices) in their bodies, and the verify verb imports
+hypergrowth.verify, so a sequence or growth start compiles none of
+them.  The package __init__ registers every layer in sys.modules without
+running it, so each layer is still found there right after
+`import hypergrowth.cli`.  No layer is bound here at import time: a
+registered layer whose sys.modules entry has been replaced by the time
+it is first touched raises ValueError, and the in-body imports read
+sys.modules on each call.
 """
 
 from __future__ import annotations
@@ -45,15 +48,10 @@ import os
 import sys
 from typing import Optional, Sequence, TextIO
 
-from .constructions import (Chain, embed_chain, embed_string,
-                            make_disobedient, make_rich,
-                            make_string_coloring, make_wealthy)
 from .core import Coloring, coloring_from_text, coloring_to_text, contains
 from .ideals import (DEFAULT_BUDGET, IdealSpec, builtin_exceeds_digits,
                      dichotomy_verdict, growth, ideal_spec_from_text,
                      sequence_exceeds_digits, sequence_value)
-from .structure import (is_c_simple, is_p_tame, is_r_rich, is_wealthy,
-                        nuclear_decomposition, variant_from_text)
 
 
 # --- small formatting helpers ------------------------------------------------------
@@ -103,6 +101,7 @@ def _parse_spec(text: str) -> IdealSpec:
 
 
 def _make_rich(args, out: TextIO) -> int:
+    from .constructions import make_rich
     f, g, h = _fixed_ints(args.shape, 3, "--shape")
     a, b = _fixed_ints(args.colors, 2, "--colors")
     c = make_rich(args.k, args.r, f, g, h, a, b, args.filler)
@@ -111,6 +110,8 @@ def _make_rich(args, out: TextIO) -> int:
 
 
 def _make_wealthy(args, out: TextIO) -> int:
+    from .constructions import make_wealthy
+    from .structure import variant_from_text
     variant = None
     if args.variant is not None:
         variant = variant_from_text(args.family, args.variant)
@@ -120,6 +121,7 @@ def _make_wealthy(args, out: TextIO) -> int:
 
 
 def _make_string_matrix(args, out: TextIO) -> int:
+    from .constructions import embed_string
     emb = embed_string(args.w, args.mode)
     print(f"w={emb.w} mode={emb.mode} host_order={emb.host_order}", file=out)
     print(f"rows={_csv(emb.rows)}", file=out)
@@ -129,6 +131,7 @@ def _make_string_matrix(args, out: TextIO) -> int:
 
 
 def _make_chain_matrix(args, out: TextIO) -> int:
+    from .constructions import Chain, embed_chain
     points = tuple(_fixed_ints(p, 2, "point")
                    for p in args.points.split(";") if p)
     chain = Chain(args.m, points)
@@ -143,6 +146,7 @@ def _make_chain_matrix(args, out: TextIO) -> int:
 
 
 def _make_string_coloring(args, out: TextIO) -> int:
+    from .constructions import make_string_coloring
     res = make_string_coloring(args.w, args.t, args.r, args.filler)
     print(f"w={res.w} t={res.t} r={res.r}", file=out)
     print(f"c_set={_csv(res.c_set)}", file=out)
@@ -153,6 +157,7 @@ def _make_string_coloring(args, out: TextIO) -> int:
 
 
 def _make_disobedient(args, out: TextIO) -> int:
+    from .constructions import make_disobedient
     res = make_disobedient(args.n, _int_list(args.a), _int_list(args.b),
                            args.host_r, args.filler)
     spec = res.spec
@@ -169,6 +174,7 @@ def _make_disobedient(args, out: TextIO) -> int:
 
 
 def _classify_nuclear(args, out: TextIO) -> int:
+    from .structure import nuclear_decomposition
     dec = nuclear_decomposition(_load_coloring(args.file))
     print("intervals=" + ",".join(f"{a}-{b}" for a, b in dec.intervals),
           file=out)
@@ -178,6 +184,7 @@ def _classify_nuclear(args, out: TextIO) -> int:
 
 
 def _classify_tame(args, out: TextIO) -> int:
+    from .structure import is_p_tame
     rep = is_p_tame(_load_coloring(args.file), args.p)
     print(f"tame={'true' if rep.tame else 'false'}", file=out)
     print("conditions=" + _csv(int(b) for b in rep.conditions), file=out)
@@ -191,6 +198,7 @@ def _classify_tame(args, out: TextIO) -> int:
 
 
 def _classify_rich(args, out: TextIO) -> int:
+    from .structure import is_r_rich
     wit = is_r_rich(_load_coloring(args.file), args.r)
     if wit is None:
         print("rich=false", file=out)
@@ -201,6 +209,7 @@ def _classify_rich(args, out: TextIO) -> int:
 
 
 def _classify_simple(args, out: TextIO) -> int:
+    from .structure import is_c_simple
     v = is_c_simple(_load_coloring(args.file), args.cpar)
     if v is None:
         print("simple=true", file=out)
@@ -218,6 +227,7 @@ def _classify_simple(args, out: TextIO) -> int:
 
 
 def _classify_wealthy(args, out: TextIO) -> int:
+    from .structure import is_wealthy, variant_from_text
     variant = None
     if args.variant is not None:
         variant = variant_from_text(args.family, args.variant)

@@ -11,7 +11,7 @@ import time
 
 import pytest
 
-from hypergrowth import cli
+from hypergrowth import cli, constructions
 from hypergrowth.core import (Coloring, coloring_from_text, coloring_to_text,
                               injection_witnesses, restrict_normalize)
 from hypergrowth.ideals import IdealSpec, load_cache
@@ -318,7 +318,7 @@ class TestErrorExits:
         def fail(*args, **kwargs):
             raise MemoryError
 
-        monkeypatch.setattr(cli, "make_wealthy", fail)
+        monkeypatch.setattr(constructions, "make_wealthy", fail)
         rc = cli.main(["make", "wealthy", "--family", "W3.2", "--r", "1000"])
         got = capsys.readouterr()
         assert rc == 2
@@ -761,7 +761,7 @@ class TestVerifyVerb:
 
 
 class TestImportContract:
-    """A CLI start loads the layers, but not the acceptance suites."""
+    """A CLI start registers the layers, but not the acceptance suites."""
 
     SRC = os.path.join(os.path.dirname(os.path.dirname(
         os.path.abspath(__file__))), "src")
@@ -791,6 +791,108 @@ class TestImportContract:
         assert (res.returncode, res.stdout) == (0, self.SUITE_1)
         assert cli.main(["verify", "--suite", "1"]) == 0
         assert capsys.readouterr().out == self.SUITE_1
+
+    # Runs the CLI as `python -m hypergrowth.cli` does, then prints, per
+    # layer, the names its body defined (None when the layer is not in
+    # sys.modules).  The namespace is read past the module's class, so
+    # the check itself loads no layer.
+    COLD_START = (
+        "import json, runpy, sys\n"
+        "try:\n"
+        "    runpy.run_module('hypergrowth.cli', run_name='__main__',\n"
+        "                     alter_sys=True)\n"
+        "except SystemExit as exc:\n"
+        "    assert exc.code == 0, exc.code\n"
+        "report = {}\n"
+        "for layer in ('core', 'ideals', 'matrices', 'structure',\n"
+        "              'constructions', 'verify'):\n"
+        "    mod = sys.modules.get('hypergrowth.' + layer)\n"
+        "    report[layer] = None if mod is None else sorted(\n"
+        "        k for k in object.__getattribute__(mod, '__dict__')\n"
+        "        if not k.startswith('__'))\n"
+        "print(json.dumps(report))\n")
+
+    @pytest.mark.parametrize("argv,out", [
+        (["sequence", "--name", "G", "--n", "11"], "G(11)=41\n"),
+        (["growth", "--spec", "builtin:S,k=3", "--n-max", "5"],
+         "n=1 count=1\nn=2 count=1\nn=3 count=2\nn=4 count=3\nn=5 count=4\n"),
+        (["growth", "--spec", "avoid:{spec}", "--n-max", "5", "--cache",
+          "{cache}"], "".join(f"n={n} count={c}\n" for n, c in
+                              enumerate((1, 1, 2, 15, 768), 1))),
+    ])
+    def test_sequence_and_growth_starts_skip_layers(self, tmp_path, argv,
+                                                     out):
+        spec = tmp_path / "base.is"
+        spec.write_text(IdealSpec.avoid(
+            [Coloring(3, 2, 4, (0, 0, 0, 0))]).canonical_text())
+        argv = [a.format(spec=spec, cache=tmp_path / "counts.tsv")
+                for a in argv]
+        res = self.run_python("-c", self.COLD_START, *argv)
+        assert res.returncode == 0, res.stderr
+        printed, report = res.stdout.rsplit("\n", 2)[:2]
+        assert printed + "\n" == out
+        report = json.loads(report)
+        assert "contains" in report["core"]
+        assert "growth" in report["ideals"]
+        assert report["verify"] is None
+        for layer in ("matrices", "structure", "constructions"):
+            assert report[layer] == [], layer
+
+    def test_make_and_classify_starts_print_pinned_bytes(self, tmp_path):
+        path = tmp_path / "w41.col"
+        got = []
+        for argv in (["make", "wealthy", "--family", "W4.1", "--r", "9"],
+                     ["classify", "tame", "--p", "3", str(path)]):
+            res = self.run_python("-m", "hypergrowth.cli", *argv)
+            if argv[0] == "make":
+                path.write_text(res.stdout)
+            digest = hashlib.sha256(res.stdout.encode()).hexdigest()[:16]
+            got.append(f"{res.returncode}:{digest}")
+        # the cli-mix pins of `make wealthy W4.1 9` and `classify tame W4.1 9`
+        assert got == ["0:27fda5c4ba9588ef", "1:47d253d451c2eefa"]
+
+    # Imports the package twice and puts the first import's modules back,
+    # as the benchmark's set-up does, then runs verbs through the second
+    # import's cli.main.  A layer that the second import bound to a name
+    # at import time would be swapped out of sys.modules before its first
+    # access, and touching it would raise ValueError (exit 2).
+    SWAP = (
+        "import contextlib, hashlib, importlib, io, sys\n"
+        "def ours():\n"
+        "    return {n: m for n, m in sys.modules.items()\n"
+        "            if n == 'hypergrowth' or n.startswith('hypergrowth.')}\n"
+        "import hypergrowth.cli\n"
+        "first = ours()\n"
+        "for name in first:\n"
+        "    del sys.modules[name]\n"
+        "cli = importlib.import_module('hypergrowth.cli')\n"
+        "package = sys.modules['hypergrowth']\n"
+        "for name in ours():\n"
+        "    del sys.modules[name]\n"
+        "sys.modules.update(first)\n"
+        "path = sys.argv[1]\n"
+        "for argv in (['make', 'rich', '--r', '8', '--shape', '1,1,1'],\n"
+        "             ['classify', 'tame', '--p', '3', path]):\n"
+        "    out = io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out):\n"
+        "        rc = cli.main(argv)\n"
+        "    if argv[0] == 'make':\n"
+        "        with open(path, 'w') as fh:\n"
+        "            fh.write(out.getvalue())\n"
+        "    digest = hashlib.sha256(out.getvalue().encode()).hexdigest()\n"
+        "    print(f'{rc}:{digest[:16]}')\n"
+        "for name in package.__all__:\n"
+        "    getattr(package, name)\n"
+        "print(package.structure.is_p_tame.__module__)\n")
+
+    def test_swapped_modules_keep_the_verbs_working(self, tmp_path):
+        res = self.run_python("-c", self.SWAP, str(tmp_path / "rich.col"))
+        assert res.returncode == 0, res.stderr
+        assert res.stderr == ""
+        # the cli-mix pins of `make rich 1,1,1 8` and `classify tame rich
+        # 1,1,1 8`
+        assert res.stdout == ("0:4d974ac7a7f9c647\n0:14c1899d42906214\n"
+                              "hypergrowth.structure\n")
 
 
 class TestUsageErrors:

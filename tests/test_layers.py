@@ -1,7 +1,13 @@
 """Package layering: which module may import what, read from the source."""
 
 import ast
+import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import hypergrowth
 from hypergrowth import constructions, ideals, structure
@@ -58,10 +64,12 @@ def test_rng_imports_no_package_module():
 
 
 def test_cli_loads_verify_on_first_use():
-    # the cold-start claim: verify is imported in a function body only
-    assert "verify" in package_imports(SRC / "cli.py")
+    # the cold-start claim: constructions, structure and verify are
+    # imported in function bodies only
+    assert {"constructions", "structure", "verify"} <= set(
+        package_imports(SRC / "cli.py"))
     assert set(package_imports(SRC / "cli.py", import_time_walk)) == {
-        "constructions", "core", "ideals", "structure"}
+        "core", "ideals"}
 
 
 def test_no_private_names_from_constructions_or_matrices():
@@ -82,3 +90,103 @@ def test_moved_names_live_in_structure():
     assert hypergrowth.pair_wealthy_type2 is structure.pair_wealthy_type2
     assert not hasattr(ideals, "count_p_tame")
     assert not hasattr(constructions, "pair_wealthy_type2")
+
+
+def test_package_init_imports_no_layer():
+    # the layers are registered lazily, never imported by __init__
+    assert package_imports(SRC / "__init__.py") == {}
+
+
+class TestPublicApi:
+    """The package's names, resolved on access from the layers."""
+
+    EXPORTS = {
+        "core": (
+            "AnyColoring", "Coloring", "ColoringPattern", "Edge",
+            "IncompatibleColoringsError", "InvalidEdgeError", "all_edges",
+            "coloring_from_text", "coloring_to_text", "contains",
+            "edge_index", "edge_unindex", "homogeneity",
+            "injection_witnesses", "relabel", "restrict_normalize",
+            "reverse"),
+        "matrices": (
+            "DimensionMismatchError", "Fullness", "Match2", "Metrics2",
+            "Metrics3", "PatternClass", "StarMatrix2", "StarMatrix3",
+            "al_23d", "cross", "find_pattern2", "fullness", "layer",
+            "matrix2_from_text", "matrix3_from_text", "metrics2",
+            "metrics3", "pattern_variants"),
+        "structure": (
+            "NuclearDecomposition", "RichWitness", "SizeMismatchError",
+            "TameReport", "WealthyVariant", "WealthyWitness",
+            "WEALTHY_FAMILIES", "count_p_tame", "crossing_matrix",
+            "is_c_simple", "is_p_tame", "is_r_rich", "is_wealthy",
+            "nuclear_decomposition", "pair_wealthy_type2", "rich_deletions",
+            "rich_window_edges", "wealthy_size", "wealthy_variants"),
+        "constructions": (
+            "Chain", "ChainEmbedding", "DisobedientResult", "SoutheastPath",
+            "StringEmbedding", "chain_path", "chain_to_path", "embed_chain",
+            "embed_string", "enumerate_chains", "enumerate_paths",
+            "make_disobedient", "make_rich", "make_string_coloring",
+            "make_wealthy", "path_to_chain", "slice_to_pair_coloring"),
+        "ideals": (
+            "BUILTIN_NAMES", "DichotomyVerdict", "GrowthRecord", "IdealSpec",
+            "avoid_growth", "avoid_members", "builtin_count",
+            "builtin_member", "builtin_members", "builtin_pattern_basis",
+            "census_distinct", "dichotomy_verdict", "fnv1a64", "growth",
+            "ideal_spec_from_text", "ideal_spec_to_text", "load_cache",
+            "sequence_F", "sequence_G", "sequence_Gk", "sequence_value",
+            "update_cache"),
+        "rng": ("Lcg",),
+    }
+
+    def test_all_lists_the_exported_names(self):
+        want = [name for names in self.EXPORTS.values() for name in names]
+        assert len(want) == len(set(want)) == 94
+        assert sorted(hypergrowth.__all__) == sorted(want)
+
+    def test_dir_covers_names_and_layers(self):
+        assert set(hypergrowth.__all__) | set(self.EXPORTS) <= set(
+            dir(hypergrowth))
+
+    def test_each_name_is_its_layers_attribute(self):
+        for layer, names in self.EXPORTS.items():
+            module = importlib.import_module(f"hypergrowth.{layer}")
+            assert getattr(hypergrowth, layer) is module
+            assert module is sys.modules[f"hypergrowth.{layer}"]
+            for name in names:
+                assert getattr(hypergrowth, name) is getattr(module, name), (
+                    layer, name)
+
+    def test_unknown_name_raises_attribute_error(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            hypergrowth.no_such_name
+        assert not hasattr(hypergrowth, "verify_all")
+        with pytest.raises(ImportError):
+            from hypergrowth import no_such_name  # noqa: F401
+
+    def run_python(self, code):
+        env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+        return subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True, env=env)
+
+    def test_reload_keeps_layers_and_a_dropped_layer_is_imported(self):
+        code = ("import importlib, sys, hypergrowth\n"
+                "core = sys.modules['hypergrowth.core']\n"
+                "importlib.reload(hypergrowth)\n"
+                "assert sys.modules['hypergrowth.core'] is core\n"
+                "del sys.modules['hypergrowth.rng']\n"
+                "print(hypergrowth.Lcg(0).next_u64())\n"
+                "assert hypergrowth.rng is sys.modules['hypergrowth.rng']\n")
+        res = self.run_python(code)
+        assert (res.returncode, res.stdout) == (0, "1442695040888963407\n"), (
+            res.stderr)
+
+    def test_star_import(self):
+        code = ("from hypergrowth import *\n"
+                "import hypergrowth\n"
+                "names = hypergrowth.__all__\n"
+                "assert all(globals()[n] is getattr(hypergrowth, n) "
+                "for n in names)\n"
+                "assert 'structure' not in globals()\n"
+                "print(len(names))\n")
+        res = self.run_python(code)
+        assert (res.returncode, res.stdout) == (0, "94\n"), res.stderr

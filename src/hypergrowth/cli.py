@@ -15,11 +15,13 @@ the engine raises a RuntimeError (RecursionError included), when a size
 overflows an index (OverflowError) and when a verb runs out of memory.
 argparse reports usage errors itself; the others print one "error:"
 line on stderr.  A growth level that the node budget cannot finish
-prints count=unknown and keeps exit status 0.  A value too long to
-print (the interpreter's integer string limit) exits 2 with nothing on
-stdout: sequence, and growth of a builtin, refuse from a lower bound on
-the value's digits before computing it, and growth formats every line
-before printing any.
+prints count=unknown and keeps exit status 0, and so does every later
+level; once the budget is spent no level is started, so even levels
+that cost no nodes (n < k, or those after an empty level) print
+count=unknown.  A value too long to print (the interpreter's integer
+string limit) exits 2 with nothing on stdout: sequence, and growth of a
+builtin, refuse from a lower bound on the value's digits before
+computing it, and growth formats every line before printing any.
 Identical invocations print identical bytes.  --jobs is accepted for
 compatibility and has no effect: every count is computed in this
 process.  growth --cache appends the exact counts it computed to an

@@ -468,32 +468,28 @@ def _new_edge_tables(templates: list, nnew: int, l: int):
     return keep, done
 
 
-def _scan_filter(parents, templates, build) -> dict:
-    """The parent filter: each parent's set of active templates, as a bit
-    set, mapped to the parents that have it, or with ``build`` unset to
-    their number.
+def _scan_filter(parents, templates) -> tuple[list, int]:
+    """The parent filter: each parent's set of active templates as a bit
+    set, in the parents' order, and the key of a dead parent, -1.
 
     A template whose old part the parent realizes is active; one without
-    new edges embeds outright, and such a parent has no children.  Sets
-    appear in the order of their first parent, and each list keeps the
-    parents' order.  Each parent is tested against each template in turn.
+    new edges embeds outright, and such a parent is dead: it has no
+    children.  Each parent is tested against each template in turn.
     """
     checks = [(sel, want, last, 1 << i)
               for i, (sel, want, last, _) in enumerate(templates)]
-    frontier: dict = {}
+    keys: list[int] = []
+    append = keys.append
     for parent in parents:
         active = 0
         for sel, want, last, tbit in checks:
             if parent & sel == want:
                 if last < 0:
+                    active = -1
                     break
                 active |= tbit
-        else:
-            if build:
-                frontier.setdefault(active, []).append(parent)
-            else:
-                frontier[active] = frontier.get(active, 0) + 1
-    return frontier
+        append(active)
+    return keys, -1
 
 
 # Lanes and masks of one lane count together stay under this many bytes.
@@ -513,7 +509,7 @@ def _lane_size(nbits: int) -> int:
     return width if width <= 8 else 0
 
 
-def _fits(nparents, ntemplates, nbits, l, nnew, build) -> tuple[int, int]:
+def _fits(nparents, ntemplates, nbits, l, nnew) -> tuple[int, int]:
     """(filter_bytes, count_bytes): bytes per lane of _lane_filter and of
     _lane_count wherever a level fits in them, else 0.
 
@@ -522,19 +518,18 @@ def _fits(nparents, ntemplates, nbits, l, nnew, build) -> tuple[int, int]:
     it needs one bit more than ``nbits``, a bound on the bit length of
     every parent and ``sel`` (the engine passes its C(n-1, k) * w
     old-edge bits), and than the number T of templates, in at most 8
-    bytes.  Only a counted level gets count lanes: a lane holds up to
-    every prefix, nparents * l**nnew, in at most 8 bytes, and the T
-    masks, the live lane ints and their temporaries fit in _LANE_BYTES.
+    bytes.  A count lane holds up to every prefix, nparents * l**nnew, in
+    at most 8 bytes, and the T masks, the live lane ints and their
+    temporaries fit in _LANE_BYTES.
     """
     filter_bytes = _lane_size(max(nbits, ntemplates) + 1)
-    count_bytes = 0 if build else _lane_size(
-        max(1, nparents * l ** nnew).bit_length())
+    count_bytes = _lane_size(max(1, nparents * l ** nnew).bit_length())
     if (ntemplates + 8 << ntemplates) * count_bytes > _LANE_BYTES:
         count_bytes = 0
     return filter_bytes, count_bytes
 
 
-def _plan(nparents, ntemplates, nbits, l, nnew, build) -> tuple[int, int]:
+def _plan(nparents, ntemplates, nbits, l, nnew) -> tuple[int, int]:
     """_fits's lane widths where lanes beat the scan and the dict, else 0.
 
     Packing the filter costs about 4 us per call and 0.3 us per template;
@@ -545,8 +540,7 @@ def _plan(nparents, ntemplates, nbits, l, nnew, build) -> tuple[int, int]:
     than _FILTER_MIN_PAIRS, T = 0 included, keeps the scan.  Count lanes
     pay off while there are not many more of them, 2^T, than parents.
     """
-    filter_bytes, count_bytes = _fits(nparents, ntemplates, nbits, l, nnew,
-                                      build)
+    filter_bytes, count_bytes = _fits(nparents, ntemplates, nbits, l, nnew)
     if (nparents < _FILTER_MIN_PARENTS
             or nparents * ntemplates < _FILTER_MIN_PAIRS):
         filter_bytes = 0
@@ -555,8 +549,8 @@ def _plan(nparents, ntemplates, nbits, l, nnew, build) -> tuple[int, int]:
     return filter_bytes, count_bytes
 
 
-def _lane_filter(parents, templates, build, width) -> dict:
-    """_scan_filter's result with one lane of ``width`` bytes per parent.
+def _lane_filter(parents, templates, width) -> tuple[array, int]:
+    """_scan_filter's sets with one lane of ``width`` bytes per parent.
 
     All parents sit in one int, parent i in lane i; ``ones`` has a 1 at
     the foot of every lane and ``top`` at its spare top bit.  For a
@@ -566,7 +560,7 @@ def _lane_filter(parents, templates, build, width) -> dict:
     misses are shifted to bit i of their lanes, and a template without
     new edges clears the top bit of ``alive`` for the parents it kills.
     Flipping the live bits gives each lane its active set; dead lanes
-    become all ones, a value no set reaches, and that one key is dropped.
+    become all ones, a value no set reaches, which is the dead key.
     """
     bits = 8 * width
     code = _LANE_TYPECODES[width]
@@ -592,15 +586,7 @@ def _lane_filter(parents, templates, build, width) -> dict:
     keys = array(code, flat.to_bytes(width * len(parents), "little"))
     if sys.byteorder == "big":
         keys.byteswap()
-    if build:
-        frontier: dict = {}
-        for key, parent in zip(keys, parents):
-            if key != dead:
-                frontier.setdefault(key, []).append(parent)
-        return frontier
-    counts = Counter(keys)
-    counts.pop(dead, None)
-    return counts
+    return keys, dead
 
 
 # _fits keeps one shape's masks under _LANE_BYTES, so the cache holds at
@@ -680,26 +666,36 @@ def _chunk_extend(parents, templates, shift, nnew, l, cap, build,
     runs over the new-edge depths, keying each surviving prefix by the
     set of active templates it still matches, which is all that later
     depths read of it; prefixes with one set are merged, across parents
-    too.  With ``build``, a state lists its prefixes, each a parent int
-    with the new colours in ``w``-bit fields (depth j at bit ``shift + j *
-    w``), so colour 0 leaves a prefix as it is, and the result is those
-    (unsorted) lists of members.  Counting, a state holds its number of
-    prefixes and the result is their total.  ``plan`` (_plan, unless a
-    test or check forces a path) gives the filter's and the count's lane
-    widths, 0 for _scan_filter or the dict below, with the same result
-    and nodes either way.  ``nodes`` grows by ``l`` per prefix and depth,
-    the sum of the nodes of each parent's depth-first walk.  Once it
+    too.  The filter keys each parent, and the keys are grouped here, in
+    the order of each set's first parent.  With ``build``, a state lists
+    its prefixes, each a parent int with the new colours in ``w``-bit
+    fields (depth j at bit ``shift + j * w``), so colour 0 leaves a
+    prefix as it is, and the result is those (unsorted) lists of members.
+    Counting, a state holds its number of prefixes and the result is
+    their total.  ``plan`` (_plan, unless a test or check forces a path)
+    gives the filter's and the count's lane widths, 0 for _scan_filter or
+    the dict below, with the same result and nodes either way; only a
+    counted level reads the count's.  ``nodes`` grows by ``l`` per prefix
+    and depth, the sum of the nodes of each parent's depth-first walk.  Once it
     exceeds ``cap`` the walk stops and the result is None, so a budget
     drops the same levels as that walk.
     """
     filter_bytes, count_bytes = plan(len(parents), len(templates), shift,
-                                     l, nnew, build)
+                                     l, nnew)
     if filter_bytes:
-        frontier = _lane_filter(parents, templates, build, filter_bytes)
+        keys, dead = _lane_filter(parents, templates, filter_bytes)
     else:
-        frontier = _scan_filter(parents, templates, build)
-    if count_bytes:
-        return _lane_count(frontier, templates, nnew, l, cap, count_bytes)
+        keys, dead = _scan_filter(parents, templates)
+    if build:
+        frontier: dict = {}
+        for key, parent in zip(keys, parents):
+            if key != dead:
+                frontier.setdefault(key, []).append(parent)
+    else:
+        frontier = Counter(keys)
+        frontier.pop(dead, None)
+        if count_bytes:
+            return _lane_count(frontier, templates, nnew, l, cap, count_bytes)
     w = (l - 1).bit_length()
     keep, done = _new_edge_tables(templates, nnew, l)
     nodes = 0
@@ -768,6 +764,12 @@ def _grow(basis: Sequence[AnyColoring], k: int, l: int, n_max: int,
         remaining = budget - nodes_total
         if remaining <= 0:
             break
+        if not parents:
+            # nothing to extend: this level and every later one are empty
+            later = range(n, n_max + 1)
+            counts.update(dict.fromkeys(later, 0))
+            exact.update(dict.fromkeys(later, True))
+            break
         build = build_last or n < n_max
         result, nodes = _chunk_extend(
             parents, templates, comb(n - 1, k) * w, comb(n - 1, k - 1), l,
@@ -792,8 +794,12 @@ def avoid_growth(basis: Sequence[AnyColoring], k: int, l: int, n_max: int,
     """Exact levelwise counts for the ideal avoiding the given basis.
 
     Basis entries may be wildcard patterns.  Returns (counts, exact, nodes).
-    The node budget is spent level by level; a level that cannot finish
-    within the remainder is discarded whole.
+    The node budget is spent level by level.  A level is started only
+    while some of it remains, and the first level not started or not
+    finished within the remainder is discarded with every later one, so
+    once it is spent even levels that cost no nodes (n < k, or after an
+    empty level) are discarded.  Levels from the size of an empty basis
+    element on need no budget: they are 0 once the lower ones are counted.
     """
     counts, exact, nodes, _ = _grow(basis, k, l, n_max, budget, False)
     return counts, exact, nodes

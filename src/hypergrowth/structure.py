@@ -105,11 +105,6 @@ def crossing_matrix(c: Coloring, x: Sequence[int], y: Sequence[int],
     Entry (i, j, k) is the color of {x_i, y_j, z_k}; when the three
     vertices are not pairwise distinct the entry is a star.  The sets may
     overlap arbitrarily.
-
-    Colors are read from c.colors by the lexicographic rank of the core
-    module docstring, C(n,3) - 1 - T[0][a] - T[1][b] - T[2][d] for a
-    triple a < b < d.  For a pair lo < hi each z adds one term, from the
-    table of its position in the triple.
     """
     if c.k != 3:
         raise ValueError("crossing matrices need k = 3")
@@ -119,29 +114,11 @@ def crossing_matrix(c: Coloring, x: Sequence[int], y: Sequence[int],
             raise ValueError("base sets must be nonempty")
         if vs[0] < 1 or vs[-1] > c.n:
             raise ValueError(f"base set not inside [{c.n}]")
-    colors = c.colors
-    t0, t1, t2, _ = _rank_table(c.n, 3)
-    top = t0[0] - 1
-    stars = (None,) * len(zs)
-    planes = []
-    for a in xs:
-        plane = []
-        for b in ys:
-            if a == b:
-                plane.append(stars)
-                continue
-            lo, hi = (a, b) if a < b else (b, a)
-            above = top - t0[lo] - t1[hi]  # z > hi: rank above - t2[z]
-            mid = top - t0[lo] - t2[hi]  # lo < z < hi
-            below = top - t1[lo] - t2[hi]  # z < lo
-            plane.append(tuple(
-                None if d == lo or d == hi
-                else colors[above - t2[d]] if d > hi
-                else colors[mid - t1[d]] if d > lo
-                else colors[below - t0[d]]
-                for d in zs))
-        planes.append(tuple(plane))
-    return StarMatrix3(len(xs), len(ys), len(zs), tuple(planes))
+    return StarMatrix3(len(xs), len(ys), len(zs), tuple(
+        tuple(tuple(c.color((a, b, d)) if len({a, b, d}) == 3 else None
+                    for d in zs)
+              for b in ys)
+        for a in xs))
 
 
 # Two entries (0, 1 or 2 = star) XOR to 1 exactly at an alternation, and
@@ -770,6 +747,13 @@ class WealthyWitness:
     without distinguished blocks leave it None); triples records, for the
     existential families, one (a, b, c) per index i with the edges through
     a and b versus a and c colored differently.
+
+    W2.x and W4.2 list their blocks in role order: W2.x its blocks 1
+    and 2 and then the apex, wherever perm puts them, and W4.2 its r
+    apices before its 3r triple vertices, also when blockswap moves the
+    apices to the end.  W3.x lists its three blocks in position order,
+    whatever perm: perm 213 with r = 2 gives base=[3,4]|[1,2]|[5] for
+    W2.1 but base=[1,2]|[3,4]|[5,6] for W3.1.
     """
 
     family: str

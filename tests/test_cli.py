@@ -163,6 +163,20 @@ class TestGrowthVerb:
         assert "n=5 count=unknown" in lines
         assert "n=6 count=unknown" in lines
 
+    def test_spent_budget_prints_unknown_for_free_levels(self, tmp_path,
+                                                         capsys):
+        # levels 1 and 2 cost no nodes (n < k), but with nothing left of
+        # the budget no level is started
+        spec = IdealSpec.avoid([Coloring(3, 2, 4, (0, 0, 0, 0))])
+        path = tmp_path / "base.is"
+        path.write_text(spec.canonical_text())
+        rc = cli.main(["growth", "--spec", f"avoid:{path}", "--n-max", "4",
+                       "--budget", "0"])
+        got = capsys.readouterr()
+        assert (rc, got.err) == (0, "")
+        assert got.out == "".join(f"n={n} count=unknown\n"
+                                  for n in range(1, 5))
+
     def test_verdict_lines_appended(self):
         res = run_cli("growth", "--spec", "builtin:S,k=3", "--n-max", "8",
                       "--verdict", "quasi_fibonacci")
@@ -595,6 +609,22 @@ class TestMakeAndClassifyRoundTrips:
                               "wealthy family=W2.1 r=2 "
                               "variant=swap:0,rev:00,perm:123 "
                               "base=[1,2]|[3,4]|[5]\n")
+
+    @pytest.mark.parametrize("family, variant, base", [
+        # W2.x lists its blocks in role order, W3.x in position order
+        ("W2.1", "swap:0,rev:00,perm:213", "[3,4]|[1,2]|[5]"),
+        ("W3.1", "swap:0,rev:000,perm:213", "[1,2]|[3,4]|[5,6]")])
+    def test_witness_block_order(self, tmp_path, capsys, family, variant,
+                                 base):
+        path = tmp_path / "w.col"
+        assert cli.main(["make", "wealthy", "--family", family, "--r", "2",
+                         "--variant", variant]) == 0
+        path.write_text(capsys.readouterr().out)
+        assert cli.main(["classify", "wealthy", "--family", family, "--r",
+                         "2", "--variant", variant, str(path)]) == 0
+        assert capsys.readouterr().out == (
+            f"wealthy=true\nwealthy family={family} r=2 variant={variant} "
+            f"base={base}\n")
 
     def test_wealthy_wrong_size_is_usage_error(self, tmp_path):
         path = write_coloring(tmp_path / "c.col", Coloring.constant(3, 2, 4, 0))

@@ -596,24 +596,21 @@ def reference_chunk_extend(parents, templates, shift, nnew, l, cap, build,
     return [out] if build else out, nodes
 
 
-def reference_active_sets(parents, templates, build):
-    """The parent filter parent by parent: each parent against each
-    template in turn, dropped at the first matching template that has no
-    new edges."""
-    frontier = {}
+def reference_keys(parents, templates):
+    """The parent filter parent by parent: each parent's set of active
+    templates, tested against each template in turn, or None for a
+    parent dropped at the first matching template without new edges."""
+    keys = []
     for parent in parents:
         active = 0
         for i, (sel, want, last, _) in enumerate(templates):
             if parent & sel == want:
                 if last < 0:
+                    active = None
                     break
                 active |= 1 << i
-        else:
-            if build:
-                frontier.setdefault(active, []).append(parent)
-            else:
-                frontier[active] = frontier.get(active, 0) + 1
-    return frontier
+        keys.append(active)
+    return keys
 
 
 # Every path the engine has: the lanes _plan picks, lanes wherever a level
@@ -635,17 +632,19 @@ def growth_on_every_path(basis, k, l, n_max, budget=ideals.DEFAULT_BUDGET,
         basis, k, l, n_max, budget, False, plan)[:3], plans)
 
 
-def filter_on_every_path(parents, templates, build, nbits):
+def filter_on_every_path(parents, templates, nbits):
     """Check the scan, and the packed lanes wherever _fits gives them a
-    width, against the reference filter: the same sets in the same order,
-    each with the same parents or count.  Returns that width, or 0."""
-    want = list(reference_active_sets(parents, templates, build).items())
-    got = ideals._scan_filter(parents, templates, build)
-    assert list(got.items()) == want
-    width = ideals._fits(len(parents), len(templates), nbits, 2, 0, True)[0]
+    width, against the reference filter: one key per parent, in the
+    parents' order, the filter's dead key exactly for the dead parents.
+    Returns that width, or 0."""
+    want = reference_keys(parents, templates)
+    runs = [ideals._scan_filter(parents, templates)]
+    width = ideals._fits(len(parents), len(templates), nbits, 2, 0)[0]
     if width:
-        got = ideals._lane_filter(parents, templates, build, width)
-        assert list(got.items()) == want
+        runs.append(ideals._lane_filter(parents, templates, width))
+    for keys, dead in runs:
+        assert [None if key == dead else key for key in keys] == want
+        assert dead not in want
     return width
 
 
@@ -854,6 +853,44 @@ class TestMergedFrontier:
             assert nodes < total
 
 
+class TestEmptyLevel:
+    """After a level with no members the loop reports every later level
+    as an exact 0 and stops; a spent budget still drops the levels after
+    the one that spent it."""
+
+    # both colours of the one edge on [3]: level 3 and every later one
+    # are empty
+    ONE_EDGE = [Coloring(3, 2, 3, (0,)), Coloring(3, 2, 3, (1,))]
+
+    @pytest.mark.parametrize("basis, k, levels, nodes, short", [
+        (ONE_EDGE, 3, [1, 1, 0], 2, 0),
+        # both monochromatic triangles: R(3, 3) = 6, so level 6 is empty
+        ([Coloring(2, 2, 3, (0, 0, 0)), Coloring(2, 2, 3, (1, 1, 1))], 2,
+         [1, 2, 6, 18, 12, 0], 650, 410)])
+    def test_pinned(self, basis, k, levels, nodes, short):
+        # budgets T and T - 1, T = nodes: the budget is spent by the
+        # empty level, or that level is dropped, and either way no later
+        # level is started
+        full = dict(enumerate(levels + [0] * (12 - len(levels)), 1))
+        for budget, counts, spent in (
+                (ideals.DEFAULT_BUDGET, full, nodes),
+                (nodes, dict(enumerate(levels, 1)), nodes),
+                (nodes - 1, dict(enumerate(levels[:-1], 1)), short)):
+            exact = {n: n in counts for n in range(1, 13)}
+            for build_last in (False, True):
+                got = on_every_path(lambda plan: ideals._grow(
+                    basis, k, 2, 12, budget, build_last, plan)[:3])
+                assert got == (counts, exact, spent), budget
+
+    def test_long_runs_stop_at_once(self):
+        start = time.perf_counter()
+        counts, exact, nodes = avoid_growth(self.ONE_EDGE, 3, 2, 200)
+        assert time.perf_counter() - start < 1.0
+        assert all(exact.values()) and nodes == 2
+        assert [counts[n] for n in (1, 2)] == [1, 1]
+        assert not any(counts[n] for n in range(3, 201))
+
+
 def mixed_basis(rng, k, l, size, wildcards):
     """Random basis elements on k to k+3 vertices, some with wildcards."""
     out = []
@@ -1026,8 +1063,8 @@ class TestLaneCount:
         sizes = []
         for nparents in (127, 2 ** 15 - 1, 2 ** 31 - 1, 2 ** 63 - 1):
             size = max(t for t in range(70)
-                       if ideals._plan(nparents, t, 0, 2, 0, False)[1])
-            width = ideals._plan(nparents, size, 0, 2, 0, False)[1]
+                       if ideals._plan(nparents, t, 0, 2, 0)[1])
+            width = ideals._plan(nparents, size, 0, 2, 0)[1]
             masks = ideals._lane_masks.__wrapped__(size, width)
             assert len(masks) == size
             assert sum(map(sys.getsizeof, masks)) <= ideals._LANE_BYTES
@@ -1044,10 +1081,10 @@ class TestLaneCount:
         parents = ideals._grow([base], 3, 2, 6, 10 ** 12, True)[3]
         templates = reference_level_templates([base], 7, 3, 1)
         shape = (len(parents), len(templates), comb(6, 3), 2, comb(6, 2))
-        assert ideals._plan(*shape, False) == (4, 0)
-        frontier = ideals._lane_filter(parents, templates, False, 4)
-        monkeypatch.setattr(ideals, "_lane_filter", lambda *args: frontier)
-        monkeypatch.setattr(ideals, "_scan_filter", lambda *args: frontier)
+        assert ideals._plan(*shape) == (4, 0)
+        filtered = ideals._lane_filter(parents, templates, 4)
+        monkeypatch.setattr(ideals, "_lane_filter", lambda *args: filtered)
+        monkeypatch.setattr(ideals, "_scan_filter", lambda *args: filtered)
         cap = 2 * len(parents) - 1
 
         def traced_peak(plan):
@@ -1079,8 +1116,8 @@ def random_parents(rng, k, l, n, size):
 
 
 class TestLaneFilter:
-    """The parent filter in packed lanes must return the scan's dict: the
-    same sets in the same order, each with the same parents or count."""
+    """The parent filter in packed lanes must return the scan's keys: the
+    same set for each parent, and the dead key for the same parents."""
 
     def test_matches_scan(self):
         rng = Lcg(53)
@@ -1100,13 +1137,10 @@ class TestLaneFilter:
             for n in range(k + 1, 20):
                 templates = reference_level_templates(basis, n, k, w)
                 parents = random_parents(rng, k, l, n, draw(rng, 32, 96))
-                nbits = comb(n - 1, k) * w
-                for build in (False, True):
-                    width = filter_on_every_path(parents, templates, build,
-                                                 nbits)
+                width = filter_on_every_path(parents, templates,
+                                             comb(n - 1, k) * w)
                 widths.append(width)
-                want = reference_active_sets(parents, templates, False)
-                dead += sum(want.values()) < len(parents)
+                dead += None in reference_keys(parents, templates)
                 if not width and len(parents) * len(templates) >= 128:
                     scanned += 1
                     break
@@ -1119,44 +1153,62 @@ class TestLaneFilter:
                  ColoringPattern(2, 3, 3, (2, None, None))]
         templates = reference_level_templates(basis, 6, 2, 2)
         parents = random_parents(rng, 2, 3, 6, 40)
-        for build in (False, True):
-            # T = 0, an empty parent list, one template of each kind
-            for ps, tpl in ((parents, []), ([], templates),
-                            (parents, templates[:1]),
-                            (parents, templates[-1:]),
-                            (parents * 4, templates[-1:]),
-                            # sels above every parent's highest field
-                            ([p & 3 for p in parents] * 4, templates[-4:])):
-                # C(5, 2) fields of 2 bits hold every parent and sel
-                assert filter_on_every_path(ps, tpl, build, comb(5, 2) * 2)
+        # T = 0, an empty parent list, one template of each kind
+        for ps, tpl in ((parents, []), ([], templates),
+                        (parents, templates[:1]),
+                        (parents, templates[-1:]),
+                        (parents * 4, templates[-1:]),
+                        # sels above every parent's highest field
+                        ([p & 3 for p in parents] * 4, templates[-4:])):
+            # C(5, 2) fields of 2 bits hold every parent and sel
+            assert filter_on_every_path(ps, tpl, comb(5, 2) * 2)
         # a template that reads no field matches every parent
-        for last, want in ((0, {1: 64}), (-1, {})):
-            assert filter_on_every_path([5] * 64, [(0, 0, last, ())],
-                                        False, 3)
-            assert ideals._scan_filter([5] * 64, [(0, 0, last, ())],
-                                       False) == want
+        for last, key in ((0, 1), (-1, -1)):
+            assert filter_on_every_path([5] * 64, [(0, 0, last, ())], 3)
+            assert ideals._scan_filter([5] * 64, [(0, 0, last, ())]) == (
+                [key] * 64, -1)
 
 
 class TestPlan:
     """_plan's (filter, count) lane widths at the shapes the engine meets;
-    0 keeps the scan or the dict."""
+    0 keeps the scan or the dict.  The widths read the level's shape
+    alone; whether a level is built is _chunk_extend's to read."""
 
     def test_window_levels_choose_lanes(self):
         # n = 6: 10 templates over 768 parents
-        assert ideals._plan(768, 10, comb(5, 3), 2, comb(5, 2),
-                            False) == (2, 4)
+        assert ideals._plan(768, 10, comb(5, 3), 2, comb(5, 2)) == (2, 4)
         # n = 7: 20 templates over 477,965 parents, whose count masks alone
         # would take 160 MB in the 8-byte lanes its prefixes need
-        assert ideals._plan(477965, 20, comb(6, 3), 2, comb(6, 2),
-                            False) == (4, 0)
-        assert ideals._fits(477965, 0, comb(6, 3), 2, comb(6, 2),
-                            False) == (4, 8)
+        assert ideals._plan(477965, 20, comb(6, 3), 2, comb(6, 2)) == (4, 0)
+        assert ideals._fits(477965, 0, comb(6, 3), 2, comb(6, 2)) == (4, 8)
         # more templates than 2 plus the parents' bit length: the dict
-        assert ideals._plan(15, 7, 0, 2, 3, False) == (0, 0)
-        assert ideals._plan(15, 6, 0, 2, 3, False) == (0, 1)
-        # a built level gets no count lanes
-        assert ideals._plan(768, 10, comb(5, 3), 2, comb(5, 2),
-                            True) == (2, 0)
+        assert ideals._plan(15, 7, 0, 2, 3) == (0, 0)
+        assert ideals._plan(15, 6, 0, 2, 3) == (0, 1)
+
+    def test_built_level_never_counts_in_lanes(self, monkeypatch):
+        """The window level n = 6 gets count lanes from _plan; built, it
+        groups its parents in lists and never calls _lane_count, and its
+        members and nodes are the dict path's."""
+        base = Coloring(3, 2, 4, (0, 0, 0, 0))
+        parents = ideals._grow([base], 3, 2, 5, 10 ** 12, True)[3]
+        templates = reference_level_templates([base], 6, 3, 1)
+        shape = (comb(5, 3), comb(5, 2), 2, 10 ** 9)
+        assert ideals._plan(len(parents), len(templates), comb(5, 3), 2,
+                            comb(5, 2)) == (2, 4)
+        calls = []
+        lane_count = ideals._lane_count
+
+        def counted(*args):
+            calls.append(args[-1])
+            return lane_count(*args)
+
+        monkeypatch.setattr(ideals, "_lane_count", counted)
+        lists, nodes = on_every_path(lambda plan: ideals._chunk_extend(
+            parents, templates, *shape, True, plan))
+        assert calls == []
+        count = on_every_path(lambda plan: ideals._chunk_extend(
+            parents, templates, *shape, False, plan))
+        assert calls == [4, 4] and count == (sum(map(len, lists)), nodes)
 
     def test_levels_choose_filter(self):
         base = Coloring(3, 2, 4, (0, 0, 0, 0))
@@ -1164,7 +1216,7 @@ class TestPlan:
         parents = ideals._grow([base], 3, 2, 5, 10 ** 12, True)[3]
         templates = reference_level_templates([base], 6, 3, 1)
         assert ideals._plan(len(parents), len(templates), comb(5, 3), 2,
-                            comb(5, 2), False) == (2, 4)
+                            comb(5, 2)) == (2, 4)
         # window n = 7 takes 4-byte lanes, checked on its 477,965 parents
         # in test_cap_keeps_n7_window_count_at_dict_peak
         # the S pattern basis at n = 12: parents of C(11, 3) = 165 bits
@@ -1173,16 +1225,14 @@ class TestPlan:
         templates = reference_level_templates(basis, 12, 3, 1)
         assert len(parents) * len(templates) >= 128
         assert ideals._plan(len(parents), len(templates), comb(11, 3), 2,
-                            comb(11, 2), False) == (0, 0)
+                            comb(11, 2)) == (0, 0)
         # tiny levels: 16 parents, or 31 parents with 4 templates
-        assert ideals._plan(16, len(templates), comb(11, 3), 2, 0,
-                            True) == (0, 0)
-        assert ideals._plan(31, 4, 0, 2, 0, True) == (0, 0)
-        assert ideals._plan(32, 4, 0, 2, 0, True) == (1, 0)
+        assert ideals._plan(16, len(templates), comb(11, 3), 2, 0) == (0, 0)
+        assert ideals._plan(31, 4, 0, 2, 0) == (0, 1)
+        assert ideals._plan(32, 4, 0, 2, 0) == (1, 1)
         # one parent and no templates packs nothing; every path counts
         # its 2^6 colourings
-        assert ideals._plan(1, 0, comb(4, 3), 2, comb(4, 2),
-                            False) == (0, 1)
+        assert ideals._plan(1, 0, comb(4, 3), 2, comb(4, 2)) == (0, 1)
         assert on_every_path(lambda plan: ideals._chunk_extend(
             [0], [], comb(4, 3), comb(4, 2), 2, 10 ** 9, False,
             plan)) == (2 ** 6, 2 ** 7 - 2)
@@ -1194,8 +1244,7 @@ class TestPlan:
         parents = ideals._grow([base], 3, 2, 4, 10 ** 12, True)[3]
         templates = reference_level_templates([base], 5, 3, 1)
         assert (len(parents), len(templates)) == (15, 4)
-        assert ideals._plan(15, 4, comb(4, 3), 2, comb(4, 2),
-                            False) == (0, 2)
+        assert ideals._plan(15, 4, comb(4, 3), 2, comb(4, 2)) == (0, 2)
 
 
 class TestGrowthCache:

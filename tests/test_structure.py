@@ -418,7 +418,8 @@ class TestTamenessParity:
 class TestTameReader:
     """is_p_tame and the tame census read the metrics of each crossing
     matrix from colour ranks; the public crossing_matrix and metrics3 are
-    the reference."""
+    the reference.  crossing_matrix reads each entry with Coloring.color,
+    so the reference shares no rank arithmetic with the reader."""
 
     @staticmethod
     def public(c, sets):

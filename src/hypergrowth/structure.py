@@ -262,7 +262,6 @@ def is_p_tame(c: Coloring, p: int) -> TameReport:
     return TameReport(p, tuple(conds), witness)
 
 
-@lru_cache(maxsize=64)
 def count_p_tame(n: int, p: int) -> int:
     """Exhaustive count of p-tame two-colorings of [n], n <= 6, summed over
     the end a of the first nuclear interval A = [1, a].
@@ -282,8 +281,7 @@ def count_p_tame(n: int, p: int) -> int:
     once for each c its break edges do not all match, which is the number
     of distinct colours among them.  The keys come from _tame_split_tables,
     built once per (n, a) for every p, which reads each key's metrics from
-    a colour buffer without building the matrix.  The count is pure in
-    (n, p), so it is memoized.
+    a colour buffer without building the matrix.
     """
     if p < 3:
         raise ValueError("threshold p must be at least 3")
@@ -608,41 +606,49 @@ def _block_starts(sizes: tuple[int, ...], perm: tuple[int, ...]) -> dict[int, in
     return starts
 
 
-def _apex_cells(family: str, r: int, v: WealthyVariant):
-    """((apex,), (b1, b2, b3)) for i = 1..r of a W3.3 or W4.2 variant.
+def _groups(family: str, r: int, v: WealthyVariant):
+    """(block, edges) for i = 1..r of a W3.3, W4.1 or W4.2 variant; a
+    member needs no group's edges to share one color.
 
-    The canonical member colors apex-b1-b2 with 0 and apex-b1-b3,
-    apex-b2-b3 with 1; a member needs each cell not monochromatic.
+    W3.3 and W4.2 join an apex to each pair of a block (b1, b2, b3), in
+    combinations(block, 2) order.  W4.1 takes the four triples of the
+    quadruple 4i-3..4i and has no block.  The canonical member colors
+    each group's first edge 0 and the others 1.
     """
     for i in range(1, r + 1):
+        if family == "W4.1":
+            yield None, combinations(range(4 * i - 3, 4 * i + 1), 3)
+            continue
         block = (3 * i - 2, 3 * i - 1, 3 * i)
         if family == "W3.3":
             n = 3 * r + 1
             if v.reverse:
-                yield (1,), tuple(n - x + 1 for x in block)
+                apex, block = 1, tuple(n - x + 1 for x in block)
             else:
-                yield (n,), block
+                apex = n
         elif v.block_swap:
-            yield (3 * r + (r - i + 1 if v.reverse else i),), block
+            apex = 3 * r + (r - i + 1 if v.reverse else i)
         else:
-            yield (r - i + 1 if v.reverse else i,), tuple(r + x for x in block)
+            apex = r - i + 1 if v.reverse else i
+            block = tuple(r + x for x in block)
+        yield block, [tuple(sorted((apex,) + pair))
+                      for pair in combinations(block, 2)]
 
 
-def _unbalanced_triples(c: Coloring, cells) -> Optional[tuple]:
-    """(a, b, d) per (apex, block) cell, a = b1 if its two edges apex + pair
-    differ in color, else b2 if its do; None at the first cell where
-    neither does, as then all three edges share a color.  apex is () for
-    a pair coloring."""
+def _unbalanced_triples(c: Coloring, groups) -> Optional[tuple]:
+    """None at the first group whose edges share one color, else one
+    (a, b, d) per group with a block (b1, b2, b3): (b1, b2, b3) when the
+    group's first two edges differ in color, else (b2, b1, b3)."""
     color = c.color
     out = []
-    for apex, (b1, b2, b3) in cells:
-        col12 = color(apex + (b1, b2))
-        if col12 != color(apex + (b1, b3)):
-            out.append((b1, b2, b3))
-        elif col12 != color(apex + (b2, b3)):
-            out.append((b2, b1, b3))
-        else:
+    for block, (e1, e2, *rest) in groups:
+        col = color(e1)
+        same = col == color(e2)
+        if same and all(color(e) == col for e in rest):
             return None
+        if block:
+            b1, b2, b3 = block
+            out.append((b2, b1, b3) if same else block)
     return tuple(out)
 
 
@@ -656,8 +662,8 @@ def pair_wealthy_type2(c: Coloring, r: int) -> Optional[tuple[tuple[int, int, in
         raise ValueError("needs a pair coloring")
     if c.n != 3 * r:
         raise SizeMismatchError(f"expected {3 * r} vertices, got {c.n}")
-    return _unbalanced_triples(c, (((), (3 * i - 2, 3 * i - 1, 3 * i))
-                                   for i in range(1, r + 1)))
+    blocks = ((3 * i - 2, 3 * i - 1, 3 * i) for i in range(1, r + 1))
+    return _unbalanced_triples(c, ((b, combinations(b, 2)) for b in blocks))
 
 
 def wealthy_assignment(family: str, r: int,
@@ -667,7 +673,8 @@ def wealthy_assignment(family: str, r: int,
     For the equation families (W1', W1'', W2.x, W3.1, W3.2) this is the
     full defining constraint set; membership means matching every entry.
     For the existential families (W3.3, W4.1, W4.2) it is one canonical
-    satisfying assignment used by the generator.
+    satisfying assignment used by the generator: the first edge of each
+    of the groups that recognition checks colored 0, the others 1.
     """
     if v is None:
         v = wealthy_variants(family, r)[0]
@@ -709,18 +716,11 @@ def _wealthy_cells(family: str, r: int, v: WealthyVariant):
                 p3 = starts[3] + (r - j if rev3 else j - 1)
                 hit = (i == j) if family == "W3.1" else (i <= j)
                 yield tuple(sorted((p1, p2, p3))), int(hit) ^ int(v.swap)
-    elif family == "W4.1":
-        for i in range(1, r + 1):
-            q = (4 * i - 3, 4 * i - 2, 4 * i - 1, 4 * i)
-            yield (q[0], q[1], q[2]), 0
-            yield (q[0], q[1], q[3]), 1
-            yield (q[0], q[2], q[3]), 1
-            yield (q[1], q[2], q[3]), 1
     else:
-        for apex, (b1, b2, b3) in _apex_cells(family, r, v):
-            yield tuple(sorted(apex + (b1, b2))), 0
-            yield tuple(sorted(apex + (b1, b3))), 1
-            yield tuple(sorted(apex + (b2, b3))), 1
+        for _, (first, *rest) in _groups(family, r, v):
+            yield first, 0
+            for e in rest:
+                yield e, 1
 
 
 def _wealthy_base_sets(family: str, r: int,
@@ -744,9 +744,10 @@ class WealthyWitness:
     """Certificate that a coloring realizes a wealthy family variant.
 
     base_sets lists the block intervals the variant lives on (families
-    without distinguished blocks leave it None); triples records, for the
-    existential families, one (a, b, c) per index i with the edges through
-    a and b versus a and c colored differently.
+    without distinguished blocks leave it None); triples records, for W3.3
+    and W4.2, one (a, b, c) per index i with the edges through a and b
+    versus a and c colored differently.  W4.1's quadruples have no block,
+    so it reports no triples.
 
     W2.x and W4.2 list their blocks in role order: W2.x its blocks 1
     and 2 and then the apex, wherever perm puts them, and W4.2 its r
@@ -783,15 +784,9 @@ def _check_variant(c: Coloring, family: str, r: int, v: WealthyVariant):
             if c.color(e) != want:
                 return None
         return _wealthy_base_sets(family, r, v), None
-    if family == "W4.1":
-        for i in range(1, r + 1):
-            q = (4 * i - 3, 4 * i - 2, 4 * i - 1, 4 * i)
-            seen = {c.color(e) for e in combinations(q, 3)}
-            if len(seen) == 1:
-                return None
-        return None, None
-    trips = _unbalanced_triples(c, _apex_cells(family, r, v))
-    return None if trips is None else (_wealthy_base_sets(family, r, v), trips)
+    trips = _unbalanced_triples(c, _groups(family, r, v))
+    return None if trips is None else (_wealthy_base_sets(family, r, v),
+                                       trips or None)
 
 
 def is_wealthy(c: Coloring, family: str, r: int,

@@ -626,6 +626,29 @@ class TestMakeAndClassifyRoundTrips:
             f"wealthy=true\nwealthy family={family} r=2 variant={variant} "
             f"base={base}\n")
 
+    @pytest.mark.parametrize("family, variant, tail", [
+        ("W3.3", "rev:0", "triples=1,2,3|4,5,6"),
+        ("W3.3", "rev:1", "triples=7,6,5|4,3,2"),
+        ("W4.1", "plain", ""),
+        ("W4.2", "rev:0,blockswap:0", "base=[1,2]|[3,8] triples=3,4,5|6,7,8"),
+        ("W4.2", "rev:0,blockswap:1", "base=[7,8]|[1,6] triples=1,2,3|4,5,6"),
+        ("W4.2", "rev:1,blockswap:0", "base=[1,2]|[3,8] triples=3,4,5|6,7,8"),
+        ("W4.2", "rev:1,blockswap:1", "base=[7,8]|[1,6] triples=1,2,3|4,5,6")])
+    def test_existential_witness_lines(self, tmp_path, capsys, family,
+                                       variant, tail):
+        """The existential families report triples (W4.1 none), and the
+        scan finds the made variant first."""
+        path = tmp_path / "w.col"
+        assert cli.main(["make", "wealthy", "--family", family, "--r", "2",
+                         "--variant", variant]) == 0
+        path.write_text(capsys.readouterr().out)
+        want = (f"wealthy=true\nwealthy family={family} r=2 "
+                f"variant={variant} {tail}").rstrip() + "\n"
+        for fixed in ([], ["--variant", variant]):
+            assert cli.main(["classify", "wealthy", "--family", family,
+                             "--r", "2", *fixed, str(path)]) == 0
+            assert capsys.readouterr().out == want
+
     def test_wealthy_wrong_size_is_usage_error(self, tmp_path):
         path = write_coloring(tmp_path / "c.col", Coloring.constant(3, 2, 4, 0))
         assert run_cli("classify", "wealthy", "--family", "W2.1", "--r", "2",

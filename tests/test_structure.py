@@ -9,7 +9,8 @@ from hypergrowth import structure
 from hypergrowth.constructions import (make_rich, make_wealthy,
                                        slice_to_pair_coloring)
 from hypergrowth.core import (Coloring, ColoringPattern, _rank_table,
-                              homogeneity, restrict_normalize, reverse)
+                              edge_index, homogeneity, restrict_normalize,
+                              reverse)
 from hypergrowth.matrices import Metrics3, StarMatrix3, metrics3
 from hypergrowth.rng import Lcg
 from hypergrowth.structure import (WEALTHY_FAMILIES, SizeMismatchError,
@@ -512,7 +513,6 @@ class TestTameReader:
             3, (False, True, True, True, True),
             TameViolation(1, (), "length", 10))
         assert is_p_tame(c, 10).tame
-        count_p_tame.cache_clear()
         structure._tame_split_tables.cache_clear()
         assert count_p_tame(6, 3) == 1031116
 
@@ -876,6 +876,13 @@ class TestWealthyRecognition:
             assert {a, b, d} <= block
             assert c.color((a, b, apex)) != c.color((a, d, apex))
 
+    def test_second_pair_order(self):
+        # (1,2,4) and (1,3,4) agree, so the triple leads with b2
+        c = Coloring.from_map(3, 2, 4, {(1, 2, 4): 1, (1, 3, 4): 1,
+                                        (2, 3, 4): 0})
+        assert is_wealthy(c, "W3.3", 1).to_text() == \
+            "wealthy family=W3.3 r=1 variant=rev:0 triples=2,1,3"
+
     def test_size_mismatch_raises(self):
         with pytest.raises(SizeMismatchError):
             is_wealthy(Coloring.constant(3, 2, 6, 0), "W2.1", 2)
@@ -912,9 +919,151 @@ class TestPairBlocks:
             members += got is not None
         assert 150 <= members <= 350
 
+    def test_second_pair_order(self):
+        ones = {(1, 2), (1, 3), (4, 6), (5, 6)}
+        c = Coloring.from_function(2, 2, 6, lambda e: int(e in ones))
+        assert pair_wealthy_type2(c, 2) == ((2, 1, 3), (4, 5, 6))
+
     def test_size_mismatch(self):
         with pytest.raises(SizeMismatchError):
             pair_wealthy_type2(Coloring.constant(2, 2, 5, 0), 2)
+
+
+def reference_apex_cells(family, r, v):
+    """((apex,), (b1, b2, b3)) for i = 1..r of a W3.3 or W4.2 variant."""
+    for i in range(1, r + 1):
+        block = (3 * i - 2, 3 * i - 1, 3 * i)
+        if family == "W3.3":
+            n = 3 * r + 1
+            if v.reverse:
+                yield (1,), tuple(n - x + 1 for x in block)
+            else:
+                yield (n,), block
+        elif v.block_swap:
+            yield (3 * r + (r - i + 1 if v.reverse else i),), block
+        else:
+            yield (r - i + 1 if v.reverse else i,), tuple(r + x for x in block)
+
+
+def reference_unbalanced_triples(c, cells):
+    """(a, b, d) per (apex, block) cell, a = b1 if its two edges apex + pair
+    differ in color, else b2 if its do; None at the first cell where
+    neither does, as then all three edges share a color.  apex is () for
+    a pair coloring."""
+    color = c.color
+    out = []
+    for apex, (b1, b2, b3) in cells:
+        col12 = color(apex + (b1, b2))
+        if col12 != color(apex + (b1, b3)):
+            out.append((b1, b2, b3))
+        elif col12 != color(apex + (b2, b3)):
+            out.append((b2, b1, b3))
+        else:
+            return None
+    return tuple(out)
+
+
+def reference_assignment(family, r, v):
+    if family == "W4.1":
+        out = {}
+        for i in range(1, r + 1):
+            q = (4 * i - 3, 4 * i - 2, 4 * i - 1, 4 * i)
+            out[(q[0], q[1], q[2])] = 0
+            out[(q[0], q[1], q[3])] = 1
+            out[(q[0], q[2], q[3])] = 1
+            out[(q[1], q[2], q[3])] = 1
+        return out
+    out = {}
+    for apex, (b1, b2, b3) in reference_apex_cells(family, r, v):
+        out[tuple(sorted(apex + (b1, b2)))] = 0
+        out[tuple(sorted(apex + (b1, b3)))] = 1
+        out[tuple(sorted(apex + (b2, b3)))] = 1
+    return out
+
+
+def reference_check(c, family, r, v):
+    """The witness text of one existential variant, or None."""
+    if family == "W4.1":
+        for i in range(1, r + 1):
+            q = (4 * i - 3, 4 * i - 2, 4 * i - 1, 4 * i)
+            seen = {c.color(e) for e in combinations(q, 3)}
+            if len(seen) == 1:
+                return None
+        trips = None
+    else:
+        trips = reference_unbalanced_triples(
+            c, reference_apex_cells(family, r, v))
+        if trips is None:
+            return None
+    return structure.WealthyWitness(
+        family, r, v, structure._wealthy_base_sets(family, r, v),
+        trips).to_text()
+
+
+class TestExistentialParity:
+    """W3.3, W4.1 and W4.2 against an independent statement of their rules:
+    three-edge (apex, block) cells, W4.1's own quadruple test and its
+    hard-coded member cells."""
+
+    FAMILIES = ("W3.3", "W4.1", "W4.2")
+
+    @staticmethod
+    def text(w):
+        return None if w is None else w.to_text()
+
+    def cases(self, rng, family, r):
+        """Each variant's members, their flips of every pinned edge and of
+        a few other edges, and random colorings."""
+        n = wealthy_size(family, r)
+        for v in wealthy_variants(family, r):
+            pinned = [edge_index(e, n, 3)
+                      for e in wealthy_assignment(family, r, v)]
+            for filler in (0, 1):
+                cols = list(make_wealthy(family, r, v, filler).colors)
+                yield Coloring(3, 2, n, tuple(cols))
+                others = [draw(rng, 0, len(cols) - 1) for _ in range(8)]
+                for i in pinned + others:
+                    cols[i] ^= 1
+                    yield Coloring(3, 2, n, tuple(cols))
+                    cols[i] ^= 1
+        for _ in range(60):
+            yield random_coloring(rng, 3, 2, n)
+
+    def test_assignment(self):
+        for family in self.FAMILIES:
+            for r in range(1, 5):
+                for v in wealthy_variants(family, r):
+                    assert list(wealthy_assignment(family, r, v).items()) == \
+                        list(reference_assignment(family, r, v).items())
+
+    def test_recognition(self):
+        rng = Lcg(31)
+        seen = set()
+        for family in self.FAMILIES:
+            for r in range(1, 5):
+                variants = wealthy_variants(family, r)
+                for c in self.cases(rng, family, r):
+                    want = [reference_check(c, family, r, v)
+                            for v in variants]
+                    for v, w in zip(variants, want):
+                        assert self.text(is_wealthy(c, family, r, v)) == w
+                    scan = next((w for w in want if w is not None), None)
+                    assert self.text(is_wealthy(c, family, r)) == scan
+                    seen.add(scan is None)
+        assert seen == {True, False}
+
+    def test_pair_blocks(self):
+        rng = Lcg(32)
+        found = set()
+        for i in range(300):
+            r = 1 + i % 4
+            c = random_coloring(rng, 2, 2, 3 * r)
+            want = reference_unbalanced_triples(
+                c, (((), (3 * j - 2, 3 * j - 1, 3 * j))
+                    for j in range(1, r + 1)))
+            assert pair_wealthy_type2(c, r) == want
+            found.add(want is None)
+        assert found == {True, False}
 
 
 class TestQuadrupleExtraction:

@@ -14,11 +14,10 @@ property fails or nothing is found, and 2 on usage or I/O errors, when
 the engine raises a RuntimeError (RecursionError included), when a size
 overflows an index (OverflowError) and when a verb runs out of memory.
 argparse reports usage errors itself; the others print one "error:"
-line on stderr.  A growth level that the node budget cannot finish
-prints count=unknown and keeps exit status 0, and so does every later
-level; once the budget is spent no level is started, so even levels
-that cost no nodes (n < k, or those after an empty level) print
-count=unknown.  A value too long to print (the interpreter's integer
+line on stderr.  A growth level whose nodes do not fit in what is left
+of the node budget prints count=unknown and keeps exit status 0, and so
+does every later level; a level that costs no nodes (n < k, or one after
+an empty level) always fits.  A value too long to print (the interpreter's integer
 string limit) exits 2 with nothing on stdout: sequence, and growth of a
 builtin, refuse from a lower bound on the value's digits before
 computing it, and growth formats every line before printing any.

@@ -391,18 +391,17 @@ class GrowthRecord:
 
 
 def _split_basis(basis: Sequence[AnyColoring]) -> list:
-    """The non-empty elements as _new_templates reads them, (size, old,
-    new): coloured edges as (0-based positions in the other images,
-    colour), a new edge without its last vertex."""
+    """The elements as _new_templates reads them, (size, old, new):
+    coloured edges as (0-based positions in the other images, colour), a
+    new edge without its last vertex; an empty element has neither."""
     out = []
     for b in basis:
-        if not b.empty:
-            old, new_edges = [], []
-            for e, col in zip(b.edges(), b.colors):
-                if col is not None:
-                    pos = tuple(v - 1 for v in e if v != b.n)
-                    (new_edges if e[-1] == b.n else old).append((pos, col))
-            out.append((b.n, old, new_edges))
+        old, new_edges = [], []
+        for e, col in zip(b.edges(), b.colors):
+            if col is not None:
+                pos = tuple(v - 1 for v in e if v != b.n)
+                (new_edges if e[-1] == b.n else old).append((pos, col))
+        out.append((b.n, old, new_edges))
     return out
 
 
@@ -420,18 +419,19 @@ def _new_templates(split: list, n: int, k: int, w: int) -> list:
     vertices, never n, so a choice of other images gives the same template
     at every level from the one after its largest image on.  Level n's
     templates are therefore level n-1's plus the ones listed here, whose
-    largest other image is n-1.  Ranks are sums over the rows of core's
-    cached colex table.
+    largest other image is n-1; a one-vertex element has none, so level 1
+    adds its template.  An element without coloured edges gives (0, 0,
+    -1, ()), which kills every parent.  Ranks are sums over the rows of
+    core's cached colex table.
     """
     rows = _colex_table(n, k)
     getitem = tuple.__getitem__
     field = (1 << w) - 1
     out = []
     for size, old, new_edges in split:
-        if size > n:
+        if size > n or size == 1 < n:
             continue
-        # size >= k >= 2, so there is at least one other image
-        for head in combinations(range(1, n - 1), size - 2):
+        for head in combinations(range(1, n - 1), max(size - 2, 0)):
             image = (*head, n - 1).__getitem__
             sel = want = 0
             for pos, col in old:
@@ -740,36 +740,29 @@ def _grow(basis: Sequence[AnyColoring], k: int, l: int, n_max: int,
     ``build_last``.  One template list grows by _new_templates at every
     level.  With ``build_last`` the returned members are those of level
     n_max in ascending order (of the last level built, when a budget
-    stops the loop first), else an empty list.
+    stops the loop first), else an empty list.  A level is exact when its
+    nodes fit in what is left of ``budget``; the first that does not fit
+    is dropped with every later one.
     """
     for b in basis:
         if (b.k, b.l) != (k, l):
             raise IncompatibleColoringsError("basis does not match (k, l)")
     w = (l - 1).bit_length()
     split = _split_basis(basis)
-    # an empty element embeds in every level of at least its size
-    first_zero = min((b.n for b in basis if b.empty), default=n_max + 1)
     counts: dict[int, int] = {}
     exact: dict[int, bool] = {}
     nodes_total = 0
     parents: list[int] = [0]
     templates: list = []
     for n in range(1, n_max + 1):
-        if n >= first_zero:
-            parents = []
-            counts[n] = 0
-            exact[n] = True
-            continue
-        templates += _new_templates(split, n, k, w)
-        remaining = budget - nodes_total
-        if remaining <= 0:
-            break
         if not parents:
             # nothing to extend: this level and every later one are empty
             later = range(n, n_max + 1)
             counts.update(dict.fromkeys(later, 0))
             exact.update(dict.fromkeys(later, True))
             break
+        templates += _new_templates(split, n, k, w)
+        remaining = budget - nodes_total
         build = build_last or n < n_max
         result, nodes = _chunk_extend(
             parents, templates, comb(n - 1, k) * w, comb(n - 1, k - 1), l,
@@ -794,12 +787,12 @@ def avoid_growth(basis: Sequence[AnyColoring], k: int, l: int, n_max: int,
     """Exact levelwise counts for the ideal avoiding the given basis.
 
     Basis entries may be wildcard patterns.  Returns (counts, exact, nodes).
-    The node budget is spent level by level.  A level is started only
-    while some of it remains, and the first level not started or not
-    finished within the remainder is discarded with every later one, so
-    once it is spent even levels that cost no nodes (n < k, or after an
-    empty level) are discarded.  Levels from the size of an empty basis
-    element on need no budget: they are 0 once the lower ones are counted.
+    The node budget is spent level by level: a level is exact when its
+    nodes fit in what is left, and the first that does not fit is dropped
+    with every later one.  So a level that costs no nodes (n < k, or one
+    whose parents all die, or one after an empty level) is exact even
+    once the budget is spent, and a run given its own ``nodes`` as the
+    budget returns the same record.
     """
     counts, exact, nodes, _ = _grow(basis, k, l, n_max, budget, False)
     return counts, exact, nodes
@@ -841,6 +834,8 @@ def avoid_members(basis: Sequence[AnyColoring], k: int, l: int, n: int,
     The members come in ascending order of their engine ints, which hold
     each edge's colour in colex edge order, the last edge highest.
     """
+    if n < 1:
+        raise ValueError("n must be >= 1")
     _, exact, _, members = _grow(basis, k, l, n, budget, True)
     if not all(exact.values()):
         raise RuntimeError("budget exhausted while materializing members")

@@ -163,10 +163,9 @@ class TestGrowthVerb:
         assert "n=5 count=unknown" in lines
         assert "n=6 count=unknown" in lines
 
-    def test_spent_budget_prints_unknown_for_free_levels(self, tmp_path,
-                                                         capsys):
-        # levels 1 and 2 cost no nodes (n < k), but with nothing left of
-        # the budget no level is started
+    def test_spent_budget_still_counts_free_levels(self, tmp_path, capsys):
+        # levels 1 and 2 cost no nodes (n < k), so they fit in a zero
+        # budget; level 3 does not, and is dropped with level 4
         spec = IdealSpec.avoid([Coloring(3, 2, 4, (0, 0, 0, 0))])
         path = tmp_path / "base.is"
         path.write_text(spec.canonical_text())
@@ -174,8 +173,8 @@ class TestGrowthVerb:
                        "--budget", "0"])
         got = capsys.readouterr()
         assert (rc, got.err) == (0, "")
-        assert got.out == "".join(f"n={n} count=unknown\n"
-                                  for n in range(1, 5))
+        assert got.out == ("n=1 count=1\nn=2 count=1\n"
+                           "n=3 count=unknown\nn=4 count=unknown\n")
 
     def test_verdict_lines_appended(self):
         res = run_cli("growth", "--spec", "builtin:S,k=3", "--n-max", "8",
@@ -216,10 +215,11 @@ class TestGrowthVerb:
         spec = IdealSpec.avoid([Coloring(3, 2, 4, (0, 0, 0, 0))])
         path = tmp_path / "base.is"
         path.write_text(spec.canonical_text())
-        # no level finishes under a zero budget, so no verdict can be read,
-        # and the four count=unknown lines must not be printed either
+        # level 1 costs no nodes, so only a negative budget leaves no exact
+        # level; then no verdict can be read, and the four count=unknown
+        # lines must not be printed either
         rc = cli.main(["growth", "--spec", f"avoid:{path}", "--n-max", "4",
-                       "--budget", "0", "--verdict", "constant"])
+                       "--budget", "-1", "--verdict", "constant"])
         got = capsys.readouterr()
         assert (rc, got.out) == (2, "")
         assert got.err == "error: record has no exact counts\n"

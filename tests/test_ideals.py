@@ -458,6 +458,11 @@ class TestGrowthEngine:
         with pytest.raises(RuntimeError):
             avoid_members([base], 3, 2, 5, budget=1771)
 
+    @pytest.mark.parametrize("n", [0, -2])
+    def test_members_need_a_vertex(self, n):
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            avoid_members([Coloring(3, 2, 4, (0, 0, 0, 0))], 3, 2, n)
+
     def test_deep_levels_do_not_recurse(self):
         # level 48 has C(47,2) = 1081 new edges, far past the recursion limit
         counts, exact, nodes = avoid_growth(
@@ -531,7 +536,7 @@ def reference_level_templates(basis, n, k, w):
 
     out = []
     for b in basis:
-        if b.empty or b.n > n:
+        if b.n > n:
             continue
         old, new_edges = [], []
         for e, col in zip(b.edges(), b.colors):
@@ -855,8 +860,9 @@ class TestMergedFrontier:
 
 class TestEmptyLevel:
     """After a level with no members the loop reports every later level
-    as an exact 0 and stops; a spent budget still drops the levels after
-    the one that spent it."""
+    as an exact 0 and stops.  Those levels cost no nodes, so they are
+    exact under a spent budget too; a level dropped for want of budget
+    still drops every later one."""
 
     # both colours of the one edge on [3]: level 3 and every later one
     # are empty
@@ -868,13 +874,13 @@ class TestEmptyLevel:
         ([Coloring(2, 2, 3, (0, 0, 0)), Coloring(2, 2, 3, (1, 1, 1))], 2,
          [1, 2, 6, 18, 12, 0], 650, 410)])
     def test_pinned(self, basis, k, levels, nodes, short):
-        # budgets T and T - 1, T = nodes: the budget is spent by the
-        # empty level, or that level is dropped, and either way no later
-        # level is started
+        # budgets T and T - 1, T = nodes: the empty level spends the
+        # budget and every later level is a free exact 0, or the empty
+        # level is dropped with every later one
         full = dict(enumerate(levels + [0] * (12 - len(levels)), 1))
         for budget, counts, spent in (
                 (ideals.DEFAULT_BUDGET, full, nodes),
-                (nodes, dict(enumerate(levels, 1)), nodes),
+                (nodes, full, nodes),
                 (nodes - 1, dict(enumerate(levels[:-1], 1)), short)):
             exact = {n: n in counts for n in range(1, 13)}
             for build_last in (False, True):
@@ -889,6 +895,18 @@ class TestEmptyLevel:
         assert all(exact.values()) and nodes == 2
         assert [counts[n] for n in (1, 2)] == [1, 1]
         assert not any(counts[n] for n in range(3, 201))
+
+    @pytest.mark.parametrize("basis, levels", [
+        ([Coloring(3, 2, 1, ())], range(1, 5)),
+        ([Coloring(3, 2, 2, ())], range(2, 5)),
+        ([ColoringPattern(3, 2, 4, (None,) * 4)], range(4, 6)),
+        (ONE_EDGE, range(3, 6))])
+    def test_empty_level_has_no_members(self, basis, levels):
+        for n in levels:
+            assert avoid_members(basis, 3, 2, n) == [], n
+            got = on_every_path(lambda plan: ideals._grow(
+                basis, 3, 2, n, ideals.DEFAULT_BUDGET, True, plan))
+            assert got[0][n] == 0 and got[1][n] and got[3] == [], n
 
 
 def mixed_basis(rng, k, l, size, wildcards):
@@ -941,7 +959,7 @@ class TestIncrementalTemplates:
             patterns += any(isinstance(b, ColoringPattern) for b in basis)
         assert larger > 0 and patterns > 0
 
-    def test_empty_element_adds_no_template(self, monkeypatch):
+    def test_empty_element_is_a_template_without_new_edges(self):
         rng = Lcg(67)
         for k in (2, 3, 4):
             basis = mixed_basis(rng, k, 3, 2, True)
@@ -950,12 +968,52 @@ class TestIncrementalTemplates:
             for n in range(1, k + 5):
                 templates += ideals._new_templates(
                     ideals._split_basis(basis), n, k, 2)
+                assert ((0, 0, -1, ()) in templates) == (n >= k - 1), (k, n)
                 assert Counter(templates) == Counter(
                     reference_level_templates(basis, n, k, 2)), (k, n)
-            # the empty element zeroes level k - 1 and every later one, so
-            # only the levels below it run a frontier
-            seen = self.levels_seen(monkeypatch, basis, k, 3, k + 4)
-            assert len(seen) == k - 2
+            # the element kills every parent of level k - 1, so that level
+            # and every later one are exact 0s; no level below k costs a
+            # node, so this holds under any budget
+            zero = dict.fromkeys(range(k - 1, k + 5), 0)
+            counts = {**dict.fromkeys(range(1, k - 1), 1), **zero}
+            for budget in (0, ideals.DEFAULT_BUDGET):
+                for build_last in (False, True):
+                    assert ideals._grow(basis, k, 3, k + 4, budget,
+                                        build_last) == (
+                        counts, dict.fromkeys(counts, True), 0, []), k
+
+
+class TestBudgetReplay:
+    """A run given its own ``nodes`` as the budget returns the same
+    record: a level is exact exactly when its nodes fit in what is left."""
+
+    def test_own_nodes_replay_the_run(self):
+        rng = Lcg(73)
+        spent = empty = 0
+        for case in range(60):
+            # level k + 2 of k = 4 has 15 edges, so l = 3 would be slow
+            k, l = ((2, 2), (2, 3), (3, 2), (3, 3), (4, 2))[case % 5]
+            basis = mixed_basis(rng, k, l, draw(rng, 1, 2), case % 2 == 1)
+            extra = case % 3
+            if extra == 1:
+                basis.append(Coloring(k, l, draw(rng, 1, k - 1), ()))
+            elif extra == 2:
+                # every colouring of the one edge on [k]: level k is empty
+                basis += [Coloring(k, l, k, (c,)) for c in range(l)]
+            n_max = k + 2
+            total = growth_on_every_path(basis, k, l, n_max)[2]
+            # a negative budget drops even level 1, which costs no nodes
+            for budget in sorted({0, 1, total // 3, max(total - 1, 0), total,
+                                  ideals.DEFAULT_BUDGET}):
+                for build_last in (False, True):
+                    run = on_every_path(lambda plan: ideals._grow(
+                        basis, k, l, n_max, budget, build_last, plan))
+                    replay = on_every_path(lambda plan: ideals._grow(
+                        basis, k, l, n_max, run[2], build_last, plan))
+                    assert replay == run, (case, budget, build_last)
+                    spent += not all(run[1].values())
+                    empty += 0 in run[0].values()
+        assert spent > 0 and empty > 0
 
 
 class TestMemberOrder:

@@ -1,16 +1,19 @@
 """Growth of downward-closed classes of edge-colored ordered hypergraphs.
 
 Importing the package runs no layer.  It registers each layer (core,
-ideals, matrices, structure, constructions, rng) in sys.modules through
-importlib.util.LazyLoader, and a layer's body runs on the first access
-to one of its attributes: a start that needs only core and ideals, such
-as the sequence and growth verbs, never compiles the others.  The public
-names listed in __all__, and the layer names themselves, resolve on
-access through the module __getattr__, which reads the layer from
-sys.modules each time.  Nothing here binds a layer at import time: a
-registered layer whose sys.modules entry has been replaced by the time
-of its first access raises ValueError (a check of LazyLoader's), and a
-binding would keep such a stale layer in reach.
+ideals, sequences, matrices, structure, constructions, rng) in
+sys.modules through importlib.util.LazyLoader, and a layer's body runs
+on the first access to one of its attributes: a start runs only the
+layers its verb calls (sequence runs sequences alone, growth of an
+avoid ideal runs core and ideals) and never compiles the others.  The
+public names listed in __all__, and the layer names themselves, resolve
+on access through the module __getattr__, which reads the layer from
+sys.modules each time.  A layer reached by name (hypergrowth.ideals) is
+run at that access, while sys.modules still holds the layers that its
+body imports.  Nothing here binds a layer at import time: a registered
+layer whose sys.modules entry has been replaced by the time of its
+first access raises ValueError (a check of LazyLoader's), and a binding
+would keep such a stale layer in reach.
 
 Python 3.11's LazyLoader takes no lock on a layer's first access, so two
 threads that touch the same unloaded layer at once can race: the second
@@ -52,8 +55,9 @@ _EXPORTS = {
         "avoid_growth", "avoid_members", "builtin_count", "builtin_member",
         "builtin_members", "builtin_pattern_basis", "census_distinct",
         "dichotomy_verdict", "fnv1a64", "growth", "ideal_spec_from_text",
-        "ideal_spec_to_text", "load_cache", "sequence_F", "sequence_G",
-        "sequence_Gk", "sequence_value", "update_cache"),
+        "ideal_spec_to_text", "load_cache", "update_cache"),
+    "sequences": ("sequence_F", "sequence_G", "sequence_Gk",
+                  "sequence_value"),
     "rng": ("Lcg",),
 }
 
@@ -73,6 +77,10 @@ def _register(layer: str) -> None:
     spec = _util.find_spec(name)
     spec.loader = _util.LazyLoader(spec.loader)
     module = _util.module_from_spec(spec)
+    # what the import system sets on a spec once its module has run; the
+    # lazy path never sets it, and without it every import statement that
+    # names the layer looks the flag up, fails and swallows the error
+    spec._initializing = False
     _sys.modules[name] = module
     spec.loader.exec_module(module)
 
@@ -89,7 +97,11 @@ def __getattr__(name: str):
     module = _sys.modules.get(f"{__name__}.{layer}")
     if module is None:  # taken out of sys.modules: import it anew
         module = _import_module(f"{__name__}.{layer}")
-    return module if name == layer else getattr(module, name)
+    if name != layer:
+        return getattr(module, name)
+    # run the layer now, while sys.modules holds the layers it imports
+    module.__name__
+    return module
 
 
 def __dir__():

@@ -28,17 +28,19 @@ append-only count file, which concurrent runs may share.
 
 main builds its argument parser once per process, on its first call, and
 reuses it: parsing keeps no state between calls, so main is safe to call
-repeatedly in-process.  Only core and ideals, which the parser and the
-contains, growth and sequence verbs use, are imported at module level.
-The make and classify verbs import constructions and structure (and
-through them matrices) in their bodies, and the verify verb imports
-hypergrowth.verify, so a sequence or growth start compiles none of
-them.  The package __init__ registers every layer in sys.modules without
-running it, so each layer is still found there right after
-`import hypergrowth.cli`.  No layer is bound here at import time: a
-registered layer whose sys.modules entry has been replaced by the time
-it is first touched raises ValueError, and the in-body imports read
-sys.modules on each call.
+repeatedly in-process.  Building the parser touches no package layer.
+Each verb imports the layers it calls in its own body: contains imports
+core, growth imports ideals (and through it core), sequence imports
+sequences, make and classify import constructions and structure (and
+through them matrices and core), and verify imports hypergrowth.verify.
+So a sequence start runs sequences and no other layer, and a growth
+start runs core and ideals (and sequences for a builtin, which counts
+by its closed form).  The package __init__ registers every layer in
+sys.modules without running it, so each layer is still found there
+right after `import hypergrowth.cli`.  No layer is bound here at import
+time: a registered layer whose sys.modules entry has been replaced by
+the time it is first touched raises ValueError, and the in-body imports
+read sys.modules on each call.
 """
 
 from __future__ import annotations
@@ -48,11 +50,6 @@ import functools
 import os
 import sys
 from typing import Optional, Sequence, TextIO
-
-from .core import Coloring, coloring_from_text, coloring_to_text, contains
-from .ideals import (DEFAULT_BUDGET, IdealSpec, builtin_exceeds_digits,
-                     dichotomy_verdict, growth, ideal_spec_from_text,
-                     sequence_exceeds_digits, sequence_value)
 
 
 # --- small formatting helpers ------------------------------------------------------
@@ -65,8 +62,14 @@ def _read_text(path: str) -> str:
         return fh.read()
 
 
-def _load_coloring(path: str) -> Coloring:
+def _load_coloring(path: str):
+    from .core import coloring_from_text
     return coloring_from_text(_read_text(path))
+
+
+def _write_coloring(c, out: TextIO) -> None:
+    from .core import coloring_to_text
+    out.write(coloring_to_text(c))
 
 
 def _csv(values) -> str:
@@ -84,20 +87,6 @@ def _int_list(text: str) -> tuple[int, ...]:
     return tuple(int(x) for x in text.split(",") if x != "")
 
 
-def _parse_spec(text: str) -> IdealSpec:
-    kind, _, rest = text.partition(":")
-    if kind == "builtin":
-        name, _, tail = rest.partition(",")
-        if not name or not tail.startswith("k="):
-            raise ValueError("builtin spec has the form builtin:<name>,k=<k>")
-        return IdealSpec.builtin(name, int(tail[2:]))
-    if kind == "avoid":
-        if not rest:
-            raise ValueError("avoid spec has the form avoid:<file>")
-        return ideal_spec_from_text(_read_text(rest))
-    raise ValueError(f"unknown ideal spec kind {kind!r}")
-
-
 # --- make -------------------------------------------------------------------------
 
 
@@ -106,7 +95,7 @@ def _make_rich(args, out: TextIO) -> int:
     f, g, h = _fixed_ints(args.shape, 3, "--shape")
     a, b = _fixed_ints(args.colors, 2, "--colors")
     c = make_rich(args.k, args.r, f, g, h, a, b, args.filler)
-    out.write(coloring_to_text(c))
+    _write_coloring(c, out)
     return 0
 
 
@@ -117,7 +106,7 @@ def _make_wealthy(args, out: TextIO) -> int:
     if args.variant is not None:
         variant = variant_from_text(args.family, args.variant)
     c = make_wealthy(args.family, args.r, variant, args.filler)
-    out.write(coloring_to_text(c))
+    _write_coloring(c, out)
     return 0
 
 
@@ -153,7 +142,7 @@ def _make_string_coloring(args, out: TextIO) -> int:
     print(f"c_set={_csv(res.c_set)}", file=out)
     print(f"d_set={_csv(res.d_set)}", file=out)
     print(f"vertex_set={_csv(res.vertex_set)}", file=out)
-    out.write(coloring_to_text(res.member))
+    _write_coloring(res.member, out)
     return 0
 
 
@@ -167,7 +156,7 @@ def _make_disobedient(args, out: TextIO) -> int:
     print(f"vertex_set={_csv(spec.vertex_set)}", file=out)
     print(f"embedding={_csv(res.embedding)}", file=out)
     print("f_triples=" + ";".join(_csv(t) for t in spec.f_triples), file=out)
-    out.write(coloring_to_text(res.member))
+    _write_coloring(res.member, out)
     return 0
 
 
@@ -245,8 +234,9 @@ def _classify_wealthy(args, out: TextIO) -> int:
 
 
 def _cmd_contains(args, out: TextIO) -> int:
-    small = _load_coloring(args.small)
-    big = _load_coloring(args.big)
+    from .core import coloring_from_text, contains
+    small = coloring_from_text(_read_text(args.small))
+    big = coloring_from_text(_read_text(args.big))
     wit = contains(small, big)
     if wit is None:
         print("contained=false", file=out)
@@ -262,7 +252,20 @@ def _str_digits_limit() -> int:
 
 
 def _cmd_growth(args, out: TextIO) -> int:
-    spec = _parse_spec(args.spec)
+    from .ideals import (DEFAULT_BUDGET, IdealSpec, builtin_exceeds_digits,
+                         dichotomy_verdict, growth, ideal_spec_from_text)
+    kind, _, rest = args.spec.partition(":")
+    if kind == "builtin":
+        name, _, tail = rest.partition(",")
+        if not name or not tail.startswith("k="):
+            raise ValueError("builtin spec has the form builtin:<name>,k=<k>")
+        spec = IdealSpec.builtin(name, int(tail[2:]))
+    elif kind == "avoid":
+        if not rest:
+            raise ValueError("avoid spec has the form avoid:<file>")
+        spec = ideal_spec_from_text(_read_text(rest))
+    else:
+        raise ValueError(f"unknown ideal spec kind {kind!r}")
     # refuse a builtin count too long to print before counting; builtin
     # counts never fall, so the last level decides
     limit = _str_digits_limit()
@@ -273,7 +276,8 @@ def _cmd_growth(args, out: TextIO) -> int:
     cache = args.cache
     if cache is None:
         cache = os.environ.get("HYPERGROWTH_CACHE") or None
-    rec = growth(spec, args.n_max, budget=args.budget, cache=cache)
+    budget = DEFAULT_BUDGET if args.budget is None else args.budget
+    rec = growth(spec, args.n_max, budget=budget, cache=cache)
     # every line is formatted before the first is printed, so a count too
     # long to print leaves stdout empty; the last levels, which hold the
     # longest counts of a growing ideal, are formatted first
@@ -292,6 +296,7 @@ def _cmd_growth(args, out: TextIO) -> int:
 
 
 def _cmd_sequence(args, out: TextIO) -> int:
+    from .sequences import sequence_exceeds_digits, sequence_value
     name = args.name
     if args.k is not None:
         if name != "Gk":
@@ -307,7 +312,7 @@ def _cmd_sequence(args, out: TextIO) -> int:
 
 
 def _cmd_verify(args, out: TextIO) -> int:
-    from .verify import run_all, run_one  # loaded on first use, see module doc
+    from .verify import run_all, run_one
     if args.suite == "all":
         results = run_all(seed=args.seed)
     else:
@@ -416,7 +421,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="avoid:<file> or builtin:<name>,k=<k>")
     p.add_argument("--n-max", type=int, required=True, dest="n_max")
     p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+    p.add_argument("--budget", type=int,
                    help="search node budget, spent level by level")
     p.add_argument("--cache", help="count cache path, HYPERGROWTH_CACHE "
                                    "if unset")

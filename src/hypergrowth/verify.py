@@ -20,10 +20,11 @@ from .core import Coloring, injection_witnesses, reverse
 from .ideals import (DEFAULT_BUDGET, GrowthRecord, IdealSpec, _fits, _grow,
                      _plan, avoid_growth, builtin_members,
                      builtin_pattern_basis, census_distinct,
-                     dichotomy_verdict, sequence_F, sequence_G)
+                     dichotomy_verdict)
 from .matrices import (StarMatrix2, StarMatrix3, matrix2_from_text, metrics2,
                        metrics3)
 from .rng import Lcg
+from .sequences import sequence_F, sequence_G
 from .structure import (WEALTHY_FAMILIES, is_r_rich, is_wealthy,
                         rich_deletions, wealthy_assignment, wealthy_size,
                         wealthy_variants)

@@ -11,11 +11,21 @@ import time
 
 import pytest
 
-from hypergrowth import cli, constructions
+from hypergrowth import cli, constructions, ideals
 from hypergrowth.core import (Coloring, coloring_from_text, coloring_to_text,
                               injection_witnesses, restrict_normalize)
 from hypergrowth.ideals import IdealSpec, load_cache
 from hypergrowth.rng import Lcg
+
+
+# stdout of `hypergrowth --help` and `hypergrowth growth --help` at 80
+# columns
+HELP_SHA256 = {
+    "--help":
+        "4f47e9983a10a89032df97266890d7fa4dd1f3f7ac6f149d620382cabe9453dd",
+    "growth --help":
+        "608aeecb7416f07c4272657e81385af00f40dab25ec78636b2fb7eeae9006152",
+}
 
 
 def run_cli(*argv, env_extra=None, stdin_text=None, timeout=None):
@@ -312,7 +322,7 @@ class TestErrorExits:
         def fail(*args, **kwargs):
             raise exc("maximum depth exceeded")
 
-        monkeypatch.setattr(cli, "growth", fail)
+        monkeypatch.setattr(ideals, "growth", fail)
         rc = cli.main(["growth", "--spec", "builtin:S,k=3", "--n-max", "3"])
         got = capsys.readouterr()
         assert rc == 2
@@ -824,6 +834,7 @@ class TestImportContract:
     def run_python(self, *args):
         env = os.environ.copy()
         env["PYTHONPATH"] = self.SRC
+        env["COLUMNS"] = "80"
         return subprocess.run([sys.executable, *args], capture_output=True,
                               text=True, env=env)
 
@@ -847,8 +858,11 @@ class TestImportContract:
 
     # Runs the CLI as `python -m hypergrowth.cli` does, then prints, per
     # layer, the names its body defined (None when the layer is not in
-    # sys.modules).  The namespace is read past the module's class, so
-    # the check itself loads no layer.
+    # sys.modules), and whether dataclasses was imported.  The namespace
+    # is read past the module's class, so the check itself loads no
+    # layer.
+    LAYERS = ("core", "ideals", "sequences", "matrices", "structure",
+              "constructions")
     COLD_START = (
         "import json, runpy, sys\n"
         "try:\n"
@@ -856,14 +870,17 @@ class TestImportContract:
         "                     alter_sys=True)\n"
         "except SystemExit as exc:\n"
         "    assert exc.code == 0, exc.code\n"
-        "report = {}\n"
-        "for layer in ('core', 'ideals', 'matrices', 'structure',\n"
-        "              'constructions', 'verify'):\n"
+        "report = {'dataclasses': 'dataclasses' in sys.modules}\n"
+        f"for layer in {LAYERS + ('verify',)!r}:\n"
         "    mod = sys.modules.get('hypergrowth.' + layer)\n"
         "    report[layer] = None if mod is None else sorted(\n"
         "        k for k in object.__getattribute__(mod, '__dict__')\n"
         "        if not k.startswith('__'))\n"
         "print(json.dumps(report))\n")
+
+    # the layers each start runs, by its first argument
+    RUNS = {"sequence": {"sequences"}, "--help": set(), "contains": {"core"},
+            "growth": {"core", "ideals"}}
 
     @pytest.mark.parametrize("argv,out", [
         (["sequence", "--name", "G", "--n", "11"], "G(11)=41\n"),
@@ -872,24 +889,41 @@ class TestImportContract:
         (["growth", "--spec", "avoid:{spec}", "--n-max", "5", "--cache",
           "{cache}"], "".join(f"n={n} count={c}\n" for n, c in
                               enumerate((1, 1, 2, 15, 768), 1))),
+        (["--help"], HELP_SHA256["--help"]),
+        (["contains", "{small}", "{big}"],
+         "contained=true injection=1,3,4,5\n"),
     ])
     def test_sequence_and_growth_starts_skip_layers(self, tmp_path, argv,
                                                      out):
         spec = tmp_path / "base.is"
         spec.write_text(IdealSpec.avoid(
             [Coloring(3, 2, 4, (0, 0, 0, 0))]).canonical_text())
-        argv = [a.format(spec=spec, cache=tmp_path / "counts.tsv")
-                for a in argv]
+        small = write_coloring(tmp_path / "small.col",
+                               Coloring.constant(3, 2, 4, 0))
+        big = write_coloring(tmp_path / "big.col", Coloring.from_function(
+            3, 2, 5, lambda e: 1 if e[0] == 2 else 0))
+        argv = [a.format(spec=spec, cache=tmp_path / "counts.tsv",
+                         small=small, big=big) for a in argv]
         res = self.run_python("-c", self.COLD_START, *argv)
         assert res.returncode == 0, res.stderr
         printed, report = res.stdout.rsplit("\n", 2)[:2]
-        assert printed + "\n" == out
+        if argv == ["--help"]:
+            printed = hashlib.sha256(f"{printed}\n".encode()).hexdigest()
+            assert printed == out
+        else:
+            assert printed + "\n" == out
         report = json.loads(report)
-        assert "contains" in report["core"]
-        assert "growth" in report["ideals"]
         assert report["verify"] is None
-        for layer in ("matrices", "structure", "constructions"):
-            assert report[layer] == [], layer
+        ran = self.RUNS[argv[0]]
+        if any(a.startswith("builtin:") for a in argv):
+            ran = ran | {"sequences"}  # a builtin counts by its closed form
+        assert {layer for layer in self.LAYERS if report[layer]} == ran
+        if "core" in ran:
+            assert "contains" in report["core"]
+        if "ideals" in ran:
+            assert "growth" in report["ideals"]
+        # only the layers with dataclasses import it
+        assert report["dataclasses"] == bool(ran - {"sequences"})
 
     def test_make_and_classify_starts_print_pinned_bytes(self, tmp_path):
         path = tmp_path / "w41.col"
@@ -938,6 +972,36 @@ class TestImportContract:
         "    getattr(package, name)\n"
         "print(package.structure.is_p_tame.__module__)\n")
 
+    # The same swap with the library instead of the verbs: the second
+    # import's core and ideals are reached as package attributes before
+    # the first import's modules are put back, and used after.  A layer
+    # that ran only after the swap would bind the first import's core
+    # (or find its own sys.modules entry replaced).
+    GENERATIONS = (
+        "import importlib, sys\n"
+        "def ours():\n"
+        "    return {n: m for n, m in sys.modules.items()\n"
+        "            if n == 'hypergrowth' or n.startswith('hypergrowth.')}\n"
+        "import hypergrowth, hypergrowth.cli\n"
+        "first = ours()\n"
+        "for name in first:\n"
+        "    del sys.modules[name]\n"
+        "package = importlib.import_module('hypergrowth')\n"
+        "importlib.import_module('hypergrowth.cli')\n"
+        "core, ideals = package.core, package.ideals\n"
+        "for name in ours():\n"
+        "    del sys.modules[name]\n"
+        "sys.modules.update(first)\n"
+        "base = core.Coloring(3, 2, 4, (0, 0, 0, 0))\n"
+        "spec = ideals.IdealSpec.avoid([base])\n"
+        "counts, exact, nodes = ideals.avoid_growth(spec.basis, 3, 2, 5)\n"
+        "print(counts[5], exact[5], core is not first['hypergrowth.core'])\n")
+
+    def test_layers_reached_before_a_swap_keep_their_generation(self):
+        res = self.run_python("-c", self.GENERATIONS)
+        assert (res.returncode, res.stderr) == (0, "")
+        assert res.stdout == "768 True True\n"
+
     def test_swapped_modules_keep_the_verbs_working(self, tmp_path):
         res = self.run_python("-c", self.SWAP, str(tmp_path / "rich.col"))
         assert res.returncode == 0, res.stderr
@@ -967,6 +1031,42 @@ ABSENT = "73dd12808c9e407468c0da5c79d1118b7413bd3c45a359c267bb44e57314e389"
 
 def seeded_coloring(rng, n):
     return Coloring.from_function(3, 2, n, lambda e: rng.bit())
+
+
+class TestParserBytes:
+    """The bytes that moving growth --budget's default out of the parser
+    could change, pinned from before the move."""
+
+    @pytest.mark.parametrize("argv", [["--help"], ["growth", "--help"]])
+    def test_help(self, argv):
+        res = run_cli(*argv, env_extra={"COLUMNS": "80"})
+        assert res.returncode == 0
+        digest = hashlib.sha256(res.stdout.encode()).hexdigest()
+        assert digest == HELP_SHA256[" ".join(argv)]
+
+    def test_default_budget_is_ten_to_the_eight(self, tmp_path, monkeypatch,
+                                                capsys):
+        spec = IdealSpec.avoid([Coloring(3, 2, 4, (0, 0, 0, 0))])
+        path = tmp_path / "base.is"
+        path.write_text(spec.canonical_text())
+        argv = ["growth", "--spec", f"avoid:{path}", "--n-max", "5"]
+        got = []
+        for extra, cache in (([], "default.tsv"),
+                             (["--budget", "100000000"], "given.tsv")):
+            res = run_cli(*argv, "--cache", str(tmp_path / cache), *extra)
+            got.append((res.returncode, res.stdout,
+                        (tmp_path / cache).read_bytes()))
+        assert got[0] == got[1]
+        assert got[0][1].endswith("n=5 count=768\n")
+        budgets = []
+        real = ideals.growth
+        monkeypatch.setattr(ideals, "growth", lambda *args, budget, cache:
+                            budgets.append(budget) or real(*args,
+                                                           budget=budget,
+                                                           cache=cache))
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out == got[0][1]
+        assert budgets == [ideals.DEFAULT_BUDGET] == [10 ** 8]
 
 
 class TestPinnedBytes:

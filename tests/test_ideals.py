@@ -18,7 +18,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from hypergrowth import ideals
+from hypergrowth import ideals, sequences
 from hypergrowth.core import (Coloring, ColoringPattern,
                               IncompatibleColoringsError, _colex_table,
                               all_edges, contains, restrict_normalize,
@@ -30,11 +30,10 @@ from hypergrowth.ideals import (BUILTIN_NAMES, GrowthRecord, IdealSpec,
                                 builtin_members, builtin_pattern_basis,
                                 census_distinct, dichotomy_verdict, fnv1a64,
                                 growth, ideal_spec_from_text,
-                                ideal_spec_to_text, load_cache, sequence_F,
-                                sequence_G, sequence_Gk,
-                                sequence_exceeds_digits, sequence_value,
-                                update_cache)
+                                ideal_spec_to_text, load_cache, update_cache)
 from hypergrowth.rng import Lcg
+from hypergrowth.sequences import (sequence_exceeds_digits, sequence_F,
+                                   sequence_G, sequence_Gk, sequence_value)
 from hypergrowth.structure import _tame_split_tables, count_p_tame, is_p_tame
 
 
@@ -1945,13 +1944,13 @@ class TestQuasiFibonacciVerdict:
     def test_one_pass_of_the_recurrence(self, monkeypatch):
         rec = growth(IdealSpec.builtin("S", 3), 300)
         calls = []
-        real = ideals._gk_values
+        real = sequences._gk_values
 
         def counted(*args):
             calls.append(args)
             return real(*args)
 
-        monkeypatch.setattr(ideals, "_gk_values", counted)
+        monkeypatch.setattr(sequences, "_gk_values", counted)
         dichotomy_verdict(rec, "quasi_fibonacci")
         assert len(calls) <= 1
 

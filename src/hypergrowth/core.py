@@ -19,7 +19,6 @@ chi(f(E)) = phi(E).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from itertools import combinations
 from math import comb
@@ -103,16 +102,69 @@ def _validate_header(k: int, l: int, n: int) -> int:
     return comb(n, k) if n >= k else 0
 
 
-@dataclass(frozen=True)
-class _EdgeColors:
+class _FrozenError(AttributeError):
+    """Assignment to or deletion of an attribute of a value class, with
+    the messages of the standard library's frozen data classes."""
+
+
+class _Value:
+    """Base of the immutable value classes of core and ideals.
+
+    A subclass names its fields in order as both __slots__ and
+    __match_args__, and its __init__ fills each slot, past the raising
+    __setattr__, with _setattr or, where it is hot, the slot's own
+    descriptor.  Two values are equal when they have the same class and
+    equal fields; hash, repr and pickling read the fields in order.
+    Instances have no __dict__, so neither vars() nor the data-class
+    helpers (fields, replace, asdict) apply to them.
+    """
+
+    __slots__ = ()
+    __match_args__: tuple[str, ...] = ()
+
+    def _fields(self) -> tuple:
+        return tuple([getattr(self, f) for f in self.__match_args__])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}"
+                           for f in self.__match_args__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise _FrozenError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise _FrozenError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # pickle and copy rebuild through __init__, as no slot can be set
+        return type(self), self._fields()
+
+
+# object's store, bound once: a frozen value's __init__ sets its fields
+_setattr = object.__setattr__
+
+
+class _EdgeColors(_Value):
     """The store Coloring and ColoringPattern share: (k, l, n) and one
     colour per edge of [n] in lexicographic edge order.
 
     Each public class adds only its own rules.  Neither derives from the
     other, so a Coloring never equals a ColoringPattern with the same
-    fields.  _wild lets a colour be None (unspecified).
+    fields.  _wild lets a colour be None (unspecified).  Instances are
+    immutable and slotted (see _Value); __eq__ and __hash__ read the four
+    fields directly, as colourings are compared and hashed in bulk.
     """
 
+    __slots__ = __match_args__ = ("k", "l", "n", "colors")
     k: int
     l: int
     n: int
@@ -120,17 +172,29 @@ class _EdgeColors:
 
     _wild = False
 
-    def __post_init__(self):
-        want = _validate_header(self.k, self.l, self.n)
-        if len(self.colors) != want:
-            raise ValueError(f"expected {want} colors, got {len(self.colors)}")
-        cols = self.colors
+    def __init__(self, k: int, l: int, n: int,
+                 colors: tuple[Optional[int], ...]):
+        want = _validate_header(k, l, n)
+        if len(colors) != want:
+            raise ValueError(f"expected {want} colors, got {len(colors)}")
         # wildcards leave first, so a Coloring's loop tests no None
-        if self._wild:
-            cols = [c for c in cols if c is not None]
+        cols = [c for c in colors if c is not None] if self._wild else colors
         for c in cols:
-            if not isinstance(c, int) or not 0 <= c < self.l:
-                raise ValueError(f"color {c!r} outside 0..{self.l - 1}")
+            if not isinstance(c, int) or not 0 <= c < l:
+                raise ValueError(f"color {c!r} outside 0..{l - 1}")
+        _set_k(self, k)
+        _set_l(self, l)
+        _set_n(self, n)
+        _set_colors(self, colors)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.k, self.l, self.n, self.colors) == (
+                other.k, other.l, other.n, other.colors)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.k, self.l, self.n, self.colors))
 
     @property
     def empty(self) -> bool:
@@ -153,8 +217,16 @@ class _EdgeColors:
         return cls(k, l, n, tuple(cols))
 
 
+# the slots' own setters, the fastest store past _Value.__setattr__
+_set_k = _EdgeColors.k.__set__
+_set_l = _EdgeColors.l.__set__
+_set_n = _EdgeColors.n.__set__
+_set_colors = _EdgeColors.colors.__set__
+
+
 class Coloring(_EdgeColors):
-    """An edge l-coloring of the complete k-uniform hypergraph on [n].
+    """An edge l-coloring of the complete k-uniform hypergraph on [n]; an
+    immutable slotted value.
 
     Colours are checked once, where they enter: the public constructors
     and the text parser's edge-line form check every colour.  Only
@@ -163,18 +235,19 @@ class Coloring(_EdgeColors):
     digit and count checks, and the engine's decode in avoid_members.
     """
 
+    __slots__ = ()
+
     @classmethod
     def _trusted(cls, k: int, l: int, n: int,
                  colors: tuple[int, ...]) -> "Coloring":
         """An unchecked Coloring: the caller vouches for the header, the
         length and every colour.  Equal to, and hashes like, cls(...)."""
         c = object.__new__(cls)
-        # the setters frozen __init__ uses; touching __dict__ would
-        # materialize a dict and double the instance's size
-        object.__setattr__(c, "k", k)
-        object.__setattr__(c, "l", l)
-        object.__setattr__(c, "n", n)
-        object.__setattr__(c, "colors", colors)
+        # __init__'s four slot stores, without its checks
+        _set_k(c, k)
+        _set_l(c, l)
+        _set_n(c, n)
+        _set_colors(c, colors)
         return c
 
     @classmethod
@@ -198,11 +271,14 @@ class Coloring(_EdgeColors):
 
 
 class ColoringPattern(_EdgeColors):
-    """Partially specified coloring; a None color matches anything.
+    """Partially specified coloring; a None color matches anything.  An
+    immutable slotted value.
 
     Used as the small side of containment searches when only some edges
     of a generated shape are pinned down.
     """
+
+    __slots__ = ()
 
     _wild = True
 
@@ -255,17 +331,24 @@ def relabel(c: AnyColoring, new_label: Mapping[int, int]) -> AnyColoring:
     return _pullback(c, sorted(lab, key=lab.__getitem__))
 
 
-@dataclass(frozen=True)
-class Homogeneity:
+class Homogeneity(_Value):
     """Verdict on a vertex subset: all edges inside share one color, or not.
+    An immutable slotted value.
 
     homogeneous + color=None means the subset is too small to span an edge,
     so the verdict holds vacuously with no established color.
     """
 
+    __slots__ = __match_args__ = ("homogeneous", "color", "witness")
     homogeneous: bool
     color: Optional[int]
     witness: Optional[tuple[Edge, Edge]]
+
+    def __init__(self, homogeneous: bool, color: Optional[int],
+                 witness: Optional[tuple[Edge, Edge]]):
+        _setattr(self, "homogeneous", homogeneous)
+        _setattr(self, "color", color)
+        _setattr(self, "witness", witness)
 
 
 def homogeneity(c: AnyColoring, subset: Iterable[int]) -> Homogeneity:

@@ -33,16 +33,15 @@ import sys
 import threading
 from array import array
 from collections import Counter
-from dataclasses import dataclass
 from functools import cmp_to_key, lru_cache
 from itertools import combinations
 from math import comb, log10
 from typing import Optional, Sequence
 
 from .core import (AnyColoring, Coloring, ColoringPattern,
-                   IncompatibleColoringsError, _colex_table, _validate_header,
-                   all_edges, coloring_from_lines, coloring_to_text,
-                   parse_fields)
+                   IncompatibleColoringsError, _colex_table, _setattr,
+                   _validate_header, _Value, all_edges, coloring_from_lines,
+                   coloring_to_text, parse_fields)
 
 DEFAULT_BUDGET = 10 ** 8
 
@@ -63,38 +62,45 @@ def fnv1a64(data: bytes) -> int:
 BUILTIN_NAMES = ("S", "lineartight", "w1tight")
 
 
-@dataclass(frozen=True)
-class IdealSpec:
-    """Finite description of an ideal: a forbidden basis or a named family."""
+class IdealSpec(_Value):
+    """Finite description of an ideal: a forbidden basis or a named family.
+    An immutable slotted value (see core._Value)."""
 
+    __slots__ = __match_args__ = ("kind", "k", "l", "basis", "name")
     kind: str
     k: int
     l: int
-    basis: tuple[Coloring, ...] = ()
-    name: Optional[str] = None
+    basis: tuple[Coloring, ...]
+    name: Optional[str]
 
-    def __post_init__(self):
-        _validate_header(self.k, self.l, 1)  # the k, l checks of a coloring
-        if self.kind == "avoid":
-            for b in self.basis:
+    def __init__(self, kind: str, k: int, l: int,
+                 basis: tuple[Coloring, ...] = (), name: Optional[str] = None):
+        _validate_header(k, l, 1)  # the k, l checks of a coloring
+        if kind == "avoid":
+            for b in basis:
                 if not isinstance(b, Coloring):  # a pattern has no spec text
                     raise ValueError(f"basis element {type(b).__name__} is not "
                                      "a Coloring")
-                if (b.k, b.l) != (self.k, self.l):
+                if (b.k, b.l) != (k, l):
                     raise IncompatibleColoringsError(
                         f"basis element has (k,l)=({b.k},{b.l}), "
-                        f"spec has ({self.k},{self.l})")
-        elif self.kind == "builtin":
-            if self.name not in BUILTIN_NAMES:
-                raise ValueError(f"unknown builtin {self.name!r}")
-            if self.l != 2:
+                        f"spec has ({k},{l})")
+        elif kind == "builtin":
+            if name not in BUILTIN_NAMES:
+                raise ValueError(f"unknown builtin {name!r}")
+            if l != 2:
                 raise ValueError("builtin families are two-colored")
-            if self.name == "w1tight" and self.k != 3:
+            if name == "w1tight" and k != 3:
                 raise ValueError("w1tight is a k=3 family")
-            if self.basis:
+            if basis:
                 raise ValueError("builtin specs carry no basis")
         else:
-            raise ValueError(f"unknown spec kind {self.kind!r}")
+            raise ValueError(f"unknown spec kind {kind!r}")
+        _setattr(self, "kind", kind)
+        _setattr(self, "k", k)
+        _setattr(self, "l", l)
+        _setattr(self, "basis", basis)
+        _setattr(self, "name", name)
 
     @classmethod
     def avoid(cls, basis: Sequence[Coloring], k: Optional[int] = None,
@@ -285,15 +291,24 @@ def builtin_pattern_basis(spec: IdealSpec) -> tuple[ColoringPattern, ...]:
 # --- growth by pruned extension ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GrowthRecord:
-    """Counts |X_n| with per-level exactness; partial when budget ran out."""
+class GrowthRecord(_Value):
+    """Counts |X_n| with per-level exactness; partial when budget ran out.
+    An immutable slotted value, unhashable as its dicts are."""
 
+    __slots__ = __match_args__ = ("digest", "k", "counts", "exact", "nodes")
     digest: str
     k: int
     counts: dict[int, int]
     exact: dict[int, bool]
     nodes: int
+
+    def __init__(self, digest: str, k: int, counts: dict[int, int],
+                 exact: dict[int, bool], nodes: int):
+        _setattr(self, "digest", digest)
+        _setattr(self, "k", k)
+        _setattr(self, "counts", counts)
+        _setattr(self, "exact", exact)
+        _setattr(self, "nodes", nodes)
 
 
 def _split_basis(basis: Sequence[AnyColoring]) -> list:
@@ -759,15 +774,26 @@ def avoid_members(basis: Sequence[AnyColoring], k: int, l: int, n: int,
 # --- dichotomy verdicts -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DichotomyVerdict:
-    """Window-relative reading of a growth record; never an asymptotic claim."""
+class DichotomyVerdict(_Value):
+    """Window-relative reading of a growth record; never an asymptotic claim.
+    An immutable slotted value."""
 
+    __slots__ = __match_args__ = ("theorem", "classification", "window",
+                                  "caveat", "details")
     theorem: str
     classification: str
     window: tuple[int, int]
     caveat: str
     details: tuple[tuple[str, str], ...]
+
+    def __init__(self, theorem: str, classification: str,
+                 window: tuple[int, int], caveat: str,
+                 details: tuple[tuple[str, str], ...]):
+        _setattr(self, "theorem", theorem)
+        _setattr(self, "classification", classification)
+        _setattr(self, "window", window)
+        _setattr(self, "caveat", caveat)
+        _setattr(self, "details", details)
 
 
 _CAVEAT = "window-relative: counts outside the computed range are unknown"

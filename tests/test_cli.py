@@ -858,19 +858,22 @@ class TestImportContract:
 
     # Runs the CLI as `python -m hypergrowth.cli` does, then prints, per
     # layer, the names its body defined (None when the layer is not in
-    # sys.modules), and whether dataclasses was imported.  The namespace
-    # is read past the module's class, so the check itself loads no
-    # layer.
+    # sys.modules), and which of dataclasses and inspect the start loaded
+    # (those an interpreter's site set-up loads before it do not count).
+    # The namespace is read past the module's class, so the check itself
+    # loads no layer.
     LAYERS = ("core", "ideals", "sequences", "matrices", "structure",
               "constructions")
     COLD_START = (
         "import json, runpy, sys\n"
+        "before = set(sys.modules)\n"
         "try:\n"
         "    runpy.run_module('hypergrowth.cli', run_name='__main__',\n"
         "                     alter_sys=True)\n"
         "except SystemExit as exc:\n"
         "    assert exc.code == 0, exc.code\n"
-        "report = {'dataclasses': 'dataclasses' in sys.modules}\n"
+        "report = {'loaded': sorted({'dataclasses', 'inspect'}\n"
+        "                           & (set(sys.modules) - before))}\n"
         f"for layer in {LAYERS + ('verify',)!r}:\n"
         "    mod = sys.modules.get('hypergrowth.' + layer)\n"
         "    report[layer] = None if mod is None else sorted(\n"
@@ -922,8 +925,8 @@ class TestImportContract:
             assert "contains" in report["core"]
         if "ideals" in ran:
             assert "growth" in report["ideals"]
-        # only the layers with dataclasses import it
-        assert report["dataclasses"] == bool(ran - {"sequences"})
+        # no layer a start runs builds a dataclass
+        assert report["loaded"] == []
 
     def test_make_and_classify_starts_print_pinned_bytes(self, tmp_path):
         path = tmp_path / "w41.col"

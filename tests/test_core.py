@@ -169,7 +169,10 @@ class TestColoring:
             trusted = Coloring._trusted(k, l, n, public.colors)
             assert trusted == public and hash(trusted) == hash(public)
             assert repr(trusted) == repr(public)
-            assert vars(trusted) == vars(public)
+            for field in Coloring.__match_args__:
+                assert getattr(trusted, field) == getattr(public, field)
+            assert not hasattr(trusted, "__dict__")
+            assert not hasattr(public, "__dict__")
 
     def test_classes_are_siblings(self):
         # the tracer wraps each class's color once, and equality is per class

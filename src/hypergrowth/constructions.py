@@ -21,7 +21,7 @@ from .core import (AnyColoring, Coloring, ColoringPattern, Edge, edge_index,
                    restrict_normalize)
 from .matrices import StarMatrix2
 from .structure import (WealthyVariant, rich_window_edges, wealthy_assignment,
-                        wealthy_size, wealthy_variants)
+                        wealthy_size)
 
 GridPoint = tuple[int, int]
 
@@ -294,8 +294,6 @@ def make_rich(k: int, r: int, f: int, g: int, h: int, a: int = 0, b: int = 1,
 def make_wealthy(family: str, r: int, variant: Optional[WealthyVariant] = None,
                  filler: int = 0, wildcard: bool = False) -> AnyColoring:
     """Canonical member of a wealthy family variant (first variant if None)."""
-    if variant is None:
-        variant = wealthy_variants(family, r)[0]
     assign = wealthy_assignment(family, r, variant)
     n = wealthy_size(family, r)
     if wildcard:

@@ -324,7 +324,8 @@ def relabel(c: AnyColoring, new_label: Mapping[int, int]) -> AnyColoring:
     the way c colored its preimage.  reverse(c) is relabel with
     v -> n - v + 1.
     """
-    lab = {v: new_label[v] for v in range(1, c.n + 1)}
+    # a vertex the map misses gets 0, which is outside [n]
+    lab = {v: new_label.get(v, 0) for v in range(1, c.n + 1)}
     if sorted(lab.values()) != list(range(1, c.n + 1)):
         raise ValueError("relabeling is not a bijection of [n]")
     # the old vertices ordered by new label: the preimage of 1, 2, ..., n

@@ -1,7 +1,9 @@
 """Matrices over {0, 1, *}: alternation metrics, submatrix search, slices.
 
 Entries are 0, 1, or None (rendered "*" in text form).  All indices in
-the public API are 1-based, matching the vertex convention elsewhere.
+the public API are 1-based, matching the vertex convention elsewhere,
+and every one is checked: an index outside 1..dim raises IndexError
+rather than wrapping to the far end.
 
 An "alternation" is an adjacent pair of entries inside one line that is
 exactly {0, 1}; stars never participate.  The alternation number al of a
@@ -21,7 +23,7 @@ Line orientation differs by dimension, deliberately:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Iterable, Optional, Sequence, Union
 
 from .core import parse_fields
@@ -35,26 +37,40 @@ class DimensionMismatchError(ValueError):
 
 _CHAR = {0: "0", 1: "1", None: "*"}
 _ENTRY = {"0": 0, "1": 1, "*": None}
-
-
-def _check_entry(x) -> Entry:
-    if x is not None and x not in (0, 1):
-        raise ValueError(f"entry {x!r} not in {{0, 1, *}}")
-    return x
-
-
 _ENTRIES = frozenset((0, 1, None))
 
 
-def _check_line(line: Sequence) -> None:
-    """One set test per line; _check_entry raises for a bad entry."""
-    try:
-        if _ENTRIES.issuperset(line):
-            return
-    except TypeError:  # an unhashable entry
-        pass
-    for x in line:
-        _check_entry(x)
+def _check_block(entries, dims: tuple[int, ...]) -> None:
+    """ValueError unless entries nest to the lengths dims, outermost first,
+    and every innermost line holds only 0, 1 and None (one set test a line)."""
+    if min(dims) < 1:
+        raise ValueError("dimensions must be positive")
+    planes = (entries,)
+    for d in dims[:-2]:  # down to the 2D planes of the last two axes
+        for block in planes:
+            if len(block) != d:
+                raise ValueError(f"entries do not match dimensions {dims}")
+        planes = tuple(chain.from_iterable(planes))
+    rows, cols = dims[-2:]
+    for plane in planes:
+        if len(plane) != rows:
+            raise ValueError(f"entries do not match dimensions {dims}")
+        for line in plane:
+            if len(line) != cols:
+                raise ValueError(f"entries do not match dimensions {dims}")
+            try:
+                if _ENTRIES.issuperset(line):
+                    continue
+            except TypeError:  # an unhashable entry
+                pass
+            raise ValueError(f"line {line!r} has an entry not in {{0, 1, *}}")
+
+
+def _pick(seq: Sequence, i: int):
+    """seq at the 1-based index i; IndexError outside 1..len(seq)."""
+    if not 1 <= i <= len(seq):
+        raise IndexError(f"index {i} outside 1..{len(seq)}")
+    return seq[i - 1]
 
 
 @dataclass(frozen=True)
@@ -64,35 +80,22 @@ class StarMatrix2:
     entries: tuple[tuple[Entry, ...], ...]
 
     def __post_init__(self):
-        if self.rows < 1 or self.cols < 1:
-            raise ValueError("dimensions must be positive")
-        if len(self.entries) != self.rows:
-            raise ValueError("row count mismatch")
-        for row in self.entries:
-            if len(row) != self.cols:
-                raise ValueError("ragged rows")
-            _check_line(row)
+        _check_block(self.entries, (self.rows, self.cols))
 
     def at(self, i: int, j: int) -> Entry:
-        if not (1 <= i <= self.rows and 1 <= j <= self.cols):
-            raise IndexError(f"({i},{j}) outside {self.rows}x{self.cols}")
-        return self.entries[i - 1][j - 1]
+        return _pick(self.row(i), j)
 
     def row(self, i: int) -> tuple[Entry, ...]:
-        return self.entries[i - 1]
+        return _pick(self.entries, i)
 
     def col(self, j: int) -> tuple[Entry, ...]:
-        return tuple(row[j - 1] for row in self.entries)
+        return tuple(_pick(row, j) for row in self.entries)
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence]) -> "StarMatrix2":
-        ent = []
-        for row in rows:
-            if isinstance(row, str):
-                ent.append(tuple(_ENTRY[ch] for ch in row))
-            else:
-                ent.append(tuple(row))
-        return cls(len(ent), len(ent[0]) if ent else 0, tuple(ent))
+        ent = tuple(tuple(_ENTRY.get(ch, ch) for ch in row)
+                    if isinstance(row, str) else tuple(row) for row in rows)
+        return cls(len(ent), len(ent[0]) if ent else 0, ent)
 
     @classmethod
     def build(cls, rows: int, cols: int, fn) -> "StarMatrix2":
@@ -128,11 +131,10 @@ class StarMatrix2:
                                  for row in self.entries))
 
     def submatrix(self, rowsel: Iterable[int], colsel: Iterable[int]) -> "StarMatrix2":
-        rs = tuple(rowsel)
+        rs = [self.row(i) for i in rowsel]
         cs = tuple(colsel)
         return StarMatrix2(len(rs), len(cs),
-                           tuple(tuple(self.entries[i - 1][j - 1] for j in cs)
-                                 for i in rs))
+                           tuple(tuple(_pick(row, j) for j in cs) for row in rs))
 
     def to_text(self) -> str:
         lines = [f"matrix2 r={self.rows} s={self.cols}"]
@@ -149,20 +151,12 @@ def _matrix_from_text(text: str, name: str,
     if not head or head[0] != name:
         raise ValueError(f"expected {name!r} header")
     kv = parse_fields(head[1:], keys)
-    body = []
-    for ln in lines[1:]:
-        if set(ln) - set(_ENTRY):
-            raise ValueError(f"bad matrix line {ln!r}")
-        body.append(tuple(_ENTRY[ch] for ch in ln))
+    body = [tuple(_ENTRY.get(ch, ch) for ch in ln) for ln in lines[1:]]
     return [int(kv[k]) for k in keys], body
 
 
 def matrix2_from_text(text: str) -> StarMatrix2:
     (r, s), ent = _matrix_from_text(text, "matrix2", ("r", "s"))
-    if len(ent) != r:
-        raise ValueError(f"expected {r} rows")
-    if any(len(row) != s for row in ent):
-        raise ValueError(f"expected rows of length {s}")
     return StarMatrix2(r, s, tuple(ent))
 
 
@@ -174,24 +168,14 @@ class StarMatrix3:
     entries: tuple[tuple[tuple[Entry, ...], ...], ...]  # [i][j][k], 0-based
 
     def __post_init__(self):
-        if min(self.dim1, self.dim2, self.dim3) < 1:
-            raise ValueError("dimensions must be positive")
-        if len(self.entries) != self.dim1:
-            raise ValueError("first dimension mismatch")
-        for plane in self.entries:
-            if len(plane) != self.dim2:
-                raise ValueError("second dimension mismatch")
-            for shaft in plane:
-                if len(shaft) != self.dim3:
-                    raise ValueError("third dimension mismatch")
-                _check_line(shaft)
+        _check_block(self.entries, self.dims)
 
     @property
     def dims(self) -> tuple[int, int, int]:
         return (self.dim1, self.dim2, self.dim3)
 
     def at(self, i: int, j: int, k: int) -> Entry:
-        return self.entries[i - 1][j - 1][k - 1]
+        return _pick(_pick(_pick(self.entries, i), j), k)
 
     @classmethod
     def build(cls, dims: tuple[int, int, int], fn) -> "StarMatrix3":
@@ -317,8 +301,8 @@ def _distinct_representatives(eligible: list[list[int]]) -> Optional[list[int]]:
 
 def fullness(m: StarMatrix2) -> Fullness:
     """R-fullness: one private alternating column position per row (C-full dually)."""
-    row_elig = [_alternations(m.row(i)) for i in range(1, m.rows + 1)]
-    col_elig = [_alternations(m.col(j)) for j in range(1, m.cols + 1)]
+    row_elig = [_alternations(row) for row in m.entries]
+    col_elig = [_alternations(col) for col in zip(*m.entries)]
     rpick = _distinct_representatives(row_elig)
     cpick = _distinct_representatives(col_elig)
     return Fullness(rpick is not None, cpick is not None,

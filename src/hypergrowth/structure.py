@@ -572,14 +572,12 @@ def wealthy_variants(family: str, r: int) -> tuple[WealthyVariant, ...]:
     return tuple(_variant_texts(family))
 
 
-def _validate_variant(family: str, v: WealthyVariant):
-    if v not in _variant_texts(family):
-        raise ValueError(f"{v} is not a {family} variant")
-
-
 def variant_to_text(family: str, v: WealthyVariant) -> str:
-    _validate_variant(family, v)
-    return _variant_texts(family)[v]
+    """The variant's text; ValueError for a variant the family lacks."""
+    text = _variant_texts(family).get(v)
+    if text is None:
+        raise ValueError(f"{v} is not a {family} variant")
+    return text
 
 
 def variant_from_text(family: str, text: str) -> WealthyVariant:
@@ -678,7 +676,7 @@ def wealthy_assignment(family: str, r: int,
     """
     if v is None:
         v = wealthy_variants(family, r)[0]
-    _validate_variant(family, v)
+    variant_to_text(family, v)  # raises for a variant the family lacks
     return dict(_wealthy_cells(family, r, v))
 
 
@@ -805,7 +803,7 @@ def is_wealthy(c: Coloring, family: str, r: int,
         raise SizeMismatchError(f"{family} with r={r} needs {n} vertices, "
                                 f"got {c.n}")
     if variant is not None:
-        _validate_variant(family, variant)
+        variant_to_text(family, variant)  # raises for a variant the family lacks
         candidates: tuple[WealthyVariant, ...] = (variant,)
     else:
         candidates = wealthy_variants(family, r)

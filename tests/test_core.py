@@ -255,8 +255,12 @@ class TestSymmetries:
             assert relabel(r, back) == c
 
     def test_relabel_rejects_non_bijection(self):
-        with pytest.raises(ValueError):
-            relabel(Coloring.constant(3, 2, 4, 0), {1: 1, 2: 1, 3: 3, 4: 4})
+        c = Coloring.constant(3, 2, 4, 0)
+        # a repeated image, a missed vertex, and an image outside [n]
+        for lab in ({1: 1, 2: 1, 3: 3, 4: 4}, {1: 1}, {1: 2, 2: 1, 3: 3},
+                    {1: 1, 2: 2, 3: 3, 4: 5}):
+            with pytest.raises(ValueError, match="not a bijection"):
+                relabel(c, lab)
 
 
 class TestHomogeneity:

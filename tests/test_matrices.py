@@ -117,6 +117,75 @@ class TestStarMatrix3:
                                               for sel, i in zip(sels, idx)))
 
 
+class TestIndexAndEntryRule:
+    """Each 1-based accessor reads entries[i - 1]; any other index raises."""
+
+    def test_matrix2_indices(self):
+        rng = Lcg(35)
+        for _ in range(40):
+            m = random_matrix2(rng, 6, stars=True)
+            for i, j in product(range(1, m.rows + 1), range(1, m.cols + 1)):
+                assert m.at(i, j) == m.entries[i - 1][j - 1]
+                assert m.row(i) == m.entries[i - 1]
+                assert m.col(j) == tuple(row[j - 1] for row in m.entries)
+                assert m.submatrix([i], [j]).entries == ((m.at(i, j),),)
+            for bad in (0, -1, m.rows + 1):
+                for call in (lambda: m.at(bad, 1), lambda: m.row(bad),
+                             lambda: m.submatrix([bad], [1])):
+                    with pytest.raises(IndexError):
+                        call()
+            for bad in (0, -1, m.cols + 1):
+                for call in (lambda: m.at(1, bad), lambda: m.col(bad),
+                             lambda: m.submatrix([1], [bad])):
+                    with pytest.raises(IndexError):
+                        call()
+
+    def test_matrix3_indices(self):
+        rng = Lcg(36)
+        for _ in range(20):
+            m = random_matrix3(rng, 4, stars=True)
+            for idx in product(*(range(1, d + 1) for d in m.dims)):
+                i, j, k = idx
+                assert m.at(*idx) == m.entries[i - 1][j - 1][k - 1]
+                sub = m.submatrix(*([x] for x in idx))
+                assert sub.entries == (((m.at(*idx),),),)
+            for axis, d in enumerate(m.dims):
+                for bad in (0, -1, d + 1):
+                    idx = [1, 1, 1]
+                    idx[axis] = bad
+                    with pytest.raises(IndexError):
+                        m.at(*idx)
+                    with pytest.raises(IndexError):
+                        m.submatrix(*([x] for x in idx))
+
+    def test_shape_and_entry_errors(self):
+        row = (0, 1)
+        plane = (row, row)
+        for make in (lambda: StarMatrix2(2, 2, (row, (0,))),
+                     lambda: StarMatrix2(2, 2, (row,)),
+                     lambda: StarMatrix2(1, 2, ((0, [1]),)),
+                     lambda: StarMatrix2.from_rows(["01", "1"]),
+                     lambda: StarMatrix3(1, 2, 2, ()),
+                     lambda: StarMatrix3(1, 2, 2, ((row,),)),
+                     lambda: StarMatrix3(1, 2, 2, ((row, (0,)),)),
+                     lambda: StarMatrix3(1, 2, 2, ((row, (0, 2)),)),
+                     lambda: StarMatrix3(0, 2, 2, (plane,)),
+                     lambda: matrix2_from_text("matrix2 r=2 s=2\n01\n"),
+                     lambda: matrix2_from_text("matrix2 r=1 s=2\n011\n"),
+                     lambda: matrix3_from_text("matrix3 r=1 s=2 t=1\n02\n"),
+                     lambda: matrix3_from_text("matrix3 r=1 s=2 t=1\n0*\n1\n")):
+            with pytest.raises(ValueError):
+                make()
+        assert StarMatrix3(1, 2, 2, (plane,)).at(1, 2, 2) == 1
+
+    def test_from_rows_rejects_other_characters(self):
+        for rows in (["01", "1x"], ["0 1"], ["*", "2"], ["-"]):
+            with pytest.raises(ValueError):
+                StarMatrix2.from_rows(rows)
+        assert StarMatrix2.from_rows(["0*", "1*"]).entries == \
+            ((0, None), (1, None))
+
+
 class TestMetrics2:
     def test_identity3_example(self):
         met = metrics2(StarMatrix2.identity(3))

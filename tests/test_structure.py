@@ -792,6 +792,13 @@ class TestWealthyVariants:
             is_wealthy(Coloring.constant(3, 2, 7, 0), "W2.1", 3,
                        WealthyVariant(swap=False, reversals=(False,),
                                       perm=(1, 2, 3)))
+        foreign = WealthyVariant(block_swap=True)
+        for check in (lambda: variant_to_text("W1''", foreign),
+                      lambda: wealthy_assignment("W3.3", 2, foreign),
+                      lambda: is_wealthy(Coloring.constant(3, 2, 7, 0),
+                                         "W3.3", 2, foreign)):
+            with pytest.raises(ValueError, match="is not a W"):
+                check()
 
 
 class TestWealthyRecognition:

@@ -652,55 +652,43 @@ def _chunk_extend(parents, templates, shift, nnew, l, cap, build,
     return sum(frontier.values()), nodes
 
 
-def _grow(basis: Sequence[AnyColoring], k: int, l: int, n_max: int,
-          budget: int, build_last: bool, plan=_plan):
-    """The level loop; (counts, exact, nodes, members of level n_max).
+def _levels(basis: Sequence[AnyColoring], k: int, l: int, n_max: int,
+            budget: int, build_last: bool, plan=_plan):
+    """The level loop: a record (n, count, nodes, members) per exact level.
 
-    Levels below n_max are built as member ints in no particular order,
-    the parents of the next level; level n_max is only counted unless
-    ``build_last``.  One template list grows by _new_templates at every
-    level.  With ``build_last`` the returned members are those of level
-    n_max in ascending order (of the last level built, when a budget
-    stops the loop first), else an empty list.  A level is exact when its
-    nodes fit in what is left of ``budget``; the first that does not fit
-    is dropped with every later one.
+    Levels below n_max are built, as member ints in no particular order,
+    the parents of the next level; level n_max is counted, members None,
+    unless ``build_last``.  An empty level is (n, 0, 0, []): with nothing
+    to extend it costs no nodes.  One template list grows by
+    _new_templates at every level.  A level is exact when its ``nodes``
+    fit in what is left of ``budget``; the loop returns before the first
+    that does not fit.  A level runs only when its record is read, so a
+    consumer that stops early is charged nothing for the levels it skips.
     """
     for b in basis:
         if (b.k, b.l) != (k, l):
             raise IncompatibleColoringsError("basis does not match (k, l)")
     w = (l - 1).bit_length()
     split = _split_basis(basis)
-    counts: dict[int, int] = {}
-    exact: dict[int, bool] = {}
-    nodes_total = 0
     parents: list[int] = [0]
     templates: list = []
     for n in range(1, n_max + 1):
         if not parents:
-            # nothing to extend: this level and every later one are empty
-            later = range(n, n_max + 1)
-            counts.update(dict.fromkeys(later, 0))
-            exact.update(dict.fromkeys(later, True))
-            break
+            yield n, 0, 0, parents
+            continue
         templates += _new_templates(split, n, k, w)
-        remaining = budget - nodes_total
         build = build_last or n < n_max
         result, nodes = _chunk_extend(
             parents, templates, comb(n - 1, k) * w, comb(n - 1, k - 1), l,
-            remaining, build, plan)
-        if nodes > remaining:
-            break
-        nodes_total += nodes
-        exact[n] = True
+            budget, build, plan)
+        if nodes > budget:
+            return
+        budget -= nodes
         if build:
             parents = [m for ps in result for m in ps]
-            counts[n] = len(parents)
+            yield n, len(parents), nodes, parents
         else:
-            counts[n] = result
-    # a level that cannot finish is dropped with every later one
-    for n in range(1, n_max + 1):
-        exact.setdefault(n, False)
-    return counts, exact, nodes_total, sorted(parents) if build_last else []
+            yield n, result, nodes, None
 
 
 def avoid_growth(basis: Sequence[AnyColoring], k: int, l: int, n_max: int,
@@ -715,7 +703,12 @@ def avoid_growth(basis: Sequence[AnyColoring], k: int, l: int, n_max: int,
     once the budget is spent, and a run given its own ``nodes`` as the
     budget returns the same record.
     """
-    counts, exact, nodes, _ = _grow(basis, k, l, n_max, budget, False)
+    counts: dict[int, int] = {}
+    nodes = 0
+    for n, count, cost, _ in _levels(basis, k, l, n_max, budget, False):
+        counts[n] = count
+        nodes += cost
+    exact = {n: n in counts for n in range(1, n_max + 1)}
     return counts, exact, nodes
 
 
@@ -757,9 +750,12 @@ def avoid_members(basis: Sequence[AnyColoring], k: int, l: int, n: int,
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    _, exact, _, members = _grow(basis, k, l, n, budget, True)
-    if not all(exact.values()):
+    got = 0
+    for got, _, _, members in _levels(basis, k, l, n, budget, True):
+        pass
+    if got != n:
         raise RuntimeError("budget exhausted while materializing members")
+    members.sort()
     w = (l - 1).bit_length()
     field = (1 << w) - 1
     # member ints hold colours in colex edge order; storage is lex.  Each

@@ -202,12 +202,13 @@ class StarMatrix3:
 
 def matrix3_from_text(text: str) -> StarMatrix3:
     (r, s, t), body = _matrix_from_text(text, "matrix3", ("r", "s", "t"))
+    if min(r, s, t) < 1:
+        raise ValueError("dimensions must be positive")
     if len(body) != r * t:
         raise ValueError(f"expected {r * t} body lines")
-    if any(len(row) != s for row in body):
-        raise ValueError(f"expected lines of length {s}")
-    return StarMatrix3.build((r, s, t),
-                             lambda i, j, k: body[(k - 1) * r + (i - 1)][j - 1])
+    # line k * r + i holds entries[i][.][k]; the constructor checks s
+    return StarMatrix3(r, s, t, tuple(tuple(zip(*body[i::r], strict=True))
+                                      for i in range(r)))
 
 
 # --- alternation metrics -----------------------------------------------------

@@ -17,7 +17,7 @@ from .constructions import (Chain, chain_to_path, embed_chain, embed_string,
                             make_disobedient, make_rich, make_string_coloring,
                             make_wealthy, path_to_chain)
 from .core import Coloring, injection_witnesses, reverse
-from .ideals import (DEFAULT_BUDGET, GrowthRecord, IdealSpec, _fits, _grow,
+from .ideals import (DEFAULT_BUDGET, GrowthRecord, IdealSpec, _fits, _levels,
                      _plan, avoid_growth, builtin_members,
                      builtin_pattern_basis, census_distinct,
                      dichotomy_verdict)
@@ -376,7 +376,7 @@ def check_parallel_determinism() -> CriterionResult:
         (f"window base {bits:04b}", [base], 6)
         for bits, base in enumerate(_window_bases())]
     for name, basis, n_max in cases:
-        runs = [_grow(basis, 3, 2, n_max, DEFAULT_BUDGET, False, plan)[:3]
+        runs = [list(_levels(basis, 3, 2, n_max, DEFAULT_BUDGET, False, plan))
                 for plan in (_plan, _fits, lambda *shape: (0, 0))]
         if any(run != runs[0] for run in runs):
             failures.append(f"{name} differs between paths")

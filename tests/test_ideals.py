@@ -11,7 +11,7 @@ import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, permutations, product
+from itertools import combinations, islice, permutations, product
 from math import comb
 from pathlib import Path
 from types import SimpleNamespace
@@ -629,10 +629,25 @@ def on_every_path(run, plans=PLANS):
     return got[0]
 
 
+def grow(basis, k, l, n_max, budget, build_last, plan=ideals._plan):
+    """The records of ideals._levels folded into one tuple: (counts, exact,
+    nodes, the sorted members of the last level built, or [] unless
+    build_last).  Before level 1 the one member is the empty colouring, 0."""
+    counts, nodes, members = {}, 0, [0]
+    for n, count, cost, built in ideals._levels(basis, k, l, n_max, budget,
+                                                build_last, plan):
+        counts[n] = count
+        nodes += cost
+        if built is not None:
+            members = built
+    exact = {n: n in counts for n in range(1, n_max + 1)}
+    return counts, exact, nodes, sorted(members) if build_last else []
+
+
 def growth_on_every_path(basis, k, l, n_max, budget=ideals.DEFAULT_BUDGET,
                          plans=PLANS):
     """avoid_growth's (counts, exact, nodes), the same on every path."""
-    return on_every_path(lambda plan: ideals._grow(
+    return on_every_path(lambda plan: grow(
         basis, k, l, n_max, budget, False, plan)[:3], plans)
 
 
@@ -720,6 +735,38 @@ class TestInclusionOracles:
             rec = GrowthRecord("0" * 16, k, counts, exact, nodes)
             v = dichotomy_verdict(rec, "constant")
             assert v.classification != "violation", (basis, counts, exact)
+
+
+class TestKlazarSlice:
+    """k = 2 is Klazar's ordered graphs, the case the paper's dichotomies
+    generalize.  The engine recounts the pattern bases of S(2) and
+    lineartight(2) against their closed forms, the first dichotomy's floor
+    n - k + 2 = n and a brute force.  No verdict of the second dichotomy
+    is pinned here: the paper's is for k = 3 only."""
+
+    def test_s2_pattern_basis_counts_gk(self):
+        spec = IdealSpec.builtin("S", 2)
+        counts, exact, _ = avoid_growth(builtin_pattern_basis(spec), 2, 2, 20)
+        assert all(exact.values())
+        assert [counts[n] for n in range(1, 21)] == \
+            [builtin_count(spec, n) for n in range(1, 21)] == \
+            [sequence_Gk(2, n) for n in range(1, 21)]
+
+    def test_lineartight2_meets_the_floor(self):
+        basis = builtin_pattern_basis(IdealSpec.builtin("lineartight", 2))
+        counts, exact, nodes = avoid_growth(basis, 2, 2, 30)
+        assert all(exact.values()) and counts == {n: n for n in range(1, 31)}
+        record = GrowthRecord("0" * 16, 2, counts, exact, nodes)
+        verdict = dichotomy_verdict(record, "constant")
+        assert dict(verdict.details)["floor_equality"] == "true"
+
+    @pytest.mark.parametrize("name", ["S", "lineartight"])
+    def test_brute_force_agrees(self, name):
+        basis = builtin_pattern_basis(IdealSpec.builtin(name, 2))
+        for n in range(1, 6):
+            want = sorted(c.colors for c in brute_avoiders(basis, 2, 2, n))
+            got = avoid_members(basis, 2, 2, n)
+            assert sorted(c.colors for c in got) == want, (name, n)
 
 
 def small_basis(rng, k, l):
@@ -822,11 +869,11 @@ class TestMergedFrontier:
             n_max = k + rng.randint(2, 3)
 
             def both(budget, build_last):
-                new = on_every_path(lambda plan: ideals._grow(
+                new = on_every_path(lambda plan: grow(
                     basis, k, l, n_max, budget, build_last, plan))
                 with monkeypatch.context() as m:
                     m.setattr(ideals, "_chunk_extend", reference_chunk_extend)
-                    ref = ideals._grow(basis, k, l, n_max, budget, build_last)
+                    ref = grow(basis, k, l, n_max, budget, build_last)
                 assert new == ref, (case, budget, build_last)
                 return ref
 
@@ -846,12 +893,12 @@ class TestMergedFrontier:
         k, l = base.k, base.l
         _, _, total = avoid_growth([base], k, l, n)
         for build_last in (False, True):
-            counts, exact, nodes, members = ideals._grow(
+            counts, exact, nodes, members = grow(
                 [base], k, l, n, total, build_last)
             assert exact[n] and counts[n] == want and nodes == total
             if build_last:
                 assert len(members) == want
-            counts, exact, nodes, _ = ideals._grow(
+            counts, exact, nodes, _ = grow(
                 [base], k, l, n, total - 1, build_last)
             assert exact[n - 1] and not exact[n] and n not in counts
             assert nodes < total
@@ -883,7 +930,7 @@ class TestEmptyLevel:
                 (nodes - 1, dict(enumerate(levels[:-1], 1)), short)):
             exact = {n: n in counts for n in range(1, 13)}
             for build_last in (False, True):
-                got = on_every_path(lambda plan: ideals._grow(
+                got = on_every_path(lambda plan: grow(
                     basis, k, 2, 12, budget, build_last, plan)[:3])
                 assert got == (counts, exact, spent), budget
 
@@ -903,7 +950,7 @@ class TestEmptyLevel:
     def test_empty_level_has_no_members(self, basis, levels):
         for n in levels:
             assert avoid_members(basis, 3, 2, n) == [], n
-            got = on_every_path(lambda plan: ideals._grow(
+            got = on_every_path(lambda plan: grow(
                 basis, 3, 2, n, ideals.DEFAULT_BUDGET, True, plan))
             assert got[0][n] == 0 and got[1][n] and got[3] == [], n
 
@@ -938,7 +985,7 @@ class TestIncrementalTemplates:
             return ([[0]], 0) if build else (1, 0)
 
         monkeypatch.setattr(ideals, "_chunk_extend", stub)
-        ideals._grow(basis, k, l, n_max, 1, False)
+        grow(basis, k, l, n_max, 1, False)
         return seen
 
     def test_levels_match_full_listing(self, monkeypatch):
@@ -977,8 +1024,8 @@ class TestIncrementalTemplates:
             counts = {**dict.fromkeys(range(1, k - 1), 1), **zero}
             for budget in (0, ideals.DEFAULT_BUDGET):
                 for build_last in (False, True):
-                    assert ideals._grow(basis, k, 3, k + 4, budget,
-                                        build_last) == (
+                    assert grow(basis, k, 3, k + 4, budget,
+                                build_last) == (
                         counts, dict.fromkeys(counts, True), 0, []), k
 
 
@@ -1005,14 +1052,72 @@ class TestBudgetReplay:
             for budget in sorted({0, 1, total // 3, max(total - 1, 0), total,
                                   ideals.DEFAULT_BUDGET}):
                 for build_last in (False, True):
-                    run = on_every_path(lambda plan: ideals._grow(
+                    run = on_every_path(lambda plan: grow(
                         basis, k, l, n_max, budget, build_last, plan))
-                    replay = on_every_path(lambda plan: ideals._grow(
+                    replay = on_every_path(lambda plan: grow(
                         basis, k, l, n_max, run[2], build_last, plan))
                     assert replay == run, (case, budget, build_last)
                     spent += not all(run[1].values())
                     empty += 0 in run[0].values()
         assert spent > 0 and empty > 0
+
+
+class TestEarlyStop:
+    """_levels runs a level only when its record is read: a consumer that
+    stops after level m is charged the nodes of levels 1..m and nothing
+    more, and the records are avoid_growth's counts and nodes."""
+
+    def test_stopping_charges_only_the_levels_read(self):
+        rng = Lcg(79)
+        saved = 0
+        for case in range(30):
+            k, l = ((2, 2), (2, 3), (3, 2), (3, 3), (4, 2), (4, 3))[case % 6]
+            basis = mixed_basis(rng, k, l, draw(rng, 1, 2), case % 2 == 1)
+            n_max = k + 1 if (k, l) == (4, 3) else k + 2
+            for plan in PLANS:
+                full = list(ideals._levels(basis, k, l, n_max,
+                                           ideals.DEFAULT_BUDGET, False, plan))
+                for m in range(1, n_max + 1):
+                    got, calls = [], []
+
+                    def counting(*shape, plan=plan):
+                        # the records read when a level's extension starts
+                        calls.append(len(got))
+                        return plan(*shape)
+
+                    for record in islice(ideals._levels(
+                            basis, k, l, n_max, ideals.DEFAULT_BUDGET, False,
+                            counting), m):
+                        got.append(record)
+                    # one extension per level with parents, none for m + 1
+                    assert calls == [n - 1 for n, *_ in got
+                                     if n == 1 or got[n - 2][1]], (case, m)
+                    counts, _, nodes = avoid_growth(basis, k, l, m)
+                    assert {n: c for n, c, *_ in got} == counts
+                    assert sum(r[2] for r in got) == nodes, (case, m)
+                    saved += m < len(full) and full[m][2] > 0
+        assert saved > 0
+
+    def test_records_match_avoid_growth_under_t_and_t_minus_1(self):
+        rng = Lcg(83)
+        dropped = 0
+        for case in range(30):
+            k, l = ((2, 2), (2, 3), (3, 2), (3, 3), (4, 2), (4, 3))[case % 6]
+            basis = mixed_basis(rng, k, l, draw(rng, 1, 2), case % 2 == 1)
+            n_max = k + 1 if (k, l) == (4, 3) else k + 2
+            total = avoid_growth(basis, k, l, n_max)[2]
+            for budget in sorted({total, max(total - 1, 0)}):
+                counts, exact, nodes = avoid_growth(basis, k, l, n_max,
+                                                    budget)
+                for plan in PLANS:
+                    got = list(ideals._levels(basis, k, l, n_max, budget,
+                                              False, plan))
+                    assert {n: c for n, c, *_ in got} == counts
+                    assert sum(r[2] for r in got) == nodes, (case, budget)
+                    assert all(r[3] is None for r in got
+                               if r[0] == n_max and r[1])
+                dropped += not all(exact.values())
+        assert dropped > 0
 
 
 class TestMemberOrder:
@@ -1022,11 +1127,11 @@ class TestMemberOrder:
         rng = Lcg(71)
         for k, l in ((2, 2), (3, 2), (2, 3), (3, 4)):
             basis = random_basis(rng, k, l, 2, l > 2)
-            built = ideals._grow(basis, k, l, k + 2, 10 ** 9, True)
+            built = grow(basis, k, l, k + 2, 10 ** 9, True)
             members = built[3]
             assert len(members) == built[0][k + 2] > 1
             assert all(a < b for a, b in zip(members, members[1:]))
-            counted = ideals._grow(basis, k, l, k + 2, 10 ** 9, False)
+            counted = grow(basis, k, l, k + 2, 10 ** 9, False)
             assert counted[:3] == built[:3] and counted[3] == []
 
     def test_avoid_members_order_is_pinned(self):
@@ -1135,7 +1240,7 @@ class TestLaneCount:
         nodes stops either path right after its set-up, which is where a
         lane count allocates its lanes and masks."""
         base = Coloring(3, 2, 4, (0, 0, 0, 0))
-        parents = ideals._grow([base], 3, 2, 6, 10 ** 12, True)[3]
+        parents = grow([base], 3, 2, 6, 10 ** 12, True)[3]
         templates = reference_level_templates([base], 7, 3, 1)
         shape = (len(parents), len(templates), comb(6, 3), 2, comb(6, 2))
         assert ideals._plan(*shape) == (4, 0)
@@ -1247,7 +1352,7 @@ class TestPlan:
         groups its parents in lists and never calls _lane_count, and its
         members and nodes are the dict path's."""
         base = Coloring(3, 2, 4, (0, 0, 0, 0))
-        parents = ideals._grow([base], 3, 2, 5, 10 ** 12, True)[3]
+        parents = grow([base], 3, 2, 5, 10 ** 12, True)[3]
         templates = reference_level_templates([base], 6, 3, 1)
         shape = (comb(5, 3), comb(5, 2), 2, 10 ** 9)
         assert ideals._plan(len(parents), len(templates), comb(5, 3), 2,
@@ -1270,7 +1375,7 @@ class TestPlan:
     def test_levels_choose_filter(self):
         base = Coloring(3, 2, 4, (0, 0, 0, 0))
         # window n = 6: 768 parents of 10 bits, 10 templates
-        parents = ideals._grow([base], 3, 2, 5, 10 ** 12, True)[3]
+        parents = grow([base], 3, 2, 5, 10 ** 12, True)[3]
         templates = reference_level_templates([base], 6, 3, 1)
         assert ideals._plan(len(parents), len(templates), comb(5, 3), 2,
                             comb(5, 2)) == (2, 4)
@@ -1278,7 +1383,7 @@ class TestPlan:
         # in test_cap_keeps_n7_window_count_at_dict_peak
         # the S pattern basis at n = 12: parents of C(11, 3) = 165 bits
         basis = builtin_pattern_basis(IdealSpec.builtin("S", 3))
-        parents = ideals._grow(basis, 3, 2, 11, 10 ** 12, True)[3]
+        parents = grow(basis, 3, 2, 11, 10 ** 12, True)[3]
         templates = reference_level_templates(basis, 12, 3, 1)
         assert len(parents) * len(templates) >= 128
         assert ideals._plan(len(parents), len(templates), comb(11, 3), 2,
@@ -1298,7 +1403,7 @@ class TestPlan:
         # a cli-mix growth spec, one four-vertex element counted to n = 5:
         # too few parents to pack, few enough templates to count in lanes
         base = Coloring(3, 2, 4, (0, 1, 1, 0))
-        parents = ideals._grow([base], 3, 2, 4, 10 ** 12, True)[3]
+        parents = grow([base], 3, 2, 4, 10 ** 12, True)[3]
         templates = reference_level_templates([base], 5, 3, 1)
         assert (len(parents), len(templates)) == (15, 4)
         assert ideals._plan(15, 4, comb(4, 3), 2, comb(4, 2)) == (0, 2)

@@ -1,5 +1,6 @@
 """Star matrices: metrics, fullness, pattern search, slices, bound sampling."""
 
+import time
 from itertools import combinations, product
 
 import pytest
@@ -115,6 +116,16 @@ class TestStarMatrix3:
             for idx in product(*(range(1, len(sel) + 1) for sel in sels)):
                 assert sub.at(*idx) == m.at(*(sel[i - 1]
                                               for sel, i in zip(sels, idx)))
+
+    @pytest.mark.parametrize("head", [
+        "matrix3 r=3000000 s=1 t=0", "matrix3 r=1000000000 s=1000000000 t=0",
+        "matrix3 r=0 s=2 t=2", "matrix3 r=-1 s=2 t=-2"])
+    def test_text_zero_axis_raises_before_the_body(self, head):
+        # the header is refused before any entry is built, whatever r * s
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="dimensions must be positive"):
+            matrix3_from_text(head + "\n")
+        assert time.perf_counter() - start < 1.0
 
 
 class TestIndexAndEntryRule:
@@ -268,9 +279,16 @@ class TestMetrics3:
         rng = Lcg(4)
         m = random_matrix3(rng, 4, stars=True)
         assert matrix3_from_text(m.to_text()) == m
+        for _ in range(40):
+            text = random_matrix3(rng, 4, stars=True).to_text()
+            assert matrix3_from_text(text).to_text() == text
+        # every line's length is checked, not only one line per shaft
         for bad in ("", "matrix3 r=1 s=1 t=1 t=1\n0\n",
                     "matrix3 r=1 s=1 t=1 x=3\n0\n", "matrix3 r=1 s=1\n0\n",
-                    "matrix3 r=1 s=2 t=1\n0x\n"):
+                    "matrix3 r=1 s=2 t=1\n0x\n",
+                    "matrix3 r=1 s=2 t=2\n01\n011\n",
+                    "matrix3 r=1 s=2 t=2\n011\n01\n",
+                    "matrix3 r=1 s=2 t=2\n011\n011\n"):
             with pytest.raises(ValueError):
                 matrix3_from_text(bad)
 

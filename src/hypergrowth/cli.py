@@ -26,9 +26,14 @@ compatibility and has no effect: every count is computed in this
 process.  growth --cache appends the exact counts it computed to an
 append-only count file, which concurrent runs may share.
 
-main builds its argument parser once per process, on its first call, and
-reuses it: parsing keeps no state between calls, so main is safe to call
-repeatedly in-process.  Building the parser touches no package layer.
+The grammar is written once, as the _GRAMMAR table.  main parses a
+well-formed call straight from it, into the namespace argparse would
+build, and never imports argparse.  Anything else (--help, an
+abbreviated or repeated flag, --opt=value, "--", "-", a negative
+number, a usage error) goes to an argparse parser built from the same
+table, once per process, which prints the help or the usage error.
+Parsing keeps no state between calls, so main is safe to call
+repeatedly in-process, and neither path touches a package layer.
 Each verb imports the layers it calls in its own body: contains imports
 core, growth imports ideals (and through it core), sequence imports
 sequences, make and classify import constructions and structure (and
@@ -45,10 +50,10 @@ read sys.modules on each call.
 
 from __future__ import annotations
 
-import argparse
 import functools
 import os
 import sys
+from types import SimpleNamespace
 from typing import Optional, Sequence, TextIO
 
 
@@ -233,7 +238,7 @@ def _classify_wealthy(args, out: TextIO) -> int:
 # --- remaining verbs ---------------------------------------------------------------
 
 
-def _cmd_contains(args, out: TextIO) -> int:
+def _contains(args, out: TextIO) -> int:
     from .core import coloring_from_text, contains
     small = coloring_from_text(_read_text(args.small))
     big = coloring_from_text(_read_text(args.big))
@@ -251,7 +256,7 @@ def _str_digits_limit() -> int:
     return getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
 
-def _cmd_growth(args, out: TextIO) -> int:
+def _growth(args, out: TextIO) -> int:
     from .ideals import (DEFAULT_BUDGET, IdealSpec, builtin_exceeds_digits,
                          dichotomy_verdict, growth, ideal_spec_from_text)
     kind, _, rest = args.spec.partition(":")
@@ -295,7 +300,7 @@ def _cmd_growth(args, out: TextIO) -> int:
     return status
 
 
-def _cmd_sequence(args, out: TextIO) -> int:
+def _sequence(args, out: TextIO) -> int:
     from .sequences import sequence_exceeds_digits, sequence_value
     name = args.name
     if args.k is not None:
@@ -311,7 +316,7 @@ def _cmd_sequence(args, out: TextIO) -> int:
     return 0
 
 
-def _cmd_verify(args, out: TextIO) -> int:
+def _verify(args, out: TextIO) -> int:
     from .verify import run_all, run_one
     if args.suite == "all":
         results = run_all(seed=args.seed)
@@ -322,132 +327,179 @@ def _cmd_verify(args, out: TextIO) -> int:
     return 0 if all(r.passed for r in results) else 1
 
 
-# --- parser -----------------------------------------------------------------------
+# --- grammar ----------------------------------------------------------------------
+
+
+# The command line grammar: one line per group, verb and option, in the
+# order _build_parser adds them.  A line's words come before its first
+# double space and its help after it.  A group line is the group's name
+# and the {dest} of its sub-verbs.  A verb line is its path and its
+# <positionals>; its handler is named after the path (make rich runs
+# _make_rich).  An option line, indented under its verb, is its flag, then
+# in this order "int" for an int type, "required", "=<default>" and
+# "{<choice>,...}" where the option has them.  An option's dest is its
+# flag as argparse derives it: --n-max stores n_max.
+_GRAMMAR = """
+make {kind}             build an object and print it
+make rich               sliding-window coloring
+  --k int =3
+  --r int required
+  --shape required      f,g,h split of the window (f + g + h = k)
+  --colors =0,1         a,b window colors
+  --filler int =0
+make wealthy            canonical wealthy family member
+  --family required
+  --r int required
+  --variant             variant text, first variant if absent
+  --filler int =0
+make string-matrix      staircase matrix of a string plus host picks
+  --w required          binary string of odd length
+  --mode required {identity,upper}
+make chain-matrix       identity-host picks for a grid chain
+  --m int required      ambient grid size
+  --points =            semicolon-separated r,c pairs, increasing
+make string-coloring    restriction coloring reading back a string
+  --w required          binary string
+  --t int required      marked color
+  --r int required      host scale
+  --filler int =0
+make disobedient        coloring whose zero triples encode two sets
+  --n int required
+  --a required          low picks, comma-separated
+  --b required          high picks, comma-separated
+  --host-r int
+  --filler int =0
+classify {check}        test a coloring file
+classify nuclear <file>  maximal homogeneous intervals
+classify tame <file>    bounded-complexity conditions
+  --p int =3
+classify rich <file>    sliding-window recognition
+  --r int required
+classify simple <file>  boundary-controlled test
+  --cpar int required   boundary width on each side
+classify wealthy <file>  wealthy family recognition
+  --family required
+  --r int required
+  --variant             check exactly this variant
+contains <small> <big>  order embedding between colorings
+growth                  levelwise ideal counts
+  --spec required       avoid:<file> or builtin:<name>,k=<k>
+  --n-max int required
+  --jobs int =1
+  --budget int          search node budget, spent level by level
+  --cache               count cache path, HYPERGROWTH_CACHE if unset
+  --verdict {constant,quasi_fibonacci}  append a window-relative classification
+sequence                closed-form sequence values
+  --name required       G, F, Gk or Gk(<k>)
+  --n int required
+  --k int               interval length for Gk
+verify                  acceptance suites
+  --suite =all          all, or a single criterion number
+  --seed int =0         seed offset for the sampled-matrix suite
+  --jobs int =1
+"""
+
+
+@functools.cache
+def _grammar() -> dict:
+    """_GRAMMAR read in order, keyed by path as a tuple of words: a group
+    maps to (help, dest of its sub-verbs) and a verb to (help, the
+    namespace its options and positionals fill in, positionals, {flag:
+    add_argument keywords, dest included})."""
+    rows = {}
+    for line in _GRAMMAR.strip().split("\n"):
+        words, _, help_ = line.strip().partition("  ")
+        name, *words = words.split(" ")
+        kw = {"help": help_.strip() or None}
+        if line[0] == " ":  # an option of the verb above
+            kw["dest"] = name[2:].replace("-", "_")
+            for word in words:
+                if word == "int":
+                    kw["type"] = int
+                elif word == "required":
+                    kw["required"] = True
+                elif word[0] == "=":
+                    kw["default"] = kw.get("type", str)(word[1:])
+                else:
+                    kw["choices"] = tuple(word[1:-1].split(","))
+            options[name] = kw
+            ns[kw["dest"]] = kw.get("default")
+        elif words and words[0][0] == "{":  # a group
+            rows[(name,)] = (kw["help"], words[0][1:-1])
+        else:
+            path, ns, positionals, options = (name,), {"verb": name}, [], {}
+            for word in words:
+                if word[0] == "<":
+                    positionals.append(word[1:-1])
+                else:  # a sub-verb
+                    ns[rows[path][1]] = word
+                    path += (word,)
+            ns["func"] = globals()["_" + "_".join(path).replace("-", "_")]
+            rows[path] = (kw["help"], ns, positionals, options)
+    return rows
+
+
+def _parse(argv: Sequence[str]) -> Optional[SimpleNamespace]:
+    """argparse's namespace for argv, read from _GRAMMAR, or None unless
+    each option is an exact flag of the verb, given once with a value that
+    does not start with "-" and that its type and choices accept, the
+    positional count is exact and every required option is given."""
+    rows, path = _grammar(), tuple(argv[:1])
+    if len(rows.get(path, ())) == 2:  # a group: its sub-verb follows
+        path = tuple(argv[:2])
+    if len(rows.get(path, ())) != 4:
+        return None
+    _, ns, positionals, options = rows[path]
+    ns, options, free = dict(ns), dict(options), []
+    rest = iter(argv[len(path):])
+    for word in rest:
+        if word[:1] != "-":
+            free.append(word)
+            continue
+        # popped, so a flag given twice is unknown the second time
+        value, kw = next(rest, "-"), options.pop(word, None)
+        if kw is None or value[:1] == "-":
+            return None
+        try:
+            ns[kw["dest"]] = value = kw.get("type", str)(value)
+        except ValueError:
+            return None
+        if value not in kw.get("choices", (value,)):
+            return None
+    for kw in options.values():  # the options not given
+        if kw.get("required"):
+            return None
+    if len(free) != len(positionals):
+        return None
+    ns.update(zip(positionals, free))
+    return SimpleNamespace(**ns)
 
 
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    import argparse
     parser = argparse.ArgumentParser(
         prog="hypergrowth",
         description="build, test and count edge-colored ordered hypergraphs")
-    sub = parser.add_subparsers(dest="verb", required=True)
-
-    mk = sub.add_parser("make", help="build an object and print it")
-    kinds = mk.add_subparsers(dest="kind", required=True)
-
-    q = kinds.add_parser("rich", help="sliding-window coloring")
-    q.add_argument("--k", type=int, default=3)
-    q.add_argument("--r", type=int, required=True)
-    q.add_argument("--shape", required=True,
-                   help="f,g,h split of the window (f + g + h = k)")
-    q.add_argument("--colors", default="0,1", help="a,b window colors")
-    q.add_argument("--filler", type=int, default=0)
-    q.set_defaults(func=_make_rich)
-
-    q = kinds.add_parser("wealthy", help="canonical wealthy family member")
-    q.add_argument("--family", required=True)
-    q.add_argument("--r", type=int, required=True)
-    q.add_argument("--variant", help="variant text, first variant if absent")
-    q.add_argument("--filler", type=int, default=0)
-    q.set_defaults(func=_make_wealthy)
-
-    q = kinds.add_parser("string-matrix",
-                         help="staircase matrix of a string plus host picks")
-    q.add_argument("--w", required=True, help="binary string of odd length")
-    q.add_argument("--mode", choices=("identity", "upper"), required=True)
-    q.set_defaults(func=_make_string_matrix)
-
-    q = kinds.add_parser("chain-matrix",
-                         help="identity-host picks for a grid chain")
-    q.add_argument("--m", type=int, required=True, help="ambient grid size")
-    q.add_argument("--points", default="",
-                   help="semicolon-separated r,c pairs, increasing")
-    q.set_defaults(func=_make_chain_matrix)
-
-    q = kinds.add_parser("string-coloring",
-                         help="restriction coloring reading back a string")
-    q.add_argument("--w", required=True, help="binary string")
-    q.add_argument("--t", type=int, required=True, help="marked color")
-    q.add_argument("--r", type=int, required=True, help="host scale")
-    q.add_argument("--filler", type=int, default=0)
-    q.set_defaults(func=_make_string_coloring)
-
-    q = kinds.add_parser("disobedient",
-                         help="coloring whose zero triples encode two sets")
-    q.add_argument("--n", type=int, required=True)
-    q.add_argument("--a", required=True, help="low picks, comma-separated")
-    q.add_argument("--b", required=True, help="high picks, comma-separated")
-    q.add_argument("--host-r", type=int, dest="host_r")
-    q.add_argument("--filler", type=int, default=0)
-    q.set_defaults(func=_make_disobedient)
-
-    cl = sub.add_parser("classify", help="test a coloring file")
-    checks = cl.add_subparsers(dest="check", required=True)
-
-    q = checks.add_parser("nuclear", help="maximal homogeneous intervals")
-    q.add_argument("file")
-    q.set_defaults(func=_classify_nuclear)
-
-    q = checks.add_parser("tame", help="bounded-complexity conditions")
-    q.add_argument("file")
-    q.add_argument("--p", type=int, default=3)
-    q.set_defaults(func=_classify_tame)
-
-    q = checks.add_parser("rich", help="sliding-window recognition")
-    q.add_argument("file")
-    q.add_argument("--r", type=int, required=True)
-    q.set_defaults(func=_classify_rich)
-
-    q = checks.add_parser("simple", help="boundary-controlled test")
-    q.add_argument("file")
-    q.add_argument("--cpar", type=int, required=True,
-                   help="boundary width on each side")
-    q.set_defaults(func=_classify_simple)
-
-    q = checks.add_parser("wealthy", help="wealthy family recognition")
-    q.add_argument("file")
-    q.add_argument("--family", required=True)
-    q.add_argument("--r", type=int, required=True)
-    q.add_argument("--variant", help="check exactly this variant")
-    q.set_defaults(func=_classify_wealthy)
-
-    p = sub.add_parser("contains", help="order embedding between colorings")
-    p.add_argument("small")
-    p.add_argument("big")
-    p.set_defaults(func=_cmd_contains)
-
-    p = sub.add_parser("growth", help="levelwise ideal counts")
-    p.add_argument("--spec", required=True,
-                   help="avoid:<file> or builtin:<name>,k=<k>")
-    p.add_argument("--n-max", type=int, required=True, dest="n_max")
-    p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--budget", type=int,
-                   help="search node budget, spent level by level")
-    p.add_argument("--cache", help="count cache path, HYPERGROWTH_CACHE "
-                                   "if unset")
-    p.add_argument("--verdict", choices=("constant", "quasi_fibonacci"),
-                   help="append a window-relative classification")
-    p.set_defaults(func=_cmd_growth)
-
-    p = sub.add_parser("sequence", help="closed-form sequence values")
-    p.add_argument("--name", required=True, help="G, F, Gk or Gk(<k>)")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, help="interval length for Gk")
-    p.set_defaults(func=_cmd_sequence)
-
-    p = sub.add_parser("verify", help="acceptance suites")
-    p.add_argument("--suite", default="all",
-                   help="all, or a single criterion number")
-    p.add_argument("--seed", type=int, default=0,
-                   help="seed offset for the sampled-matrix suite")
-    p.add_argument("--jobs", type=int, default=1)
-    p.set_defaults(func=_cmd_verify)
-
+    subs = {(): parser.add_subparsers(dest="verb", required=True)}
+    for path, (help_, *row) in _grammar().items():
+        p = subs[path[:-1]].add_parser(path[-1], help=help_)
+        if len(row) == 1:  # a group, and the dest of its sub-verbs
+            subs[path] = p.add_subparsers(dest=row[0], required=True)
+            continue
+        ns, positionals, options = row
+        for dest in positionals:
+            p.add_argument(dest)
+        for flag, kw in options.items():
+            p.add_argument(flag, **kw)
+        p.set_defaults(func=ns["func"])
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else argv)
+    if args is None:  # --help, usage errors and what the table leaves out
+        args = _build_parser().parse_args(argv)
     try:
         return args.func(args, sys.stdout)
     except (OSError, ValueError, KeyError, RuntimeError,

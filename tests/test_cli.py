@@ -1,10 +1,13 @@
 """Command line surface: verbs, exit codes, byte-stable reports."""
 
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 import multiprocessing
 import os
+import random
 import subprocess
 import sys
 import time
@@ -18,13 +21,51 @@ from hypergrowth.ideals import IdealSpec, load_cache
 from hypergrowth.rng import Lcg
 
 
-# stdout of `hypergrowth --help` and `hypergrowth growth --help` at 80
-# columns
+# stdout of every help screen at 80 columns, pinned before the parser was
+# built from the grammar table
 HELP_SHA256 = {
     "--help":
         "4f47e9983a10a89032df97266890d7fa4dd1f3f7ac6f149d620382cabe9453dd",
+    "make --help":
+        "20f0ba97f559e6516715c69321b58c2145df5dc68c7f9fb4eab03fcc58079d10",
+    "classify --help":
+        "1824e1dd139af2f0f19314ee96b321589215ae85c164b9bd9f3ff4547c532917",
+    "make rich --help":
+        "998d798ef5aee22d0d1c4adc90c1dfbefc422cf58c18fcd64e62d9ca3972255b",
+    "make wealthy --help":
+        "eb9196113cc462155cb828a3bd4af41e6d9c3ed70278061b2b638a8cbce727b4",
+    "make string-matrix --help":
+        "25138d0b0f018885e5802207c075eb67e414374f1a8f8b0e126037af52c060b5",
+    "make chain-matrix --help":
+        "50522abb729adcaf38c2dff797909ea903c1906ddbdd4000b1f5020385f9f40f",
+    "make string-coloring --help":
+        "ba27d81d8cd0370abcf10be2c9b2dc00523a13ac1ee5de9134845c0686a6b41e",
+    "make disobedient --help":
+        "2d0544f512b9ecbf1ae4225165e26291f5f9462d312c4e09d359aa8382620e4b",
+    "classify nuclear --help":
+        "b0dfa958082edbe99acd269ed2cf9df796ab4ad8f1f2f1d3affd0383ba0eccf0",
+    "classify tame --help":
+        "6ae88928346fb89a68f6108290cd82ce8883055e036921ef36f67b068eec4261",
+    "classify rich --help":
+        "159baa1b8d90b05e87d79747c1f832915c14ef6c7a2c1becd0f81bac251ac111",
+    "classify simple --help":
+        "d925b01ff402febf85c7c33d25f2fe893f5aaad5c0a417ef53b759deffafc391",
+    "classify wealthy --help":
+        "13980cdd33808441fb61c322d585eebb805bbdf44944aef7452019e15d4aad11",
+    "contains --help":
+        "3814923b8c8501c186258b53e2a38a4f3b984456b35b84996d95b2c325b6c185",
     "growth --help":
         "608aeecb7416f07c4272657e81385af00f40dab25ec78636b2fb7eeae9006152",
+    "sequence --help":
+        "420b38dfaa316cf45092640dd99e92115fdbbc5a6a4cd650ca254d887cfc3144",
+    "verify --help":
+        "a4723b3aab4ba9a803dce74e41df438c102a003ff1c128ef6a9205eff9864e5f",
+}
+# argparse 3.13 keeps `make --help`'s usage on one line, its sub-verb choices
+# and the "..." after them
+HELP_SHA256_313 = {
+    "make --help":
+        "141774735b4851f30b887021792af2ef485178f5cd6327397cfd7c282c716c39",
 }
 
 
@@ -398,6 +439,7 @@ class TestSharedParser:
         assert flag_cache.exists() and env_cache.exists()
 
     def test_parser_built_once(self, monkeypatch, capsys):
+        # only --help and usage errors build it, and once per process
         progs = []
         init = argparse.ArgumentParser.__init__
 
@@ -407,13 +449,23 @@ class TestSharedParser:
 
         cli._build_parser.cache_clear()
         monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
-        built = []
         for _ in range(3):
             assert cli.main(["sequence", "--name", "G", "--n", "5"]) == 0
-            built.append(len(progs))
         assert capsys.readouterr().out == "G(5)=4\n" * 3
+        assert progs == []  # well-formed calls parse from the table
+        built = []
+        for argv in (["--help"], ["sequence", "--name", "G"], ["growth"],
+                     ["sequence", "--help"]):
+            with pytest.raises(SystemExit):
+                cli.main(argv)
+            built.append(len(progs))
+        capsys.readouterr()
+        # the first built the whole parser, one per group and verb and the
+        # top level; the rest reused it
         assert progs.count("hypergrowth") == 1
-        assert built[0] > 1 and built == [built[0]] * 3
+        assert built == [18] * 4
+        assert cli.main(["sequence", "--name", "G", "--n", "5"]) == 0
+        assert len(progs) == 18
 
 
 class TestJobsFlag:
@@ -858,8 +910,9 @@ class TestImportContract:
 
     # Runs the CLI as `python -m hypergrowth.cli` does, then prints, per
     # layer, the names its body defined (None when the layer is not in
-    # sys.modules), and which of dataclasses and inspect the start loaded
-    # (those an interpreter's site set-up loads before it do not count).
+    # sys.modules), and which of dataclasses, inspect, argparse and gettext
+    # the start loaded (those an interpreter's site set-up loads before it
+    # do not count).
     # The namespace is read past the module's class, so the check itself
     # loads no layer.
     LAYERS = ("core", "ideals", "sequences", "matrices", "structure",
@@ -872,7 +925,8 @@ class TestImportContract:
         "                     alter_sys=True)\n"
         "except SystemExit as exc:\n"
         "    assert exc.code == 0, exc.code\n"
-        "report = {'loaded': sorted({'dataclasses', 'inspect'}\n"
+        "report = {'loaded': sorted({'dataclasses', 'inspect', 'argparse',\n"
+        "                            'gettext'}\n"
         "                           & (set(sys.modules) - before))}\n"
         f"for layer in {LAYERS + ('verify',)!r}:\n"
         "    mod = sys.modules.get('hypergrowth.' + layer)\n"
@@ -925,7 +979,11 @@ class TestImportContract:
             assert "contains" in report["core"]
         if "ideals" in ran:
             assert "growth" in report["ideals"]
-        # no layer a start runs builds a dataclass
+        # no layer a start runs builds a dataclass, and only --help builds
+        # the argparse parser
+        if argv == ["--help"]:
+            assert "argparse" in report["loaded"]
+            report["loaded"] = []
         assert report["loaded"] == []
 
     def test_make_and_classify_starts_print_pinned_bytes(self, tmp_path):
@@ -1070,6 +1128,188 @@ class TestParserBytes:
         assert cli.main(argv) == 0
         assert capsys.readouterr().out == got[0][1]
         assert budgets == [ideals.DEFAULT_BUDGET] == [10 ** 8]
+
+
+# stderr of each usage error at 80 columns (exit status 2), pinned before
+# the parser was built from the grammar table
+USAGE = ("usage: hypergrowth [-h] "
+         "{make,classify,contains,growth,sequence,verify} ...\n")
+GROWTH_USAGE = (
+    "usage: hypergrowth growth [-h] --spec SPEC --n-max N_MAX [--jobs JOBS]\n"
+    "                          [--budget BUDGET] [--cache CACHE]\n"
+    "                          [--verdict {constant,quasi_fibonacci}]\n")
+GROWTH = ["growth", "--spec", "builtin:S,k=3"]
+USAGE_ERRORS = {
+    "no verb": ([], USAGE + "hypergrowth: error: the following arguments "
+                            "are required: verb\n"),
+    "unknown verb": (["nonsense"], USAGE + (
+        "hypergrowth: error: argument verb: invalid choice: 'nonsense' "
+        "(choose from 'make', 'classify', 'contains', 'growth', 'sequence', "
+        "'verify')\n")),
+    "missing --n-max": (GROWTH, GROWTH_USAGE + (
+        "hypergrowth growth: error: the following arguments are required: "
+        "--n-max\n")),
+    "bad --verdict": (GROWTH + ["--n-max", "5", "--verdict", "linear"],
+                      GROWTH_USAGE + (
+        "hypergrowth growth: error: argument --verdict: invalid choice: "
+        "'linear' (choose from 'constant', 'quasi_fibonacci')\n")),
+    "--n-max x": (GROWTH + ["--n-max", "x"], GROWTH_USAGE + (
+        "hypergrowth growth: error: argument --n-max: invalid int value: "
+        "'x'\n")),
+    "unknown option": (["sequence", "--name", "G", "--n", "5", "--width",
+                        "3"],
+                       USAGE + "hypergrowth: error: unrecognized arguments: "
+                               "--width 3\n"),
+    "extra positional": (["contains", "a.col", "b.col", "c.col"],
+                         USAGE + "hypergrowth: error: unrecognized "
+                                 "arguments: c.col\n"),
+}
+
+
+def choices_unquoted(text):
+    """text as later argparse releases print it: an invalid choice's
+    alternatives without quotes."""
+    head, sep, tail = text.partition("(choose from ")
+    return head + sep + tail.replace("'", "")
+
+
+def argparse_namespace(argv):
+    """vars() of argparse's namespace for argv, or None where it exits."""
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            return vars(cli._build_parser().parse_args(argv))
+    except SystemExit:
+        return None
+
+
+class TestGrammarTable:
+    """One table feeds both parsers: main's own, for well-formed calls,
+    and argparse, for --help, usage errors and the forms the table leaves
+    to it."""
+
+    @pytest.mark.parametrize("screen", sorted(HELP_SHA256))
+    def test_help_screen_bytes(self, screen, monkeypatch, capsys):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as exc:
+            cli.main(screen.split())
+        got = capsys.readouterr()
+        assert (exc.value.code, got.err) == (0, "")
+        digest = hashlib.sha256(got.out.encode()).hexdigest()
+        assert digest in {HELP_SHA256[screen], HELP_SHA256_313.get(screen)}
+
+    @pytest.mark.parametrize("name", sorted(USAGE_ERRORS))
+    def test_usage_error_bytes(self, name, monkeypatch, capsys):
+        argv, err = USAGE_ERRORS[name]
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        got = capsys.readouterr()
+        assert (exc.value.code, got.out) == (2, "")
+        assert got.err in {err, choices_unquoted(err)}
+
+    # values an option or positional may take; none starts with "-"
+    WORDS = ("a", "0,1", "W1'", "x y", "builtin:S,k=3", "é", "make",
+             "growth", "0", "3")
+
+    def well_formed(self, rng, path, row):
+        """A seeded argv the table must accept: every required option and
+        some of the others, in shuffled order, with the positionals
+        spread among them."""
+        _, _, positionals, options = row
+        pairs = []
+        for flag, kw in options.items():
+            if kw.get("required") or rng.random() < 0.5:
+                if "choices" in kw:
+                    value = rng.choice(kw["choices"])
+                elif kw.get("type") is int:
+                    value = str(rng.randrange(100))
+                else:
+                    value = rng.choice(self.WORDS)
+                pairs.append([flag, value])
+        rng.shuffle(pairs)
+        for name in positionals:
+            pairs.insert(rng.randrange(len(pairs) + 1),
+                         [rng.choice(self.WORDS)])
+        return [list(path), *pairs]
+
+    def mutants(self, rng, path, parts, row):
+        """argv derived from a well-formed one, most of them wrong."""
+        kws = row[3]
+        options = [i for i, p in enumerate(parts) if p[0] in kws]
+        ints = [i for i in options if kws[parts[i][0]].get("type") is int]
+        choices = [i for i in options if "choices" in kws[parts[i][0]]]
+
+        def edit(i, new):
+            copy = [list(p) for p in parts]
+            copy[i] = new
+            return copy
+
+        def insert(word):
+            copy = [list(p) for p in parts]
+            copy.insert(rng.randrange(1, len(copy) + 1), [word])
+            return copy
+
+        out = [insert(w) for w in ("-5", "-", "--", "-h", "", "extra")]
+        out.append(parts + [["--nope", "1"]])
+        words = sum(parts, [])
+        out.append([rng.sample(words, len(words))])  # shuffled words
+        for i in options:
+            flag, value = parts[i]
+            out.append(edit(i, [flag[:-1], value]))  # abbreviated
+            out.append(edit(i, [f"{flag}={value}"]))
+            out.append(edit(i, [flag]))  # value missing
+            out.append(edit(i, [flag, ""]))
+            out.append(edit(i, [flag, "-"]))
+            out.append(parts + [[flag, value]])  # repeated
+            if kws[flag].get("required"):
+                out.append(edit(i, []))
+        for i in ints:
+            for bad in ("x", "1.5", "-5", " 7", "+2", "1_0"):
+                out.append(edit(i, [parts[i][0], bad]))
+        for i in choices:
+            out.append(edit(i, [parts[i][0], "bogus"]))
+        if len(path) == 2:
+            out.append([[path[0]], *parts[1:]])  # sub-verb missing
+            out.append([[" ".join(path)], *parts[1:]])
+        return out
+
+    def test_table_agrees_with_argparse(self):
+        rng = random.Random(20240606)
+        verbs = {path: row for path, row in cli._grammar().items()
+                 if len(row) == 4}
+        assert len(verbs) == 15
+        accepted = declined = refused = 0
+        for path, row in verbs.items():
+            for _ in range(12):
+                parts = self.well_formed(rng, path, row)
+                argv = sum(parts, [])
+                ns = cli._parse(argv)
+                assert ns is not None, argv
+                assert vars(ns) == argparse_namespace(argv), argv
+                for mutant in self.mutants(rng, path, parts, row):
+                    argv = sum(mutant, [])
+                    ns, want = cli._parse(argv), argparse_namespace(argv)
+                    if ns is not None:
+                        assert vars(ns) == want, argv
+                        accepted += 1
+                    elif want is not None:
+                        declined += 1  # argparse parses it instead
+                    else:
+                        refused += 1
+        # every kind of outcome happened
+        assert min(accepted, declined, refused) > 100
+
+    @pytest.mark.parametrize("argv,table", [
+        (["sequence", "--name", "G", "--n", "11"], True),
+        (["sequence", "--name", "G", "--n=11"], False),
+    ])
+    def test_main_reads_sys_argv(self, argv, table, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "argv", ["hypergrowth", *argv])
+        cli._build_parser.cache_clear()
+        assert cli.main() == 0
+        assert capsys.readouterr().out == "G(11)=41\n"
+        assert cli._build_parser.cache_info().misses == (0 if table else 1)
 
 
 class TestPinnedBytes:
